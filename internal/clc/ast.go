@@ -5,10 +5,39 @@ import (
 	"sync"
 )
 
+// BaseType is a value type's scalar base. Runtime type tests compare
+// these small integers; String renders the OpenCL C names.
+type BaseType uint8
+
+const (
+	// baseNone is the zero Type's base: no type information.
+	baseNone BaseType = iota
+	BaseInt
+	BaseUint
+	BaseFloat
+	BaseDouble
+	BaseVoid
+	// baseUnknown marks a register whose writers disagree on its type
+	// (optimizer type inference only).
+	baseUnknown
+)
+
+var baseNames = [...]string{
+	baseNone:    "",
+	BaseInt:     "int",
+	BaseUint:    "uint",
+	BaseFloat:   "float",
+	BaseDouble:  "double",
+	BaseVoid:    "void",
+	baseUnknown: "?",
+}
+
+func (b BaseType) String() string { return baseNames[b] }
+
 // Type describes an OpenCL C value type in the supported subset.
 type Type struct {
-	// Base is one of "int", "uint", "float", "double", "void".
-	Base string
+	// Base is one of BaseInt, BaseUint, BaseFloat, BaseDouble, BaseVoid.
+	Base BaseType
 	// Lanes is the vector width (1 for scalars).
 	Lanes int
 }
@@ -17,23 +46,24 @@ func (t Type) String() string {
 	if t.Lanes > 1 {
 		return fmt.Sprintf("%s%d", t.Base, t.Lanes)
 	}
-	return t.Base
+	return t.Base.String()
 }
 
 // IsFloat reports float/double bases.
-func (t Type) IsFloat() bool { return t.Base == "float" || t.Base == "double" }
+func (t Type) IsFloat() bool { return t.Base == BaseFloat || t.Base == BaseDouble }
 
 // IsInt reports int/uint bases.
-func (t Type) IsInt() bool { return t.Base == "int" || t.Base == "uint" }
+func (t Type) IsInt() bool { return t.Base == BaseInt || t.Base == BaseUint }
 
 // parseTypeName recognizes a type name like "double2".
 func parseTypeName(s string) (Type, bool) {
-	for _, base := range []string{"double", "float", "uint", "int", "void"} {
-		if s == base {
+	for _, base := range []BaseType{BaseDouble, BaseFloat, BaseUint, BaseInt, BaseVoid} {
+		name := base.String()
+		if s == name {
 			return Type{Base: base, Lanes: 1}, true
 		}
-		if len(s) > len(base) && s[:len(base)] == base {
-			switch s[len(base):] {
+		if len(s) > len(name) && s[:len(name)] == name {
+			switch s[len(name):] {
 			case "2":
 				return Type{Base: base, Lanes: 2}, true
 			case "4":

@@ -220,7 +220,7 @@ func compileKernel(k *KernelDecl) (p *compiledKernel, err error) {
 		// the declared lane count.
 		t := Type{Base: prm.Type.Base, Lanes: 1}
 		if prm.Type.IsInt() {
-			t = Type{Base: "int", Lanes: 1}
+			t = Type{Base: BaseInt, Lanes: 1}
 		}
 		c.define(prm.Name, slotRef{reg: reg, arr: -1, t: t})
 		c.p.paramRegs = append(c.p.paramRegs, reg)
@@ -339,9 +339,9 @@ func (c *compiler) foldExpr(e Expr) (value, bool) {
 	case *IntLit:
 		return intVal(n.Value), true
 	case *FloatLit:
-		base := "double"
+		base := BaseDouble
 		if n.Single {
-			base = "float"
+			base = BaseFloat
 		}
 		v := floatVal(base, 1)
 		v.f[0] = round32(base, n.Value)
@@ -776,7 +776,7 @@ func (c *compiler) decl(d *Decl) {
 	}
 	t := d.Type
 	if t.IsInt() {
-		t = Type{Base: "int", Lanes: 1}
+		t = Type{Base: BaseInt, Lanes: 1}
 	}
 	c.define(d.Name, slotRef{reg: reg, arr: -1, t: t})
 }

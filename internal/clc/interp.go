@@ -14,9 +14,9 @@ type value struct {
 	f [16]float64 // float lanes
 }
 
-func intVal(v int64) value { return value{t: Type{Base: "int", Lanes: 1}, i: v} }
+func intVal(v int64) value { return value{t: Type{Base: BaseInt, Lanes: 1}, i: v} }
 
-func floatVal(base string, lanes int) value { return value{t: Type{Base: base, Lanes: lanes}} }
+func floatVal(base BaseType, lanes int) value { return value{t: Type{Base: base, Lanes: lanes}} }
 
 // lane returns lane l as float64, broadcasting scalars. Pointer
 // receiver: value is 160 bytes and these accessors sit on the hot path.
@@ -45,8 +45,8 @@ func (v *value) asInt() int64 {
 	return int64(v.f[0])
 }
 
-func round32(base string, x float64) float64 {
-	if base == "float" {
+func round32(base BaseType, x float64) float64 {
+	if base == BaseFloat {
 		return float64(float32(x))
 	}
 	return x
@@ -237,27 +237,27 @@ func (k *KernelDecl) Bind(args ...any) (*BoundKernel, error) {
 			}
 			v.val = intVal(int64(a))
 		case float32:
-			if p.Pointer || p.Type.Base != "float" {
+			if p.Pointer || p.Type.Base != BaseFloat {
 				return nil, fmt.Errorf("clc: argument %d: float32 given for parameter %q (%s)", i, p.Name, p.Type)
 			}
-			v.val = floatVal("float", 1)
+			v.val = floatVal(BaseFloat, 1)
 			v.val.f[0] = float64(a)
 		case float64:
-			if p.Pointer || p.Type.Base != "double" {
+			if p.Pointer || p.Type.Base != BaseDouble {
 				return nil, fmt.Errorf("clc: argument %d: float64 given for parameter %q (%s)", i, p.Name, p.Type)
 			}
-			v.val = floatVal("double", 1)
+			v.val = floatVal(BaseDouble, 1)
 			v.val.f[0] = a
 		case []float32:
-			if !p.Pointer || p.Type.Base != "float" {
+			if !p.Pointer || p.Type.Base != BaseFloat {
 				return nil, fmt.Errorf("clc: argument %d: []float32 given for parameter %q", i, p.Name)
 			}
-			v.arr = &arrayStore{t: Type{Base: "float", Lanes: 1}, f32: a}
+			v.arr = &arrayStore{t: Type{Base: BaseFloat, Lanes: 1}, f32: a}
 		case []float64:
-			if !p.Pointer || p.Type.Base != "double" {
+			if !p.Pointer || p.Type.Base != BaseDouble {
 				return nil, fmt.Errorf("clc: argument %d: []float64 given for parameter %q", i, p.Name)
 			}
-			v.arr = &arrayStore{t: Type{Base: "double", Lanes: 1}, f64: a}
+			v.arr = &arrayStore{t: Type{Base: BaseDouble, Lanes: 1}, f64: a}
 		default:
 			return nil, fmt.Errorf("clc: argument %d: unsupported type %T", i, args[i])
 		}
@@ -353,7 +353,7 @@ func (b *BoundKernel) SetupGroup(g *clsim.Group) any {
 		}
 		total := int(n) * d.Type.Lanes
 		st := &arrayStore{t: d.Type}
-		if d.Type.Base == "double" {
+		if d.Type.Base == BaseDouble {
 			st.f64 = g.AllocLocalFloat64(total)
 		} else {
 			st.f32 = g.AllocLocalFloat32(total)
@@ -467,7 +467,7 @@ func (in *interp) execDecl(d *Decl) {
 		}
 		st := &arrayStore{t: d.Type}
 		total := int(n) * d.Type.Lanes
-		if d.Type.Base == "double" {
+		if d.Type.Base == BaseDouble {
 			st.f64 = make([]float64, total)
 		} else {
 			st.f32 = make([]float32, total)
@@ -488,9 +488,9 @@ func (in *interp) execDecl(d *Decl) {
 }
 
 var (
-	intType          = Type{Base: "int", Lanes: 1}
-	typeDoubleScalar = Type{Base: "double", Lanes: 1}
-	typeFloatScalar  = Type{Base: "float", Lanes: 1}
+	intType          = Type{Base: BaseInt, Lanes: 1}
+	typeDoubleScalar = Type{Base: BaseDouble, Lanes: 1}
+	typeFloatScalar  = Type{Base: BaseFloat, Lanes: 1}
 )
 
 func setInt(dst *value, x int64) {
@@ -622,9 +622,9 @@ func (in *interp) eval(e Expr) value {
 	case *IntLit:
 		return intVal(n.Value)
 	case *FloatLit:
-		base := "double"
+		base := BaseDouble
 		if n.Single {
-			base = "float"
+			base = BaseFloat
 		}
 		v := floatVal(base, 1)
 		v.f[0] = round32(base, n.Value)
@@ -764,15 +764,15 @@ func binopInto(dst *value, op int64, l, r *value, at Expr) {
 		return
 	}
 	// Float path with promotion.
-	base := "float"
-	if l.t.Base == "double" || r.t.Base == "double" || l.t.IsInt() || r.t.IsInt() {
+	base := BaseFloat
+	if l.t.Base == BaseDouble || r.t.Base == BaseDouble || l.t.IsInt() || r.t.IsInt() {
 		// int op float promotes to the float operand's base; when one
 		// side is double the result is double. An int operand adopts
 		// the float side's base.
-		base = "double"
-		if l.t.Base == "float" || r.t.Base == "float" {
-			if l.t.Base != "double" && r.t.Base != "double" {
-				base = "float"
+		base = BaseDouble
+		if l.t.Base == BaseFloat || r.t.Base == BaseFloat {
+			if l.t.Base != BaseDouble && r.t.Base != BaseDouble {
+				base = BaseFloat
 			}
 		}
 	}
@@ -806,7 +806,7 @@ func binopInto(dst *value, op int64, l, r *value, at Expr) {
 	}
 	if lanes == 1 {
 		a, b := l.lane(0), r.lane(0)
-		dst.f[0] = round32(base, floatArith(op, a, b, base, at))
+		dst.f[0] = round32(base, floatArith(op, a, b, at))
 		dst.t = Type{Base: base, Lanes: 1}
 		return
 	}
@@ -814,13 +814,13 @@ func binopInto(dst *value, op int64, l, r *value, at Expr) {
 	// an operand the result must be staged before writing.
 	var f [16]float64
 	for i := 0; i < lanes; i++ {
-		f[i] = round32(base, floatArith(op, l.lane(i), r.lane(i), base, at))
+		f[i] = round32(base, floatArith(op, l.lane(i), r.lane(i), at))
 	}
 	dst.t = Type{Base: base, Lanes: lanes}
 	dst.f = f
 }
 
-func floatArith(op int64, a, b float64, base string, at Expr) float64 {
+func floatArith(op int64, a, b float64, at Expr) float64 {
 	switch op {
 	case aAdd:
 		return a + b
@@ -886,7 +886,7 @@ func (in *interp) call(c *Call) value {
 			return intVal(max(a.i, b.i))
 		}
 		x, y := a.lane(0), b.lane(0)
-		v := floatVal("double", 1)
+		v := floatVal(BaseDouble, 1)
 		if c.Fun == "min" {
 			v.f[0] = math.Min(x, y)
 		} else {

@@ -58,6 +58,7 @@ package clc
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -86,8 +87,23 @@ func optimizeKernel(k *KernelDecl, p *compiledKernel) (out *compiledKernel) {
 		}
 	}()
 	o := newOptimizer(k, p)
-	const maxRounds = 48
-	for round := 0; round < maxRounds; round++ {
+	o.rounds()
+	o.rebuild()
+	o.analyze()
+	o.elideBounds()
+	o.lowerTyped()
+	return o.finish()
+}
+
+// maxRounds bounds the pass rounds. A round that hoists out of a loop
+// ends early, so deep loop nests spend one round per hoist.
+const maxRounds = 48
+
+// rounds runs the pass pipeline to its fixpoint and reports how many
+// rounds ran and whether the last one changed nothing.
+func (o *optimizer) rounds() (n int, converged bool) {
+	for n < maxRounds {
+		n++
 		o.analyze()
 		changed := o.convertElim()
 		if o.copyProp() {
@@ -108,15 +124,11 @@ func optimizeKernel(k *KernelDecl, p *compiledKernel) (out *compiledKernel) {
 			changed = true
 		}
 		if !changed {
-			break
+			return n, true
 		}
 		o.rebuild()
 	}
-	o.rebuild()
-	o.analyze()
-	o.elideBounds()
-	o.lowerTyped()
-	return o.finish()
+	return n, false
 }
 
 // oinst is the optimizer's working form of one instruction: the instr
@@ -139,13 +151,21 @@ type optimizer struct {
 
 	// Static per-array-slot facts (element type and element count), from
 	// the declaration: pointer parameters, hoisted __local arrays, and
-	// opAllocArr definitions. Base "" / length -1 mean unknown.
+	// opAllocArr definitions. The zero Type / length -1 mean unknown.
 	arrT   []Type
 	arrLen []int
 
 	// Recomputed by analyze.
 	jt   []bool // jump targets
-	regT []Type // Base "": no info; Base "?": conflicting writers
+	regT []Type // zero Type: no info; baseUnknown: conflicting writers
+
+	// The reaching-definition index, also built by analyze. region[pc]
+	// is the first pc of pc's single-entry straight-line region: the
+	// nearest jump target at or before pc, or the pc after the nearest
+	// live opJump/opHalt/opErr before it. writers[r] lists the pcs of the
+	// live instructions writing r, ascending; kill keeps it current.
+	region  []int32
+	writers [][]int32
 
 	// Dedicated constant registers, materialized as an opConst prologue
 	// by finish. Allocated lazily and stable across rounds.
@@ -153,8 +173,6 @@ type optimizer struct {
 	constReg map[value]int32
 	constOrd []int32 // allocation order, for a deterministic prologue
 }
-
-const unknownBase = "?"
 
 func newOptimizer(k *KernelDecl, p *compiledKernel) *optimizer {
 	o := &optimizer{
@@ -179,7 +197,7 @@ func newOptimizer(k *KernelDecl, p *compiledKernel) *optimizer {
 	// stores (it type-checks the argument against the declared base), so
 	// the element type is static; the buffer length is the caller's.
 	for i, prm := range k.Params {
-		if slot := p.paramArrs[i]; slot >= 0 && (prm.Type.Base == "float" || prm.Type.Base == "double") {
+		if slot := p.paramArrs[i]; slot >= 0 && (prm.Type.Base == BaseFloat || prm.Type.Base == BaseDouble) {
 			o.arrT[slot] = Type{Base: prm.Type.Base, Lanes: 1}
 		}
 	}
@@ -303,13 +321,47 @@ func (o *optimizer) analyze() {
 			o.jt[t] = true
 		}
 	}
+	o.region = make([]int32, n)
+	o.writers = make([][]int32, o.nreg)
+	start := int32(0)
+	for pc := range o.code {
+		if o.jt[pc] {
+			start = int32(pc)
+		}
+		o.region[pc] = start
+		oi := &o.code[pc]
+		if oi.dead {
+			continue
+		}
+		switch oi.in.op {
+		case opJump, opHalt, opErr:
+			start = int32(pc + 1)
+		}
+		if d, ok := writesReg(&oi.in); ok {
+			o.writers[d] = append(o.writers[d], int32(pc))
+		}
+	}
 	o.inferTypes()
+}
+
+// kill deletes the instruction at pc, dropping it from the writer index.
+// Passes only kill register writers and bounds checks, never control
+// flow, so jt and region stay valid until the next analyze.
+func (o *optimizer) kill(pc int) {
+	oi := &o.code[pc]
+	oi.dead = true
+	if d, ok := writesReg(&oi.in); ok {
+		ws := o.writers[d]
+		if i, found := slices.BinarySearch(ws, int32(pc)); found {
+			o.writers[d] = slices.Delete(ws, i, i+1)
+		}
+	}
 }
 
 // inferTypes computes, per register, the unique static result type of
 // all its writers, via a forward fixpoint. Registers whose writers
-// disagree (or whose type depends on unknowable state) end as "?" and
-// are excluded from every type-dependent proof.
+// disagree (or whose type depends on unknowable state) end as
+// baseUnknown and are excluded from every type-dependent proof.
 func (o *optimizer) inferTypes() {
 	o.regT = make([]Type, o.nreg)
 	seed := func(r int32, t Type) {
@@ -334,15 +386,15 @@ func (o *optimizer) inferTypes() {
 	}
 	merge := func(r int32, t Type) bool {
 		cur := o.regT[r]
-		if cur.Base == unknownBase || t.Base == "" {
+		if cur.Base == baseUnknown || t.Base == baseNone {
 			return false
 		}
-		if cur.Base == "" {
+		if cur.Base == baseNone {
 			o.regT[r] = t
 			return true
 		}
 		if cur != t {
-			o.regT[r] = Type{Base: unknownBase}
+			o.regT[r] = Type{Base: baseUnknown}
 			return true
 		}
 		return false
@@ -366,7 +418,7 @@ func (o *optimizer) inferTypes() {
 	}
 	// Poison sweep: a register may only keep a known type if every
 	// writer's result type is known and agrees; writers whose own
-	// operands stayed unknown force "?" (cascading through moves).
+	// operands stayed unknown force baseUnknown (cascading through moves).
 	for {
 		changed := false
 		for i := range o.code {
@@ -379,8 +431,8 @@ func (o *optimizer) inferTypes() {
 				continue
 			}
 			t := o.resultType(&oi.in)
-			if (t.Base == "" || t.Base == unknownBase) && o.regT[dst].Base != "" && o.regT[dst].Base != unknownBase {
-				o.regT[dst] = Type{Base: unknownBase}
+			if !known(t) && known(o.regT[dst]) {
+				o.regT[dst] = Type{Base: baseUnknown}
 				changed = true
 			}
 		}
@@ -391,10 +443,10 @@ func (o *optimizer) inferTypes() {
 }
 
 // known reports a usable inferred type.
-func known(t Type) bool { return t.Base != "" && t.Base != unknownBase }
+func known(t Type) bool { return t.Base != baseNone && t.Base != baseUnknown }
 
-// resultType mirrors the VM handlers' result types exactly; Base ""
-// means "not inferable (yet)".
+// resultType mirrors the VM handlers' result types exactly; the zero
+// Type means "not inferable (yet)".
 func (o *optimizer) resultType(in *instr) Type {
 	return o.resultTypeWith(in, func(r int32) Type { return o.regT[r] })
 }
@@ -471,7 +523,7 @@ func (o *optimizer) resultTypeWith(in *instr, rt func(int32) Type) Type {
 		if a.IsInt() && b.IsInt() {
 			return intType
 		}
-		return Type{Base: "double", Lanes: 1}
+		return Type{Base: BaseDouble, Lanes: 1}
 	case opLoad, opLoadK:
 		return o.arrT[in.a]
 	case opVload:
@@ -498,9 +550,9 @@ func (o *optimizer) resultTypeWith(in *instr, rt func(int32) Type) Type {
 		}
 		return binResultType(aAdd, binResultType(aMul, a, b), et)
 	case opLoadD:
-		return Type{Base: "double", Lanes: 1}
+		return Type{Base: BaseDouble, Lanes: 1}
 	case opLoadF:
-		return Type{Base: "float", Lanes: 1}
+		return Type{Base: BaseFloat, Lanes: 1}
 	}
 	return Type{}
 }
@@ -513,11 +565,11 @@ func binResultType(op int64, l, r Type) Type {
 	if op >= aLt {
 		return intType
 	}
-	base := "float"
-	if l.Base == "double" || r.Base == "double" || l.IsInt() || r.IsInt() {
-		base = "double"
-		if (l.Base == "float" || r.Base == "float") && l.Base != "double" && r.Base != "double" {
-			base = "float"
+	base := BaseFloat
+	if l.Base == BaseDouble || r.Base == BaseDouble || l.IsInt() || r.IsInt() {
+		base = BaseDouble
+		if (l.Base == BaseFloat || r.Base == BaseFloat) && l.Base != BaseDouble && r.Base != BaseDouble {
+			base = BaseFloat
 		}
 	}
 	lanes := l.Lanes
@@ -682,42 +734,29 @@ func bitHas(set []uint64, r int32) bool {
 // --- Local reaching definitions ----------------------------------------------
 
 // reachingDef finds the unique definition of r that reaches pc within
-// its single-entry region, or -1. The walk stops at any point control
-// can enter from elsewhere (a jump target) or where fallthrough is
-// impossible.
+// its single-entry region, or -1: the last live writer of r before pc,
+// provided it lies in pc's region.
 func (o *optimizer) reachingDef(pc int, r int32) int {
-	for j := pc - 1; j >= 0; j-- {
-		if o.jt[j+1] {
-			return -1
-		}
-		oi := &o.code[j]
-		if oi.dead {
-			continue
-		}
-		switch oi.in.op {
-		case opJump, opHalt, opErr:
-			return -1
-		}
-		if d, ok := writesReg(&oi.in); ok && d == r {
-			return j
-		}
+	if int(r) >= len(o.writers) {
+		return -1 // a constant register allocated since analyze: no writer
 	}
-	return -1
+	ws := o.writers[r]
+	i, _ := slices.BinarySearch(ws, int32(pc))
+	if i == 0 || ws[i-1] < o.region[pc] {
+		return -1
+	}
+	return int(ws[i-1])
 }
 
 // writtenBetween reports whether r is written by a live instruction at
 // any pc in (from, to).
 func (o *optimizer) writtenBetween(from, to int, r int32) bool {
-	for j := from + 1; j < to; j++ {
-		oi := &o.code[j]
-		if oi.dead {
-			continue
-		}
-		if d, ok := writesReg(&oi.in); ok && d == r {
-			return true
-		}
+	if int(r) >= len(o.writers) {
+		return false
 	}
-	return false
+	ws := o.writers[r]
+	i, _ := slices.BinarySearch(ws, int32(from+1))
+	return i < len(ws) && int(ws[i]) < to
 }
 
 // constRegFor returns the dedicated register holding v, allocating it
@@ -823,7 +862,7 @@ func (o *optimizer) checkElim() bool {
 		}
 		slot, idxr := oi.in.a, oi.in.b
 		if k, ok := o.constIntOf(idxr); ok && o.arrLen[slot] >= 0 && k >= 0 && k < int64(o.arrLen[slot]) {
-			oi.dead = true
+			o.kill(i)
 			changed = true
 			continue
 		}
@@ -840,7 +879,7 @@ func (o *optimizer) checkElim() bool {
 				continue
 			}
 			if nj.in.op == opStore && nj.in.a == slot && nj.in.b == idxr {
-				oi.dead = true
+				o.kill(i)
 				changed = true
 				break
 			}
@@ -870,7 +909,7 @@ func (o *optimizer) dce() bool {
 			continue
 		}
 		if o.pureNonFaulting(pc, &oi.in) {
-			oi.dead = true
+			o.kill(pc)
 			changed = true
 		}
 	}
@@ -952,7 +991,7 @@ func (o *optimizer) fusePair(a, b *oinst, i, j int, live [][]uint64) bool {
 		a.in.dst != a.in.a && a.in.dst != a.in.b && deadAfter(a.in.dst):
 		b.in = instr{op: opMad, dst: b.in.dst, a: a.in.a, b: a.in.b, c: b.in.b}
 		b.ex2 = a.ex // the mul's fault position
-		a.dead = true
+		o.kill(i)
 		return true
 
 	// opLoad + opMad(c=loaded) -> opLoadMad. Only for an unfused opMad
@@ -963,7 +1002,7 @@ func (o *optimizer) fusePair(a, b *oinst, i, j int, live [][]uint64) bool {
 		a.in.dst != a.in.b && deadAfter(a.in.dst):
 		b.in = instr{op: opLoadMad, dst: b.in.dst, a: b.in.a, b: b.in.b, c: a.in.b, imm: int64(a.in.a)}
 		b.ex2 = a.ex // the load's fault position
-		a.dead = true
+		o.kill(i)
 		return true
 
 	// opLoadMad + opStore of the same slot and index register through
@@ -977,7 +1016,7 @@ func (o *optimizer) fusePair(a, b *oinst, i, j int, live [][]uint64) bool {
 		b.in = instr{op: opMadAcc, a: a.in.a, b: a.in.b, c: a.in.c, imm: a.in.imm}
 		b.ex = a.ex // the mad's fault position
 		b.ex2 = ex2Of(a)
-		a.dead = true
+		o.kill(i)
 		return true
 
 	// opLoad + opBin using the loaded value on exactly one side ->
@@ -995,7 +1034,7 @@ func (o *optimizer) fusePair(a, b *oinst, i, j int, live [][]uint64) bool {
 		b.in = instr{op: opLoadBin, dst: b.in.dst, a: other, b: a.in.b,
 			imm: packLoadBin(b.in.imm, side, a.in.a)}
 		b.ex2 = a.ex
-		a.dead = true
+		o.kill(i)
 		return true
 
 	// opBin + opStore of the result -> opBinStore.
@@ -1005,7 +1044,7 @@ func (o *optimizer) fusePair(a, b *oinst, i, j int, live [][]uint64) bool {
 		b.in = instr{op: opBinStore, a: a.in.a, b: a.in.b, c: b.in.b,
 			imm: packBinStore(a.in.imm, b.in.a)}
 		b.ex2 = a.ex
-		a.dead = true
+		o.kill(i)
 		return true
 
 	// opLoad + opStore of the loaded value -> opLoadStore (array copy).
@@ -1014,7 +1053,7 @@ func (o *optimizer) fusePair(a, b *oinst, i, j int, live [][]uint64) bool {
 		b.in = instr{op: opLoadStore, b: a.in.b, c: b.in.b,
 			imm: packLoadStore(a.in.a, b.in.a)}
 		b.ex2 = a.ex
-		a.dead = true
+		o.kill(i)
 		return true
 	}
 	return false
@@ -1174,7 +1213,7 @@ func (o *optimizer) elideBounds() {
 // proven. The specialized handlers keep bounds checks (same message)
 // but skip the generic value dispatch.
 func (o *optimizer) lowerTyped() {
-	scalar := func(t Type, base string) bool { return t.Base == base && t.Lanes == 1 }
+	scalar := func(t Type, base BaseType) bool { return t.Base == base && t.Lanes == 1 }
 	for i := range o.code {
 		oi := &o.code[i]
 		if oi.dead {
@@ -1184,18 +1223,18 @@ func (o *optimizer) lowerTyped() {
 		case opLoad:
 			et := o.arrT[oi.in.a]
 			if o.typeAt(i, oi.in.b) == intType {
-				if scalar(et, "double") {
+				if scalar(et, BaseDouble) {
 					oi.in.op = opLoadD
-				} else if scalar(et, "float") {
+				} else if scalar(et, BaseFloat) {
 					oi.in.op = opLoadF
 				}
 			}
 		case opStore:
 			et := o.arrT[oi.in.a]
 			if o.typeAt(i, oi.in.b) == intType && o.typeAt(i, oi.in.c) == et {
-				if scalar(et, "double") {
+				if scalar(et, BaseDouble) {
 					oi.in.op = opStoreD
-				} else if scalar(et, "float") {
+				} else if scalar(et, BaseFloat) {
 					oi.in.op = opStoreF
 				}
 			}
@@ -1203,9 +1242,9 @@ func (o *optimizer) lowerTyped() {
 			et := o.arrT[int32(oi.in.imm)]
 			if o.typeAt(i, oi.in.c) == intType &&
 				scalar(o.typeAt(i, oi.in.a), et.Base) && scalar(o.typeAt(i, oi.in.b), et.Base) {
-				if scalar(et, "double") {
+				if scalar(et, BaseDouble) {
 					oi.in.op = opMadAccD
-				} else if scalar(et, "float") {
+				} else if scalar(et, BaseFloat) {
 					oi.in.op = opMadAccF
 				}
 			}

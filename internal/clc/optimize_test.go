@@ -21,7 +21,7 @@ import (
 	"oclgemm/internal/matrix"
 )
 
-func withOptDebugPanic(t *testing.T) {
+func withOptDebugPanic(t testing.TB) {
 	t.Helper()
 	old := optDebugPanic
 	optDebugPanic = true
@@ -453,5 +453,142 @@ func TestOptimizerDifferentialRandomConfigs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// walkReachingDef is the reference for reachingDef: a backward walk
+// from pc that gives up at a jump target or a live opJump/opHalt/opErr.
+func walkReachingDef(o *optimizer, pc int, r int32) int {
+	for j := pc - 1; j >= 0; j-- {
+		if o.jt[j+1] {
+			return -1
+		}
+		oi := &o.code[j]
+		if oi.dead {
+			continue
+		}
+		switch oi.in.op {
+		case opJump, opHalt, opErr:
+			return -1
+		}
+		if d, ok := writesReg(&oi.in); ok && d == r {
+			return j
+		}
+	}
+	return -1
+}
+
+// TestReachingDefIndex checks the reaching-definition index against
+// walks over the code (reachingDef and writtenBetween) for every pc and
+// register, after analysis and after
+// each pass that kills instructions, until the passes stop changing
+// the benchmark kernel.
+func TestReachingDefIndex(t *testing.T) {
+	withOptDebugPanic(t)
+	p := benchParams()
+	src, err := p.GenerateSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := prog.Kernel(codegen.KernelName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kern.CompileBytecode(); err != nil {
+		t.Fatal(err)
+	}
+	o := newOptimizer(kern, kern.bytecode())
+	queries := 0
+	check := func(stage string) {
+		t.Helper()
+		for pc := range o.code {
+			for r := int32(0); r < int32(len(o.writers)); r++ {
+				want := walkReachingDef(o, pc, r)
+				if got := o.reachingDef(pc, r); got != want {
+					t.Fatalf("%s: reachingDef(%d, r%d) = %d, walk finds %d", stage, pc, r, got, want)
+				}
+				for _, from := range []int{-1, pc - 8} {
+					want := false
+					for j := max(from+1, 0); j < pc; j++ {
+						if d, ok := writesReg(&o.code[j].in); ok && d == r && !o.code[j].dead {
+							want = true
+						}
+					}
+					if got := o.writtenBetween(from, pc, r); got != want {
+						t.Fatalf("%s: writtenBetween(%d, %d, r%d) = %v, walk finds %v", stage, from, pc, r, got, want)
+					}
+				}
+				queries++
+			}
+		}
+	}
+	for round := 0; ; round++ {
+		if round == maxRounds {
+			t.Fatal("no fixpoint")
+		}
+		o.analyze()
+		check(fmt.Sprintf("round %d analyze", round))
+		changed := o.convertElim()
+		changed = o.copyProp() || changed
+		changed = o.checkElim() || changed
+		check(fmt.Sprintf("round %d checkElim", round))
+		changed = o.dce() || changed
+		check(fmt.Sprintf("round %d dce", round))
+		changed = o.fuse() || changed
+		check(fmt.Sprintf("round %d fuse", round))
+		if !changed {
+			break
+		}
+		o.rebuild()
+	}
+	t.Logf("%d queries agree", queries)
+}
+
+// BenchmarkOptimizeKernel times the optimizer alone on three generated
+// kernels of about 1.1k, 1.8k and 5.0k raw instructions and reports raw
+// instructions optimized per second, so how the pass pipeline scales
+// with kernel size is visible on its own layer.
+func BenchmarkOptimizeKernel(b *testing.B) {
+	withOptDebugPanic(b)
+	for _, p := range []codegen.Params{
+		{Precision: matrix.Single, Algorithm: codegen.PL,
+			Mwg: 64, Nwg: 64, Kwg: 16, MdimC: 16, NdimC: 16, MdimA: 32, NdimB: 16,
+			Kwi: 4, VectorWidth: 4, SharedA: true,
+			LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutRBL},
+		{Precision: matrix.Single, Algorithm: codegen.DB,
+			Mwg: 64, Nwg: 32, Kwg: 32, MdimC: 8, NdimC: 8, MdimA: 4, NdimB: 4,
+			Kwi: 2, VectorWidth: 4, StrideM: true, StrideN: true, SharedA: true, SharedB: true,
+			LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutRBL},
+		{Precision: matrix.Single, Algorithm: codegen.DB,
+			Mwg: 32, Nwg: 64, Kwg: 32, MdimC: 8, NdimC: 8, MdimA: 16, NdimB: 8,
+			Kwi: 8, VectorWidth: 4, SharedA: true, SharedB: true,
+			LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutRBL},
+	} {
+		src, err := p.GenerateSource()
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := Compile(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kern, err := prog.Kernel(codegen.KernelName)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := kern.CompileBytecode(); err != nil {
+			b.Fatal(err)
+		}
+		raw := kern.bytecode()
+		b.Run(fmt.Sprintf("raw%d", len(raw.code)), func(b *testing.B) {
+			for b.Loop() {
+				optimizeKernel(kern, raw)
+			}
+			b.ReportMetric(float64(len(raw.code))*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
+		})
 	}
 }

@@ -55,7 +55,27 @@ func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, f
 		case opBool:
 			setBool(&regs[in.dst], regs[in.a].truthy())
 		case opBin:
-			binopInto(&regs[in.dst], in.imm, &regs[in.a], &regs[in.b], p.ex[pc])
+			// The integer add, multiply and less-than of address
+			// arithmetic and loop tests cannot fault and run inline;
+			// everything else goes through binopInto.
+			l, r, dst := &regs[in.a], &regs[in.b], &regs[in.dst]
+			if l.t.IsInt() && r.t.IsInt() {
+				switch in.imm {
+				case aAdd:
+					setInt(dst, l.i+r.i)
+					pc++
+					continue
+				case aMul:
+					setInt(dst, l.i*r.i)
+					pc++
+					continue
+				case aLt:
+					setBool(dst, l.i < r.i)
+					pc++
+					continue
+				}
+			}
+			binopInto(dst, in.imm, l, r, p.ex[pc])
 		case opNeg:
 			x := &regs[in.a]
 			dst := &regs[in.dst]
@@ -139,9 +159,16 @@ func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, f
 			// with a hardware FMA. ex2 carries the multiply's fault
 			// position (it differs from ex only when the optimizer fused a
 			// separate mul+add pair into this opMad).
+			// An all-integer mad (fused address arithmetic) cannot fault
+			// and runs inline.
+			a, b, c := &regs[in.a], &regs[in.b], &regs[in.c]
+			if a.t.IsInt() && b.t.IsInt() && c.t.IsInt() {
+				setInt(&regs[in.dst], a.i*b.i+c.i)
+				break
+			}
 			var prod value
-			binopInto(&prod, aMul, &regs[in.a], &regs[in.b], p.ex2[pc])
-			binopInto(&regs[in.dst], aAdd, &prod, &regs[in.c], p.ex[pc])
+			binopInto(&prod, aMul, a, b, p.ex2[pc])
+			binopInto(&regs[in.dst], aAdd, &prod, c, p.ex[pc])
 		case opMin, opMax:
 			a, b := &regs[in.a], &regs[in.b]
 			if a.t.IsInt() && b.t.IsInt() {
@@ -160,7 +187,7 @@ func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, f
 				} else {
 					dst.f[0] = math.Max(x, y)
 				}
-				dst.t = Type{Base: "double", Lanes: 1}
+				dst.t = Type{Base: BaseDouble, Lanes: 1}
 			}
 		case opLoad:
 			arrs[in.a].loadInto(&regs[in.dst], regs[in.b].asInt(), p.ex[pc])
@@ -184,7 +211,7 @@ func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, f
 		case opAllocArr:
 			def := p.defs[in.imm]
 			st := &arrayStore{t: def.t}
-			if def.t.Base == "double" {
+			if def.t.Base == BaseDouble {
 				st.f64 = make([]float64, def.total)
 			} else {
 				st.f32 = make([]float32, def.total)

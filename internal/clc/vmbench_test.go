@@ -1,6 +1,7 @@
 package clc
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -87,37 +88,55 @@ func BenchmarkInterpVsVM(b *testing.B) {
 // than the AST interpreter, and at least 2× faster than the raw
 // (unoptimized) bytecode — the PR 9 VM. Wall-clock thresholds are
 // inherently machine-sensitive, so both bars sit below the typical
-// measured ratios.
+// measured ratios. The three engines are timed interleaved, rotating
+// which goes first, and each ratio is the median over the samples of
+// back-to-back timings, so host drift between samples cancels.
 func TestVMSpeedupOverInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement")
 	}
-	measure := func(forceInterp, optimize bool, iters int) time.Duration {
-		bound, q, nd := benchKernelOpt(t, forceInterp, optimize)
+	type engine struct {
+		bound *BoundKernel
+		q     *clsim.Queue
+		nd    clsim.NDRange
+		last  time.Duration
+	}
+	var eng []*engine // interp, vm-noopt, vm
+	for _, e := range []struct{ forceInterp, optimize bool }{{true, false}, {false, false}, {false, true}} {
+		bound, q, nd := benchKernelOpt(t, e.forceInterp, e.optimize)
 		// Warm up pools and caches.
 		if err := q.Run(bound, nd); err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := q.Run(bound, nd); err != nil {
-				t.Fatal(err)
+		eng = append(eng, &engine{bound: bound, q: q, nd: nd})
+	}
+	const samples, iters = 15, 3
+	var overInterp, overRaw []float64
+	for s := 0; s < samples; s++ {
+		for k := range eng {
+			e := eng[(s+k)%len(eng)]
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				if err := e.q.Run(e.bound, e.nd); err != nil {
+					t.Fatal(err)
+				}
 			}
+			e.last = time.Since(start)
 		}
-		return time.Since(start)
+		vm := float64(eng[2].last)
+		overInterp = append(overInterp, float64(eng[0].last)/vm)
+		overRaw = append(overRaw, float64(eng[1].last)/vm)
 	}
-	const iters = 3
-	vm := measure(false, true, iters)
-	raw := measure(false, false, iters)
-	interp := measure(true, false, iters)
-	ratio := float64(interp) / float64(vm)
-	overRaw := float64(raw) / float64(vm)
-	t.Logf("interp %v, vm-noopt %v, vm %v: %.1fx over interp, %.1fx over noopt",
-		interp, raw, vm, ratio, overRaw)
+	median := func(xs []float64) float64 {
+		slices.Sort(xs)
+		return xs[len(xs)/2]
+	}
+	ratio, raw := median(overInterp), median(overRaw)
+	t.Logf("median of %d interleaved samples of %d runs: %.1fx over interp, %.1fx over noopt", samples, iters, ratio, raw)
 	if ratio < 10 {
-		t.Errorf("optimized VM speedup %.2fx over interpreter, want >= 10x (interp %v, vm %v)", ratio, interp, vm)
+		t.Errorf("optimized VM speedup %.2fx over interpreter, want >= 10x", ratio)
 	}
-	if overRaw < 2 {
-		t.Errorf("optimized VM speedup %.2fx over unoptimized bytecode, want >= 2x (noopt %v, vm %v)", overRaw, raw, vm)
+	if raw < 2 {
+		t.Errorf("optimized VM speedup %.2fx over unoptimized bytecode, want >= 2x", raw)
 	}
 }

@@ -49,28 +49,11 @@ func VerifyParams(d *device.Spec, p *codegen.Params) error {
 // unrolled loops all execute as they would on a device. Two grid shapes
 // run: the historical 2×2 work-groups with two full k-blocks, plus a
 // non-square 3×2 grid with three k-blocks that catches bugs the square
-// shape aliases away (group-id mixups, k-loop trip-count errors). The
-// second shape is paid for by the bytecode optimizer: both runs
-// together cost less wall-clock than the single shape did on the
-// unoptimized VM. A loop-fuel bound turns pathological non-terminating
-// kernels into ErrCompile faults instead of hangs.
+// shape aliases away (group-id mixups, k-loop trip-count errors). Both
+// grids bind the one compiled kernel, so the source is generated,
+// compiled and optimized once. A loop-fuel bound turns pathological
+// non-terminating kernels into ErrCompile faults instead of hangs.
 func VerifySource(d *device.Spec, p *codegen.Params) error {
-	for _, g := range [][3]int{{2, 2, 2}, {3, 2, 3}} {
-		var err error
-		if p.Precision == matrix.Double {
-			err = verifySource[float64](d, p, g)
-		} else {
-			err = verifySource[float32](d, p, g)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func verifySource[T matrix.Scalar](d *device.Spec, p *codegen.Params, grid [3]int) error {
-	m, n, k := grid[0]*p.Mwg, grid[1]*p.Nwg, grid[2]*p.Kwg
 	src, err := p.GenerateSource()
 	if err != nil {
 		return fmt.Errorf("%w: generate: %v", ErrCompile, err)
@@ -83,6 +66,23 @@ func verifySource[T matrix.Scalar](d *device.Spec, p *codegen.Params, grid [3]in
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCompile, err)
 	}
+	for _, g := range [][3]int{{2, 2, 2}, {3, 2, 3}} {
+		if p.Precision == matrix.Double {
+			err = verifySource[float64](d, p, kern, g)
+		} else {
+			err = verifySource[float32](d, p, kern, g)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verifySource binds kern on one work-group grid and checks the result
+// against the reference.
+func verifySource[T matrix.Scalar](d *device.Spec, p *codegen.Params, kern *clc.KernelDecl, grid [3]int) error {
+	m, n, k := grid[0]*p.Mwg, grid[1]*p.Nwg, grid[2]*p.Kwg
 	// A distinct seed from verifyImpl so the two stages never mask the
 	// same data-dependent bug.
 	rng := rand.New(rand.NewSource(43))
