@@ -25,6 +25,7 @@ import (
 	"oclgemm/internal/kernels"
 	"oclgemm/internal/matrix"
 	"oclgemm/internal/perfmodel"
+	"oclgemm/internal/tunedb"
 )
 
 var benchBudget = flag.Int("budget", 4000, "tuner candidate budget per search in benchmarks")
@@ -420,44 +421,46 @@ func BenchmarkGEMMBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroKernel compares the specialized unit-stride micro-kernel
-// against the generic closure path: raw kernel launches on pre-packed
-// operands under the paper's Tahiti work-group configuration (Table II
-// class: 96×96×16 tiles, 16×16 work-items). The n=1056 cases are the
-// sizes-≥1024 leg the ≥2× speedup criterion is judged on; the GFlop/s
-// metric is simulator (host) throughput, not modeled device time.
+// BenchmarkMicroKernel times raw kernel launches on pre-packed
+// operands for two paper Table II DGEMM kernels: unit (tahiti, BA,
+// unit-stride work-items) and strided (sandybridge, DB, StrideN). Both
+// run the one micro-kernel; M and N are padded to each kernel's tiles.
+// The GFlop/s metric is simulator (host) throughput, not modeled
+// device time.
 func BenchmarkMicroKernel(b *testing.B) {
-	p := codegen.Params{
-		Precision: matrix.Double, Algorithm: codegen.BA,
-		Mwg: 96, Nwg: 96, Kwg: 16, MdimC: 16, NdimC: 16, MdimA: 16, NdimB: 16,
-		Kwi: 2, VectorWidth: 1, SharedA: true, SharedB: true,
-		LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutCBL,
-	}
+	db := tunedb.PaperTableII()
 	const k = 192
 	for _, size := range []int{192, 1056} {
-		m, n := size, size
-		a := make([]float64, k*m)
-		bb := make([]float64, k*n)
-		c := make([]float64, m*n)
-		rng := rand.New(rand.NewSource(7))
-		for i := range a {
-			a[i] = rng.Float64()
-		}
-		for i := range bb {
-			bb[i] = rng.Float64()
-		}
-		for _, fast := range []bool{true, false} {
-			mode := "fast"
-			if !fast {
-				mode = "generic"
+		for _, leg := range []struct{ mode, device string }{{"unit", "tahiti"}, {"strided", "sandybridge"}} {
+			rec, err := db.Lookup(leg.device, matrix.Double)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("n=%d/%s", size, mode), func(b *testing.B) {
+			p, err := rec.Params()
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec, err := device.ByID(leg.device)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, n := matrix.PadDim(size, p.Mwg), matrix.PadDim(size, p.Nwg)
+			a := make([]float64, k*m)
+			bb := make([]float64, k*n)
+			c := make([]float64, m*n)
+			rng := rand.New(rand.NewSource(7))
+			for i := range a {
+				a[i] = rng.Float64()
+			}
+			for i := range bb {
+				bb[i] = rng.Float64()
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", size, leg.mode), func(b *testing.B) {
 				kern, err := kernels.NewGEMM(p, m, n, k, 1.0, a, bb, 0.0, c)
 				if err != nil {
 					b.Fatal(err)
 				}
-				kern.SetFastPath(fast)
-				q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
+				q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: spec}))
 				flops := 2 * float64(m) * float64(n) * float64(k)
 				b.ReportAllocs()
 				b.ResetTimer()

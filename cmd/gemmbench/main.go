@@ -16,10 +16,9 @@
 //	gemmbench -trace out.jsonl         span dump, one JSON object per line
 //	gemmbench -bench-out BENCH_gemm.json   machine-readable report
 //
-// The micro-kernel A/B mode times the same functional DGEMM with the
-// specialized fast-path micro-kernels and with the generic closure
-// kernels, checks the two results are bit-identical, and prints the
-// speedup:
+// The micro-kernel sweep times a warm functional GEMM with each of the
+// paper's 12 Table II kernels, verifies each against the internal/blas
+// reference, and prints its GFlop/s and stride mode:
 //
 //	gemmbench -micro
 //	gemmbench -micro -microsize 512
@@ -59,6 +58,7 @@ import (
 	"time"
 
 	"oclgemm"
+	"oclgemm/internal/blas"
 	"oclgemm/internal/clc"
 	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
@@ -68,6 +68,7 @@ import (
 	"oclgemm/internal/faultinject"
 	"oclgemm/internal/matrix"
 	"oclgemm/internal/serve"
+	"oclgemm/internal/tunedb"
 )
 
 // renderable is anything the harness can print.
@@ -95,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 	metrics := fs.Bool("metrics", false, "run the instrumented functional benchmark and print the metrics registry and per-phase breakdown")
 	tracePath := fs.String("trace", "", "run the instrumented functional benchmark and dump its spans to this JSON-lines file")
 	benchOut := fs.String("bench-out", "", "run the instrumented functional benchmark and write a BENCH_gemm.json report to this file")
-	micro := fs.Bool("micro", false, "time one functional DGEMM with the fast-path micro-kernels and again with the generic kernels, verify bit-identity and print the speedup")
+	micro := fs.Bool("micro", false, "time a warm functional GEMM with each of the 12 paper Table II kernels, verify each against internal/blas and print GFlop/s per stride mode")
 	microSize := fs.Int("microsize", 256, "square problem size for -micro")
 	chaos := fs.Bool("chaos", false, "run the serve-path chaos smoke: pool DGEMMs under injected launch faults, a scripted device death and a later revival")
 	chaosSeed := fs.Int64("chaosseed", 1, "fault-injection seed for -chaos")
@@ -375,78 +376,84 @@ func vmPhaseEntries() ([]oclgemm.BenchEntry, error) {
 	return out, nil
 }
 
-// runMicro A/B-tests the micro-kernel specialization layer: the same
-// functional DGEMM (tahiti's published Table II kernel) runs once with
-// the specialized fast paths and once with the generic closure kernels,
-// the two C results are compared bit-for-bit, and both throughputs plus
-// the speedup are printed. The first call of each leg is the cold path
-// (plan build + pack); the timed iterations exercise the warm kernel
-// phase the specialization targets.
+// runMicro sweeps the micro-kernel over the paper's 12 Table II
+// kernels. Each runs a size³ functional GEMM on its own device model:
+// one warm-up call builds the plan and fills the pack caches, the timed
+// iterations exercise the warm path, and the result is verified against
+// the serial internal/blas reference within matrix.Tolerance. Each row
+// prints the simulated GFlop/s with the kernel's stride mode.
 func runMicro(stdout io.Writer, size int) error {
 	if size < 1 {
 		return fmt.Errorf("-microsize must be positive, got %d", size)
 	}
-	p, ok, err := oclgemm.ParamsFor(oclgemm.PaperKernels(), "tahiti", oclgemm.Double)
-	if err != nil || !ok {
-		return fmt.Errorf("tahiti Table II kernel: ok=%v err=%v", ok, err)
+	const iters = 2
+	fmt.Fprintf(stdout, "Micro-kernel sweep, paper Table II kernels, %dx%dx%d (%d timed iterations after warm-up):\n", size, size, size, iters)
+	fmt.Fprintf(stdout, "  %-12s %-5s %-3s %-6s %9s %10s\n", "device", "gemm", "alg", "stride", "GFlop/s", "max rel")
+	for _, rec := range tunedb.PaperTableII().Records {
+		p, err := rec.Params()
+		if err != nil {
+			return err
+		}
+		d, err := oclgemm.DeviceByID(rec.Device)
+		if err != nil {
+			return err
+		}
+		var gf, diff float64
+		if p.Precision == matrix.Single {
+			gf, diff, err = microLeg[float32](d, p, size, iters)
+		} else {
+			gf, diff, err = microLeg[float64](d, p, size, iters)
+		}
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", rec.Device, p.Precision.GEMMName(), err)
+		}
+		stride := "unit"
+		if p.StrideM || p.StrideN {
+			stride = "s"
+			if p.StrideM {
+				stride += "M"
+			}
+			if p.StrideN {
+				stride += "N"
+			}
+		}
+		fmt.Fprintf(stdout, "  %-12s %-5s %-3s %-6s %9.3f %10.2e\n", rec.Device, p.Precision.GEMMName(), p.Algorithm, stride, gf, diff)
 	}
-	d, err := oclgemm.DeviceByID("tahiti")
-	if err != nil {
-		return err
-	}
+	return nil
+}
 
-	m, n, k := size, size, size
-	a := oclgemm.NewMatrix[float64](m, k, oclgemm.RowMajor)
-	b := oclgemm.NewMatrix[float64](k, n, oclgemm.RowMajor)
+// microLeg times iters warm size³ GEMMs of one kernel and returns the
+// throughput and the result's max relative difference to internal/blas.
+func microLeg[T matrix.Scalar](d *oclgemm.Device, p oclgemm.Params, size, iters int) (gflops, diff float64, err error) {
+	g, err := oclgemm.NewGEMM(d, p)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer g.Close()
 	rng := rand.New(rand.NewSource(1))
+	a := matrix.New[T](size, size, matrix.RowMajor)
+	b := matrix.New[T](size, size, matrix.RowMajor)
+	c := matrix.New[T](size, size, matrix.RowMajor)
 	a.FillRandom(rng)
 	b.FillRandom(rng)
-
-	const iters = 2
-	measure := func(fast bool, c *oclgemm.Matrix[float64]) (float64, error) {
-		g, err := oclgemm.NewGEMM(d, p)
-		if err != nil {
-			return 0, err
-		}
-		defer g.Close()
-		g.SetFastPath(fast)
-		// Warm-up call builds the plan and fills the pack caches.
-		if err := g.Run(oclgemm.NoTrans, oclgemm.NoTrans, 1.0, a, b, 0.0, c); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := g.Run(oclgemm.NoTrans, oclgemm.NoTrans, 1.0, a, b, 0.0, c); err != nil {
-				return 0, err
-			}
-		}
-		wall := time.Since(start)
-		return float64(iters) * 2 * float64(m) * float64(n) * float64(k) / wall.Seconds() / 1e9, nil
+	call := func() error { return oclgemm.Run(g, oclgemm.NoTrans, oclgemm.NoTrans, T(1), a, b, T(0), c) }
+	if err := call(); err != nil {
+		return 0, 0, err
 	}
-
-	cFast := oclgemm.NewMatrix[float64](m, n, oclgemm.RowMajor)
-	cGen := oclgemm.NewMatrix[float64](m, n, oclgemm.RowMajor)
-	fastGF, err := measure(true, cFast)
-	if err != nil {
-		return fmt.Errorf("fast path: %w", err)
-	}
-	genGF, err := measure(false, cGen)
-	if err != nil {
-		return fmt.Errorf("generic path: %w", err)
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if cFast.At(i, j) != cGen.At(i, j) {
-				return fmt.Errorf("fast[%d,%d] = %v, generic %v — not bit-identical", i, j, cFast.At(i, j), cGen.At(i, j))
-			}
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if err := call(); err != nil {
+			return 0, 0, err
 		}
 	}
-
-	fmt.Fprintf(stdout, "Micro-kernel A/B, tahiti Table II DGEMM %dx%dx%d (%d timed iterations after warm-up):\n", m, n, k, iters)
-	fmt.Fprintf(stdout, "  fast     %8.3f GFlop/s simulated\n", fastGF)
-	fmt.Fprintf(stdout, "  generic  %8.3f GFlop/s simulated\n", genGF)
-	fmt.Fprintf(stdout, "  speedup  %.2fx, results bit-identical\n", fastGF/genGF)
-	return nil
+	wall := time.Since(start).Seconds()
+	want := matrix.New[T](size, size, matrix.RowMajor)
+	blas.GEMM(blas.NoTrans, blas.NoTrans, T(1), a, b, T(0), want)
+	diff = matrix.MaxRelDiff(c, want)
+	if tol := matrix.Tolerance(p.Precision, size); diff > tol {
+		return 0, diff, fmt.Errorf("max rel diff %.3g vs internal/blas exceeds %.3g", diff, tol)
+	}
+	return float64(iters) * blas.FlopCount(size, size, size) / wall / 1e9, diff, nil
 }
 
 // runChaos smoke-tests the resilient serve path: pool DGEMMs under a

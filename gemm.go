@@ -27,8 +27,8 @@ import (
 // different shapes run in parallel, and a cold shape's plan build never
 // blocks warm shapes. The mutators are individually safe concurrently
 // with Runs: SetWorkers takes effect from each plan's next call;
-// SetFastPath and Observe affect only plans built afterwards (Close
-// first to rebuild); Close itself may run concurrently with calls —
+// Observe affects only plans built afterwards (Close first to
+// rebuild); Close itself may run concurrently with calls —
 // in-flight calls finish on their (now evicted) plans before those are
 // released.
 type GEMM struct {
@@ -61,13 +61,6 @@ func (g *GEMM) SetWorkers(n int) { g.eng.Impl().SetWorkers(n) }
 // Close releases the engine's cached plans (device buffers, kernels).
 // The routine remains usable; the next call rebuilds its plan.
 func (g *GEMM) Close() { g.eng.Close() }
-
-// SetFastPath enables (the default) or disables the specialized
-// micro-kernel fast paths for plans built after the call; combined with
-// Close it lets benchmarks A/B the fast and generic kernel paths.
-// Results are bit-identical either way; only speed changes. Safe to
-// call concurrently with Runs.
-func (g *GEMM) SetFastPath(enabled bool) { g.eng.Impl().SetForceGenericKernels(!enabled) }
 
 // Run computes C ← alpha·op(A)·op(B) + beta·C functionally on the
 // simulated device. The element type T must match the routine's

@@ -229,7 +229,7 @@ func TestFailedBuildDoesNotPoisonKey(t *testing.T) {
 	}
 }
 
-// SetWorkers (and SetFastPath) racing with Runs on a shared Engine:
+// SetWorkers racing with Runs on a shared Engine:
 // the old code wrote Impl.Workers unsynchronized while Plan.RunCtx
 // read it — a data race -race flags. Results must stay bit-exact
 // throughout.
@@ -250,7 +250,6 @@ func TestSetWorkersConcurrentWithRuns(t *testing.T) {
 			default:
 			}
 			im.SetWorkers(i % 3)
-			im.SetForceGenericKernels(i%2 == 0)
 		}
 	}()
 

@@ -289,12 +289,6 @@ func NewPlan[T matrix.Scalar](im *Impl, m, n, k int) (*Plan[T], error) {
 	for _, pk := range []*kernels.Pack[T]{pl.packA, pl.packB, pl.packC} {
 		pk.SetObserver(reg)
 	}
-	if im.ForceGenericKernels() {
-		pl.kern.SetFastPath(false)
-		for _, pk := range []*kernels.Pack[T]{pl.packA, pl.packB, pl.packC} {
-			pk.SetFastPath(false)
-		}
-	}
 	return pl, nil
 }
 

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"oclgemm/internal/blas"
+	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
 	"oclgemm/internal/device"
+	"oclgemm/internal/kernels"
 	"oclgemm/internal/matrix"
 )
 
@@ -466,9 +468,9 @@ func runGEMMTable[T matrix.Scalar](t *testing.T, im *Impl, sizes []int) {
 	}
 }
 
-// comparePlanPaths runs one full plan call (pack + kernel + readback)
-// through the micro-kernel fast paths and through an implementation
-// with ForceGenericKernels set, and demands bit-identical C output.
+// comparePlanPaths runs one full plan call (device pack, kernel,
+// copy-out) and demands its C be bit-identical to kernels.GEMM run
+// directly on operands packed host-side by matrix.Pack.
 func comparePlanPaths[T matrix.Scalar](t *testing.T, p codegen.Params, ta, tb blas.Transpose, m, n, k int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -486,44 +488,55 @@ func comparePlanPaths[T matrix.Scalar](t *testing.T, p codegen.Params, ta, tb bl
 		b = newMat(n, k)
 	}
 	c0 := newMat(m, n)
+	const alpha, beta = 1.25, -0.5
 
-	run := func(forceGeneric bool) []T {
-		im, err := New(device.Tahiti(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		im.SetWorkers(1)
-		im.SetForceGenericKernels(forceGeneric)
-		pl, err := NewPlan[T](im, m, n, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pl.Close()
-		c := c0.Clone()
-		if err := pl.Run(ta, tb, T(1.25), a, b, T(-0.5), c); err != nil {
-			t.Fatal(err)
-		}
-		return c.Data
+	im, err := New(device.Tahiti(), p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := run(false)
-	want := run(true)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s ta=%v tb=%v: element %d not bit-identical: fast %v, generic %v",
-				p.Name(), ta, tb, i, got[i], want[i])
+	im.SetWorkers(1)
+	pl, err := NewPlan[T](im, m, n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	got := c0.Clone()
+	if err := pl.Run(ta, tb, T(alpha), a, b, T(beta), got); err != nil {
+		t.Fatal(err)
+	}
+
+	// The kernel takes op(A)ᵀ (K×M) and op(B) (K×N).
+	mp, np, kp := im.PaddedDims(m, n, k)
+	at := matrix.Pack(a, ta == blas.NoTrans, kp, mp, p.Kwg, p.Mwg, p.LayoutA)
+	bp := matrix.Pack(b, tb == blas.Trans, kp, np, p.Kwg, p.Nwg, p.LayoutB)
+	cp := matrix.Pack(c0, false, mp, np, p.Mwg, p.Nwg, matrix.LayoutRowMajor)
+	kern, err := kernels.NewGEMM(p, mp, np, kp, T(alpha), at.Data, bp.Data, T(beta), cp.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
+	if err := q.RunLockstep(kern, kern.NDRange()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			if g, w := got.At(i, j), cp.Data[i*np+j]; g != w {
+				t.Fatalf("%s ta=%v tb=%v: C[%d,%d] not bit-identical: plan %v, kernel %v",
+					p.Name(), ta, tb, i, j, g, w)
+			}
 		}
 	}
 }
 
-// The fast-path plan must be bit-identical to the generic-path plan
-// over sampled kernel parameter points × all three schedules × all four
-// transpose types × both precisions, through the full padded pipeline
-// (packs included).
+// The full plan pipeline must be bit-identical to the bare kernel on
+// host-packed operands over sampled kernel parameter points × all three
+// schedules × all four stride modes × all four transpose types × both
+// precisions, with padding on every side.
 func TestPlanFastPathMatchesGenericBitIdentical(t *testing.T) {
 	samples := []codegen.Params{
 		{ // BA, fully shared, blocked layouts (testImpl's point)
 			Algorithm: codegen.BA,
-			Mwg: 8, Nwg: 8, Kwg: 4,
+			Mwg:       8, Nwg: 8, Kwg: 4,
 			MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
 			Kwi: 2, VectorWidth: 1,
 			SharedA: true, SharedB: true,
@@ -531,7 +544,7 @@ func TestPlanFastPathMatchesGenericBitIdentical(t *testing.T) {
 		},
 		{ // PL, one operand direct from global memory, mixed layouts, vw=2
 			Algorithm: codegen.PL,
-			Mwg: 8, Nwg: 8, Kwg: 4,
+			Mwg:       8, Nwg: 8, Kwg: 4,
 			MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
 			Kwi: 2, VectorWidth: 2,
 			SharedB: true,
@@ -539,19 +552,35 @@ func TestPlanFastPathMatchesGenericBitIdentical(t *testing.T) {
 		},
 		{ // DB, even half-panels, blocked layouts
 			Algorithm: codegen.DB,
-			Mwg: 8, Nwg: 8, Kwg: 8,
+			Mwg:       8, Nwg: 8, Kwg: 8,
 			MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
 			Kwi: 2, VectorWidth: 1,
 			SharedA: true, SharedB: true,
 			LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutCBL,
 		},
-		{ // strided point: both plans run the generic micro-kernel
+		{ // BA, both stride modes
 			Algorithm: codegen.BA,
-			Mwg: 8, Nwg: 8, Kwg: 4,
+			Mwg:       8, Nwg: 8, Kwg: 4,
 			MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
 			Kwi: 2, VectorWidth: 1, StrideM: true, StrideN: true,
 			SharedA: true, SharedB: true,
 			LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutCBL,
+		},
+		{ // PL, StrideM, A direct from global memory
+			Algorithm: codegen.PL,
+			Mwg:       8, Nwg: 8, Kwg: 4,
+			MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
+			Kwi: 2, VectorWidth: 1, StrideM: true,
+			SharedB: true,
+			LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutCBL,
+		},
+		{ // DB, StrideN with vw=2 (vector-scaled stride pitch)
+			Algorithm: codegen.DB,
+			Mwg:       8, Nwg: 8, Kwg: 8,
+			MdimC: 4, NdimC: 2, MdimA: 4, NdimB: 2,
+			Kwi: 2, VectorWidth: 2, StrideN: true,
+			SharedA: true, SharedB: true,
+			LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutRowMajor,
 		},
 	}
 	m, n, k := 13, 19, 11 // pads on every side

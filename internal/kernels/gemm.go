@@ -20,25 +20,6 @@ import (
 	"oclgemm/internal/obs"
 )
 
-// index maps matrix coordinates (r, c) of an R×C operand to a flat
-// offset under one of the generator's layouts with (rb, cb) blocking.
-type index func(r, c int) int
-
-func indexer(layout matrix.Layout, rows, cols, rb, cb int) index {
-	switch layout {
-	case matrix.LayoutCBL:
-		return func(r, c int) int {
-			return (c/cb)*(rows*cb) + r*cb + c%cb
-		}
-	case matrix.LayoutRBL:
-		return func(r, c int) int {
-			return (r/rb)*(rb*cols) + (c/cb)*(rb*cb) + (r%rb)*cb + c%cb
-		}
-	default:
-		return func(r, c int) int { return r*cols + c }
-	}
-}
-
 // GEMM is one launchable C ← α·Aᵀ·B + β·C kernel instance. A is the
 // K×M transposed operand in layout P.LayoutA with (Kwg, Mwg) blocking,
 // B the K×N operand in layout P.LayoutB with (Kwg, Nwg) blocking, and
@@ -50,12 +31,10 @@ type GEMM[T matrix.Scalar] struct {
 	Alpha, Beta T
 	A, B, C     []T
 
-	idxA, idxB index
 	geoA, geoB panelGeom
-	micro      microKind
 	esize      int
 	pool       statePool[T]
-	o          kernObs
+	groups     *obs.Counter
 }
 
 // NewGEMM validates shapes and builds the kernel.
@@ -76,34 +55,16 @@ func NewGEMM[T matrix.Scalar](p codegen.Params, m, n, k int, alpha T, a []T, b [
 		P: p, M: m, N: n, K: k,
 		Alpha: alpha, Beta: beta,
 		A: a, B: b, C: c,
-		idxA:  indexer(p.LayoutA, k, m, p.Kwg, p.Mwg),
-		idxB:  indexer(p.LayoutB, k, n, p.Kwg, p.Nwg),
 		geoA:  panelGeom{layout: p.LayoutA, rows: k, cols: m, rb: p.Kwg, cb: p.Mwg},
 		geoB:  panelGeom{layout: p.LayoutB, rows: k, cols: n, rb: p.Kwg, cb: p.Nwg},
-		micro: selectMicro(p),
 		esize: elemBytes[T](),
 	}, nil
 }
 
-// SetObserver resolves the kernel's micro-kernel selection counters
-// from the registry (kernels.gemm.groups{micro=unit|generic}, one
-// increment per executed work-group). A nil registry detaches.
-func (g *GEMM[T]) SetObserver(r *obs.Registry) { g.o = resolveKernObs(r, "gemm") }
-
-// SetFastPath re-runs (enabled) or overrides (disabled) the
-// micro-kernel dispatch. Disabling forces every phase through the
-// generic closure path — the semantic reference the fast paths are
-// tested bit-identical against.
-func (g *GEMM[T]) SetFastPath(enabled bool) {
-	if enabled {
-		g.micro = selectMicro(g.P)
-	} else {
-		g.micro = microGeneric
-	}
-}
-
-// Micro reports which micro-kernel the dispatch selected.
-func (g *GEMM[T]) Micro() string { return g.micro.String() }
+// SetObserver resolves the kernel's work-group counter from the
+// registry (kernels.gemm.groups{micro=unit}, one increment per executed
+// work-group). A nil registry detaches.
+func (g *GEMM[T]) SetObserver(r *obs.Registry) { g.groups = groupCounter(r, "gemm") }
 
 // Name implements clsim.GroupKernel.
 func (g *GEMM[T]) Name() string { return g.P.Name() }
@@ -124,168 +85,173 @@ func (g *GEMM[T]) NDRange() clsim.NDRange {
 	}
 }
 
-// rowOf returns the global M index of element i of the work-item at
-// local x-coordinate lx (unit or MdimC-strided mapping, Fig. 2).
-func (g *GEMM[T]) rowOf(gx, lx, i int) int {
-	if g.P.StrideM {
-		return gx*g.P.Mwg + lx + i*g.P.MdimC
-	}
-	return gx*g.P.Mwg + lx*g.P.Mwi() + i
-}
-
-// colOf returns the global N index of element j of the work-item at
-// local y-coordinate ly. With vector width vw, the Nwi elements are
-// grouped into vw-wide vectors; the strided mapping interleaves the
-// vectors at vw·NdimC pitch (§III-B: "stride sizes are multiplied by
-// the vector width").
-func (g *GEMM[T]) colOf(gy, ly, j int) int {
-	vw := g.P.VectorWidth
-	if g.P.StrideN {
-		jv, je := j/vw, j%vw
-		return gy*g.P.Nwg + jv*(vw*g.P.NdimC) + ly*vw + je
-	}
-	return gy*g.P.Nwg + ly*g.P.Nwi() + j
-}
-
 // state is the per-work-group execution state shared by the three
-// schedules: local memory panels and per-work-item private memory.
-// Instances are recycled through the kernel's statePool (micro.go), so
-// a warm launch allocates nothing.
+// schedules: the local memory panels and the work-group's C tile
+// accumulator. Instances are recycled through the kernel's statePool
+// (micro.go), so a warm launch allocates nothing.
 type state[T matrix.Scalar] struct {
 	alm, blm []T // local panels (Kwg×Mwg / Kwg×Nwg), nil if not shared
-	acc      []T // per-WI accumulators, wi*Mwi*Nwi
-	mwi, nwi int
-
-	// stageA/stageB are the PL schedule's private staging registers,
-	// allocated lazily by the generic path and kept across reuse.
-	stageA, stageB []T
+	acc      []T // row-major Mwg×Nwg accumulator of the group's C tile
 }
 
-// loadPanelA cooperatively stages rows [pwg+k0, pwg+k0+kLen) of the A
-// panel into alm (local layout: row-major Kwg×Mwg with row origin k0).
-// Each work-item covers an MwiA×KwiA' slice under the reshaped
-// (MdimA × KdimA) assignment of §III-C. The unit-stride micro-kernel
-// fuses the scatter into whole-row copies (micro.go).
+// loadPanelA stages rows [pwg+k0, pwg+k0+kLen) of the A panel into alm
+// (local layout: row-major Kwg×Mwg with row origin k0). The cooperative
+// (MdimA × KdimA) scatter of §III-C writes exactly the Mwg-wide run of
+// each panel row, and the pack blocking makes that run contiguous in
+// every layout, so each row is one copy. One PhaseBarrier stands for the
+// barrier that ends the load phase.
 func (g *GEMM[T]) loadPanelA(s *state[T], run *clsim.GroupRun, gx, pwg, k0, kLen int) {
-	if g.micro == microUnit {
-		g.loadPanelAFast(s, run, gx, pwg, k0, kLen)
-		return
+	mwg := g.P.Mwg
+	for k := k0; k < k0+kLen; k++ {
+		src := g.geoA.rowStart(pwg+k, gx)
+		copy(s.alm[k*mwg:(k+1)*mwg], g.A[src:src+mwg])
 	}
-	p := &g.P
-	mdimA := p.MdimA
-	kdim := p.WGSize() / mdimA
-	kPer := kLen / kdim
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		am := t % mdimA
-		ak := t / mdimA
-		for kk := 0; kk < kPer; kk++ {
-			k := ak + kk*kdim
-			for mm := 0; mm < p.Mwg/mdimA; mm++ {
-				m := am + mm*mdimA
-				s.alm[(k0+k)*p.Mwg+m] = g.A[g.idxA(pwg+k0+k, gx*p.Mwg+m)]
-			}
-		}
-	})
+	run.PhaseBarrier()
 }
 
 // loadPanelB is the B counterpart of loadPanelA (NdimB × KdimB grid).
 func (g *GEMM[T]) loadPanelB(s *state[T], run *clsim.GroupRun, gy, pwg, k0, kLen int) {
-	if g.micro == microUnit {
-		g.loadPanelBFast(s, run, gy, pwg, k0, kLen)
-		return
+	nwg := g.P.Nwg
+	for k := k0; k < k0+kLen; k++ {
+		src := g.geoB.rowStart(pwg+k, gy)
+		copy(s.blm[k*nwg:(k+1)*nwg], g.B[src:src+nwg])
 	}
-	p := &g.P
-	ndimB := p.NdimB
-	kdim := p.WGSize() / ndimB
-	kPer := kLen / kdim
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		bn := t % ndimB
-		bk := t / ndimB
-		for kk := 0; kk < kPer; kk++ {
-			k := bk + kk*kdim
-			for nn := 0; nn < p.Nwg/ndimB; nn++ {
-				n := bn + nn*ndimB
-				s.blm[(k0+k)*p.Nwg+n] = g.B[g.idxB(pwg+k0+k, gy*p.Nwg+n)]
-			}
-		}
-	})
+	run.PhaseBarrier()
 }
 
-// compute performs the inner multiply-accumulate for local k range
-// [k0, k0+kLen) of the panel at pwg. Operands come from local memory
-// when staged, directly from global memory otherwise. The unit-stride
-// micro-kernel register-tiles the same loop nest (micro.go).
+// panelRows returns the Mwg-wide A run and the Nwg-wide B run of local
+// panel row kk: from local memory when staged, straight out of the
+// packed global operand otherwise.
+func (g *GEMM[T]) panelRows(s *state[T], gx, gy, pwg, kk int) (arow, brow []T) {
+	p := &g.P
+	if p.SharedA {
+		arow = s.alm[kk*p.Mwg : (kk+1)*p.Mwg]
+	} else {
+		base := g.geoA.rowStart(pwg+kk, gx)
+		arow = g.A[base : base+p.Mwg]
+	}
+	if p.SharedB {
+		brow = s.blm[kk*p.Nwg : (kk+1)*p.Nwg]
+	} else {
+		base := g.geoB.rowStart(pwg+kk, gy)
+		brow = g.B[base : base+p.Nwg]
+	}
+	return arow, brow
+}
+
+// compute performs the multiply-accumulate for local k range
+// [k0, k0+kLen) of the panel at pwg as a sequence of rank-1 updates of
+// the group's C tile: for each panel row kk and each tile row r with
+// a = arow[r] ≠ 0, acc[r, :] += a·brow.
+//
+// The loop is blocked over four panel rows and two tile rows, so each
+// B element loaded serves two accumulator rows and each accumulator
+// element is loaded and stored once per four products. Every element
+// still takes its products one rounded add at a time in kk-ascending
+// order. A zero among a block's a values sends that tile row to the
+// one-product-at-a-time path, so the a == 0 skip stays exact.
+//
+// The work-item mapping (unit or StrideM/StrideN, Fig. 2) only decides
+// which work-item owns an element, never the order of its products, so
+// this one loop serves every stride mode bit-identically. One
+// PhaseBarrier stands for the barrier that ends the compute phase.
 func (g *GEMM[T]) compute(s *state[T], run *clsim.GroupRun, gx, gy, pwg, k0, kLen int) {
-	if g.micro == microUnit {
-		g.computeUnit(s, run, gx, gy, pwg, k0, kLen)
-		return
-	}
-	p := &g.P
-	run.ForAll(func(lx, ly int) {
-		wi := ly*p.MdimC + lx
-		acc := s.acc[wi*s.mwi*s.nwi : (wi+1)*s.mwi*s.nwi]
-		for kk := k0; kk < k0+kLen; kk++ {
-			for i := 0; i < s.mwi; i++ {
-				var av T
-				if p.SharedA {
-					// Local A panel is row-major Kwg×Mwg; the local M
-					// coordinate mirrors the compute mapping.
-					av = s.alm[kk*p.Mwg+g.rowOf(0, lx, i)]
-				} else {
-					av = g.A[g.idxA(pwg+kk, g.rowOf(gx, lx, i))]
-				}
-				if av == 0 {
-					continue
-				}
-				for j := 0; j < s.nwi; j++ {
-					var bv T
-					if p.SharedB {
-						bv = s.blm[kk*p.Nwg+g.colOf(0, ly, j)]
-					} else {
-						bv = g.B[g.idxB(pwg+kk, g.colOf(gy, ly, j))]
-					}
-					acc[i*s.nwi+j] += av * bv
-				}
+	nwg := g.P.Nwg
+	kk, end := k0, k0+kLen
+	for ; kk+4 <= end; kk += 4 {
+		a0, b0 := g.panelRows(s, gx, gy, pwg, kk)
+		a1, b1 := g.panelRows(s, gx, gy, pwg, kk+1)
+		a2, b2 := g.panelRows(s, gx, gy, pwg, kk+2)
+		a3, b3 := g.panelRows(s, gx, gy, pwg, kk+3)
+		r := 0
+		for ; r+2 <= len(a0); r += 2 {
+			x0, x1, x2, x3 := a0[r], a1[r], a2[r], a3[r]
+			y0, y1, y2, y3 := a0[r+1], a1[r+1], a2[r+1], a3[r+1]
+			acc := s.acc[r*nwg : (r+1)*nwg]
+			acd := s.acc[(r+1)*nwg : (r+2)*nwg]
+			if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 || y0 == 0 || y1 == 0 || y2 == 0 || y3 == 0 {
+				rank4(acc, x0, x1, x2, x3, b0, b1, b2, b3)
+				rank4(acd, y0, y1, y2, y3, b0, b1, b2, b3)
+				continue
+			}
+			acd = acd[:len(acc)]
+			b0, b1, b2, b3 := b0[:len(acc)], b1[:len(acc)], b2[:len(acc)], b3[:len(acc)]
+			for j, v := range acc {
+				p0, p1, p2, p3 := b0[j], b1[j], b2[j], b3[j]
+				acc[j] = v + x0*p0 + x1*p1 + x2*p2 + x3*p3
+				acd[j] = acd[j] + y0*p0 + y1*p1 + y2*p2 + y3*p3
 			}
 		}
-	})
+		if r < len(a0) {
+			rank4(s.acc[r*nwg:(r+1)*nwg], a0[r], a1[r], a2[r], a3[r], b0, b1, b2, b3)
+		}
+	}
+	for ; kk < end; kk++ {
+		arow, brow := g.panelRows(s, gx, gy, pwg, kk)
+		for r, a := range arow {
+			axpy(s.acc[r*nwg:(r+1)*nwg], a, brow)
+		}
+	}
+	run.PhaseBarrier()
 }
 
-// merge writes α·acc + β·C back to global C (line 13 of Fig. 4). Per
-// BLAS semantics C is not read when β == 0, so NaN/Inf-poisoned or
+// rank4 adds x0·b0 + x1·b1 + x2·b2 + x3·b3 to one accumulator row, in
+// that order, skipping every zero x.
+func rank4[T matrix.Scalar](acc []T, x0, x1, x2, x3 T, b0, b1, b2, b3 []T) {
+	if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
+		axpy(acc, x0, b0)
+		axpy(acc, x1, b1)
+		axpy(acc, x2, b2)
+		axpy(acc, x3, b3)
+		return
+	}
+	b0, b1, b2, b3 = b0[:len(acc)], b1[:len(acc)], b2[:len(acc)], b3[:len(acc)]
+	for j, v := range acc {
+		acc[j] = v + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+	}
+}
+
+// axpy adds a·b to one accumulator row, skipping a == 0.
+func axpy[T matrix.Scalar](acc []T, a T, b []T) {
+	if a == 0 {
+		return
+	}
+	b = b[:len(acc)]
+	for j := range acc {
+		acc[j] += a * b[j]
+	}
+}
+
+// merge writes α·acc + β·C back to global C (line 13 of Fig. 4), one
+// contiguous Nwg-wide run of row-major C per tile row. Per BLAS
+// semantics C is not read when β == 0, so NaN/Inf-poisoned or
 // uninitialized output buffers cannot corrupt the result (0·NaN = NaN
 // would otherwise leak through).
 func (g *GEMM[T]) merge(s *state[T], run *clsim.GroupRun, gx, gy int) {
-	if g.micro == microUnit {
-		g.mergeUnit(s, run, gx, gy)
-		return
-	}
 	p := &g.P
-	run.ForAll(func(lx, ly int) {
-		wi := ly*p.MdimC + lx
-		acc := s.acc[wi*s.mwi*s.nwi : (wi+1)*s.mwi*s.nwi]
-		for i := 0; i < s.mwi; i++ {
-			m := g.rowOf(gx, lx, i)
-			for j := 0; j < s.nwi; j++ {
-				n := g.colOf(gy, ly, j)
-				idx := m*g.N + n
-				v := g.Alpha * acc[i*s.nwi+j]
-				if g.Beta != 0 {
-					v += g.Beta * g.C[idx]
-				}
-				g.C[idx] = v
+	alpha, beta := g.Alpha, g.Beta
+	for r := 0; r < p.Mwg; r++ {
+		acc := s.acc[r*p.Nwg : (r+1)*p.Nwg]
+		off := (gx*p.Mwg+r)*g.N + gy*p.Nwg
+		crow := g.C[off : off+len(acc)]
+		if beta == 0 {
+			for j, v := range acc {
+				crow[j] = alpha * v
+			}
+		} else {
+			for j, v := range acc {
+				crow[j] = alpha*v + beta*crow[j]
 			}
 		}
-	})
+	}
+	run.PhaseBarrier()
 }
 
 // RunGroup implements clsim.GroupKernel, dispatching on the schedule.
 // Work-group state comes from the kernel's free list and goes back when
 // the group finishes, so warm launches allocate nothing.
 func (g *GEMM[T]) RunGroup(run *clsim.GroupRun) {
-	g.o.group(g.micro)
+	g.groups.Inc()
 	s := g.getState(run)
 	defer g.putState(s)
 	switch g.P.Algorithm {
@@ -310,9 +276,8 @@ func (g *GEMM[T]) runBA(s *state[T], run *clsim.GroupRun) {
 		if p.SharedB {
 			g.loadPanelB(s, run, gy, pwg, 0, p.Kwg)
 		}
-		// ForAll ends with an implicit barrier (Fig. 4 line 5).
+		// Each phase ends with its barrier (Fig. 4 lines 5 and 11).
 		g.compute(s, run, gx, gy, pwg, 0, p.Kwg)
-		// Implicit barrier again (line 11).
 	}
 	g.merge(s, run, gx, gy)
 }
@@ -320,18 +285,15 @@ func (g *GEMM[T]) runBA(s *state[T], run *clsim.GroupRun) {
 // runPL is the software-pipelined algorithm (Fig. 5): the panel for
 // iteration i+1 is fetched into private registers while iteration i
 // computes from local memory, then stored to local memory behind a
-// barrier. Functionally the staging is equivalent to BA; the schedule
-// (prologue, pipelined body, epilogue) is followed faithfully so the
-// barrier structure matches the generated source. Operands not staged
-// through local memory are read directly, as in BA.
+// barrier. The private staging has no observable effect until the
+// store lands it in local memory, so the next panel is loaded directly
+// at the store point and the fetch phase keeps only its barrier: the
+// barrier schedule (prologue, pipelined body, epilogue) matches the
+// generated source. Operands not staged through local memory are read
+// directly, as in BA.
 func (g *GEMM[T]) runPL(s *state[T], run *clsim.GroupRun) {
 	p := &g.P
 	gx, gy := run.ID(0), run.ID(1)
-	if g.micro == microUnit {
-		g.runPLFast(s, run, gx, gy)
-		return
-	}
-
 	// Prologue (Fig. 5 lines 2-4): first panel into local memory.
 	if p.SharedA {
 		g.loadPanelA(s, run, gx, 0, 0, p.Kwg)
@@ -339,117 +301,29 @@ func (g *GEMM[T]) runPL(s *state[T], run *clsim.GroupRun) {
 	if p.SharedB {
 		g.loadPanelB(s, run, gy, 0, 0, p.Kwg)
 	}
-
-	// Per-work-item staging registers for the next panel, kept in the
-	// pooled state across groups and launches.
-	if p.SharedA && s.stageA == nil {
-		s.stageA = make([]T, run.Size()*p.MwiA()*p.KwiA())
-	}
-	if p.SharedB && s.stageB == nil {
-		s.stageB = make([]T, run.Size()*p.KwiB()*p.NwiB())
-	}
-	stageA, stageB := s.stageA, s.stageB
-
 	pwg := 0
 	for ; pwg <= g.K-2*p.Kwg; pwg += p.Kwg {
 		next := pwg + p.Kwg
-		// Lines 6-7: fetch next panel into private staging.
+		// Lines 6-7: fetch the next panel into private staging.
 		if p.SharedA {
-			g.stageLoadA(s, run, stageA, gx, next)
+			run.PhaseBarrier()
 		}
 		if p.SharedB {
-			g.stageLoadB(s, run, stageB, gy, next)
+			run.PhaseBarrier()
 		}
-		// Lines 9-13: compute current panel from local memory.
+		// Lines 9-13: compute the current panel from local memory.
 		g.compute(s, run, gx, gy, pwg, 0, p.Kwg)
-		// Lines 15-16: store staging into local memory (barrier before
-		// and after, lines 14/17 — ForAll provides the phase barrier).
+		// Lines 14-17: store the staging into local memory.
 		if p.SharedA {
-			g.stageStoreA(s, run, stageA)
+			g.loadPanelA(s, run, gx, next, 0, p.Kwg)
 		}
 		if p.SharedB {
-			g.stageStoreB(s, run, stageB)
+			g.loadPanelB(s, run, gy, next, 0, p.Kwg)
 		}
 	}
 	// Epilogue (lines 19-23): last panel.
 	g.compute(s, run, gx, gy, pwg, 0, p.Kwg)
 	g.merge(s, run, gx, gy)
-}
-
-func (g *GEMM[T]) stageLoadA(s *state[T], run *clsim.GroupRun, stage []T, gx, pwg int) {
-	p := &g.P
-	mdimA := p.MdimA
-	kdim := p.WGSize() / mdimA
-	per := p.MwiA() * p.KwiA()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		am, ak := t%mdimA, t/mdimA
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiA(); kk++ {
-			for mm := 0; mm < p.MwiA(); mm++ {
-				buf[idx] = g.A[g.idxA(pwg+ak+kk*kdim, gx*p.Mwg+am+mm*mdimA)]
-				idx++
-			}
-		}
-	})
-}
-
-func (g *GEMM[T]) stageStoreA(s *state[T], run *clsim.GroupRun, stage []T) {
-	p := &g.P
-	mdimA := p.MdimA
-	kdim := p.WGSize() / mdimA
-	per := p.MwiA() * p.KwiA()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		am, ak := t%mdimA, t/mdimA
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiA(); kk++ {
-			for mm := 0; mm < p.MwiA(); mm++ {
-				s.alm[(ak+kk*kdim)*p.Mwg+am+mm*mdimA] = buf[idx]
-				idx++
-			}
-		}
-	})
-}
-
-func (g *GEMM[T]) stageLoadB(s *state[T], run *clsim.GroupRun, stage []T, gy, pwg int) {
-	p := &g.P
-	ndimB := p.NdimB
-	kdim := p.WGSize() / ndimB
-	per := p.KwiB() * p.NwiB()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		bn, bk := t%ndimB, t/ndimB
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiB(); kk++ {
-			for nn := 0; nn < p.NwiB(); nn++ {
-				buf[idx] = g.B[g.idxB(pwg+bk+kk*kdim, gy*p.Nwg+bn+nn*ndimB)]
-				idx++
-			}
-		}
-	})
-}
-
-func (g *GEMM[T]) stageStoreB(s *state[T], run *clsim.GroupRun, stage []T) {
-	p := &g.P
-	ndimB := p.NdimB
-	kdim := p.WGSize() / ndimB
-	per := p.KwiB() * p.NwiB()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		bn, bk := t%ndimB, t/ndimB
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiB(); kk++ {
-			for nn := 0; nn < p.NwiB(); nn++ {
-				s.blm[(bk+kk*kdim)*p.Nwg+bn+nn*ndimB] = buf[idx]
-				idx++
-			}
-		}
-	})
 }
 
 // runDB is the double-buffered algorithm (Fig. 6): the Kwg panel is
@@ -488,8 +362,9 @@ func (g *GEMM[T]) runDB(s *state[T], run *clsim.GroupRun) {
 		if p.SharedB {
 			g.loadPanelB(s, run, gy, pwg+p.Kwg, 0, half)
 		}
-		// Lines 16-20: compute on buffer 1 (previous panel's k range).
-		g.computeDBHigh(s, run, gx, gy, pwg, half)
+		// Lines 16-20: compute on buffer 1 (the same panel's upper k
+		// range); direct operands read global memory at the true k.
+		g.compute(s, run, gx, gy, pwg, half, half)
 	}
 	// Epilogue (lines 22-35): finish the last panel.
 	if p.SharedA {
@@ -499,13 +374,6 @@ func (g *GEMM[T]) runDB(s *state[T], run *clsim.GroupRun) {
 		g.loadPanelB(s, run, gy, pwg, half, half)
 	}
 	g.compute(s, run, gx, gy, pwg, 0, half)
-	g.computeDBHigh(s, run, gx, gy, pwg, half)
-	g.merge(s, run, gx, gy)
-}
-
-// computeDBHigh computes the upper half-panel [half, Kwg) of the panel
-// at pwg; direct (non-staged) operands read global memory at the true
-// k offset.
-func (g *GEMM[T]) computeDBHigh(s *state[T], run *clsim.GroupRun, gx, gy, pwg, half int) {
 	g.compute(s, run, gx, gy, pwg, half, half)
+	g.merge(s, run, gx, gy)
 }

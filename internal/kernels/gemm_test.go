@@ -6,32 +6,17 @@ import (
 	"testing/quick"
 
 	"oclgemm/internal/blas"
-	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
-	"oclgemm/internal/device"
 	"oclgemm/internal/matrix"
 )
 
-// runKernel packs row-major A (M×K) and B (K×N) into the kernel's
-// layouts, runs the kernel on the simulator, and returns the result
-// matrix.
+// runKernel runs the kernel on row-major A (M×K), B (K×N) and C and
+// returns the result matrix.
 func runKernel(t *testing.T, p codegen.Params, m, n, k int, alpha float64,
 	a, b, c *matrix.Matrix[float64], beta float64) *matrix.Matrix[float64] {
 	t.Helper()
-	at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
-	bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
-	cc := c.Clone()
-
-	kern, err := NewGEMM(p, m, n, k, alpha, at.Data, bp.Data, beta, cc.Data)
-	if err != nil {
-		t.Fatalf("NewGEMM: %v", err)
-	}
-	ctx := clsim.NewContext(&clsim.Device{Spec: device.Tahiti()})
-	q := clsim.NewQueue(ctx)
-	if err := q.RunLockstep(kern, kern.NDRange()); err != nil {
-		t.Fatalf("RunLockstep: %v", err)
-	}
-	return cc
+	got, _ := launch(t, p, m, n, k, alpha, beta, a, b, c)
+	return matrix.FromSlice(m, n, matrix.RowMajor, got)
 }
 
 func refGEMM(alpha float64, a, b, c *matrix.Matrix[float64], beta float64) *matrix.Matrix[float64] {
@@ -184,18 +169,8 @@ func TestFloat32Kernel(t *testing.T) {
 	b.FillRandom(rng)
 	c.FillRandom(rng)
 
-	at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
-	bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
-	cc := c.Clone()
-	kern, err := NewGEMM(p, m, n, k, float32(2), at.Data, bp.Data, float32(0.5), cc.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := clsim.NewContext(&clsim.Device{Spec: device.Tahiti()})
-	q := clsim.NewQueue(ctx)
-	if err := q.RunLockstep(kern, kern.NDRange()); err != nil {
-		t.Fatal(err)
-	}
+	got, _ := launch(t, p, m, n, k, float32(2), float32(0.5), a, b, c)
+	cc := matrix.FromSlice(m, n, matrix.RowMajor, got)
 	want := c.Clone()
 	blas.GEMM(blas.NoTrans, blas.NoTrans, float32(2), a, b, float32(0.5), want)
 	if d := matrix.MaxRelDiff(cc, want); d > float64(matrix.Tolerance(matrix.Single, k)) {

@@ -1,68 +1,27 @@
-// Micro-kernel specialization layer.
+// Micro-kernel support: panel geometry, the work-group state free list
+// and the work-group counter.
 //
-// The generic GEMM and pack kernels interpret codegen.Params at run
-// time: every A/B element load goes through an index closure and every
-// work-group reallocates its scratch state. This file compiles the
-// parameter space down at kernel-build time instead, the way the
-// paper's generated OpenCL sources bake the blocking into the kernel
-// text: NewGEMM/NewPack select a micro-kernel (selectMicro), panel
-// geometry is precomputed into closure-free panelGeom offsets, panel
-// loads degrade to whole-row copy(), the inner product register-tiles C
-// over reslice-narrowed panel rows, and per-group state is recycled
-// through a free list so a warm launch allocates nothing. Parameter
-// combinations outside the specialized space (strided work-item
-// mappings, §III-B) fall back to the generic closure path, which stays
-// the semantic reference: every fast path must produce bit-identical
-// results and identical barrier statistics.
+// The paper's generated OpenCL sources bake the blocking into the
+// kernel text; the native kernels do the same at NewGEMM/NewPack time.
+// Panel geometry is precomputed into panelGeom offsets so panel loads
+// are whole-row copy() calls, the inner product is a sequence of rank-1
+// updates of a row-major work-group C tile over reslice-narrowed panel
+// rows, and per-group state is recycled through a free list so a warm
+// launch allocates nothing. One micro-kernel serves every parameter
+// point: the stride modes of §III-B change which work-item owns a C
+// element, not the order in which the element accumulates.
 package kernels
 
 import (
 	"sync"
 
 	"oclgemm/internal/clsim"
-	"oclgemm/internal/codegen"
 	"oclgemm/internal/matrix"
 	"oclgemm/internal/obs"
 )
 
-// microKind names the micro-kernel a kernel instance dispatched to.
-type microKind uint8
-
-const (
-	// microGeneric is the interpreter-style reference path: index
-	// closures per element, ForAll per phase.
-	microGeneric microKind = iota
-	// microUnit is the unit-stride fast path (StrideM and StrideN both
-	// false): contiguous panel rows, bulk copies, register-tiled inner
-	// loops. Valid for every layout pair, vector width and schedule,
-	// because the unit-stride work-item mapping makes each work-item's
-	// Mwi×Nwi tile contiguous within the panel row.
-	microUnit
-)
-
-// String returns the dispatch-table name of the micro-kernel.
-func (m microKind) String() string {
-	if m == microUnit {
-		return "unit"
-	}
-	return "generic"
-}
-
-// selectMicro is the dispatch table: it maps a full parameter point to
-// the micro-kernel that can execute it. Strided work-item mappings
-// (Fig. 2 right) scatter each work-item's elements at MdimC/vw·NdimC
-// pitch, so their loads cannot be expressed as contiguous runs and they
-// take the generic path.
-func selectMicro(p codegen.Params) microKind {
-	if p.StrideM || p.StrideN {
-		return microGeneric
-	}
-	return microUnit
-}
-
-// panelGeom is the closure-free form of indexer for one packed operand:
-// it resolves the flat offset of a whole row-run instead of one
-// element. The enabling invariant is that the planner packs with
+// panelGeom resolves flat offsets of one packed operand a whole row-run
+// at a time. The enabling invariant is that the planner packs with
 // blocking equal to the kernel's work-group tiling (A: Kwg×Mwg, B:
 // Kwg×Nwg), so the cb columns of block-column blk in row r are
 // contiguous under all three layouts.
@@ -109,9 +68,9 @@ func (g *GEMM[T]) StateAllocs() int64 {
 }
 
 // getState returns a ready work-group state: local-memory capacity is
-// charged against the device budget exactly as the allocating path
-// would (so ErrLocalMemExceeded fires identically), the accumulator is
-// zeroed, and backing slabs are reused when the pool has them.
+// charged against the device budget (so ErrLocalMemExceeded fires as on
+// a real device), the accumulator is zeroed, and backing slabs are
+// reused when the pool has them.
 func (g *GEMM[T]) getState(run *clsim.GroupRun) *state[T] {
 	p := &g.P
 	if p.SharedA {
@@ -130,8 +89,7 @@ func (g *GEMM[T]) getState(run *clsim.GroupRun) *state[T] {
 	}
 	g.pool.mu.Unlock()
 	if s == nil {
-		s = &state[T]{mwi: p.Mwi(), nwi: p.Nwi()}
-		s.acc = make([]T, run.Size()*s.mwi*s.nwi)
+		s = &state[T]{acc: make([]T, p.Mwg*p.Nwg)}
 		if p.SharedA {
 			s.alm = make([]T, p.Kwg*p.Mwg)
 		}
@@ -152,30 +110,14 @@ func (g *GEMM[T]) putState(s *state[T]) {
 	g.pool.mu.Unlock()
 }
 
-// kernObs holds a kernel's resolved selection counters
-// ("kernels.<kernel>.groups{micro=unit|generic}"). Nil-safe like every
-// obs instrument.
-type kernObs struct {
-	unit, generic *obs.Counter
-}
-
-func resolveKernObs(r *obs.Registry, kernel string) kernObs {
+// groupCounter resolves a kernel's work-group counter
+// ("kernels.<kernel>.groups{micro=unit}"); nil (a no-op, like every
+// nil obs instrument) when the registry is nil.
+func groupCounter(r *obs.Registry, kernel string) *obs.Counter {
 	if r == nil {
-		return kernObs{}
+		return nil
 	}
-	return kernObs{
-		unit:    r.Counter(obs.Label("kernels."+kernel+".groups", "micro", "unit")),
-		generic: r.Counter(obs.Label("kernels."+kernel+".groups", "micro", "generic")),
-	}
-}
-
-// group records which micro-kernel served one work-group.
-func (o *kernObs) group(m microKind) {
-	if m == microUnit {
-		o.unit.Inc()
-	} else {
-		o.generic.Inc()
-	}
+	return r.Counter(obs.Label("kernels."+kernel+".groups", "micro", "unit"))
 }
 
 // elemBytes returns the element size of T for local-memory accounting.
@@ -185,145 +127,4 @@ func elemBytes[T matrix.Scalar]() int {
 		return 8
 	}
 	return 4
-}
-
-// loadPanelAFast stages rows [pwg+k0, pwg+k0+kLen) of the A panel with
-// one copy per row: the cooperative (MdimA × KdimA) element scatter of
-// the generic load writes exactly these elements, so a bulk row copy is
-// bit-identical. PhaseBarrier keeps the barrier count equal to the
-// generic ForAll phase.
-func (g *GEMM[T]) loadPanelAFast(s *state[T], run *clsim.GroupRun, gx, pwg, k0, kLen int) {
-	mwg := g.P.Mwg
-	for k := k0; k < k0+kLen; k++ {
-		src := g.geoA.rowStart(pwg+k, gx)
-		copy(s.alm[k*mwg:(k+1)*mwg], g.A[src:src+mwg])
-	}
-	run.PhaseBarrier()
-}
-
-// loadPanelBFast is the B counterpart of loadPanelAFast.
-func (g *GEMM[T]) loadPanelBFast(s *state[T], run *clsim.GroupRun, gy, pwg, k0, kLen int) {
-	nwg := g.P.Nwg
-	for k := k0; k < k0+kLen; k++ {
-		src := g.geoB.rowStart(pwg+k, gy)
-		copy(s.blm[k*nwg:(k+1)*nwg], g.B[src:src+nwg])
-	}
-	run.PhaseBarrier()
-}
-
-// computeUnit is the unit-stride inner product: for each panel row kk
-// it reslices the Mwg-wide A run and Nwg-wide B run once (from local
-// memory when staged, straight out of the packed global operand
-// otherwise — the pack blocking makes both contiguous), then walks the
-// work-items register-tiling C into each one's Mwi×Nwi accumulator
-// block. Per accumulator element the kk-ascending accumulation order
-// and the zero-skip match the generic loop exactly, so results are
-// bit-identical.
-func (g *GEMM[T]) computeUnit(s *state[T], run *clsim.GroupRun, gx, gy, pwg, k0, kLen int) {
-	p := &g.P
-	mwi, nwi := s.mwi, s.nwi
-	per := mwi * nwi
-	for kk := k0; kk < k0+kLen; kk++ {
-		var arow, brow []T
-		if p.SharedA {
-			arow = s.alm[kk*p.Mwg : (kk+1)*p.Mwg]
-		} else {
-			base := g.geoA.rowStart(pwg+kk, gx)
-			arow = g.A[base : base+p.Mwg]
-		}
-		if p.SharedB {
-			brow = s.blm[kk*p.Nwg : (kk+1)*p.Nwg]
-		} else {
-			base := g.geoB.rowStart(pwg+kk, gy)
-			brow = g.B[base : base+p.Nwg]
-		}
-		for ly := 0; ly < p.NdimC; ly++ {
-			bseg := brow[ly*nwi : ly*nwi+nwi]
-			for lx := 0; lx < p.MdimC; lx++ {
-				aseg := arow[lx*mwi : lx*mwi+mwi]
-				wi := ly*p.MdimC + lx
-				acc := s.acc[wi*per : (wi+1)*per]
-				for i, av := range aseg {
-					if av == 0 {
-						continue
-					}
-					ai := acc[i*nwi : i*nwi+nwi]
-					for j, bv := range bseg {
-						ai[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-	run.PhaseBarrier()
-}
-
-// mergeUnit writes α·acc + β·C row-run by row-run: under the
-// unit-stride mapping each work-item's j-run of Nwi elements is
-// contiguous in row-major C. The merge arithmetic (α·acc first, then
-// +β·C only when β ≠ 0) matches the generic path bit for bit.
-func (g *GEMM[T]) mergeUnit(s *state[T], run *clsim.GroupRun, gx, gy int) {
-	p := &g.P
-	mwi, nwi := s.mwi, s.nwi
-	per := mwi * nwi
-	alpha, beta := g.Alpha, g.Beta
-	for ly := 0; ly < p.NdimC; ly++ {
-		n0 := gy*p.Nwg + ly*nwi
-		for lx := 0; lx < p.MdimC; lx++ {
-			wi := ly*p.MdimC + lx
-			acc := s.acc[wi*per : (wi+1)*per]
-			m0 := gx*p.Mwg + lx*mwi
-			for i := 0; i < mwi; i++ {
-				crow := g.C[(m0+i)*g.N+n0 : (m0+i)*g.N+n0+nwi]
-				ai := acc[i*nwi : i*nwi+nwi]
-				if beta == 0 {
-					for j, av := range ai {
-						crow[j] = alpha * av
-					}
-				} else {
-					for j, av := range ai {
-						crow[j] = alpha*av + beta*crow[j]
-					}
-				}
-			}
-		}
-	}
-	run.PhaseBarrier()
-}
-
-// runPLFast is the unit-stride form of the pipelined schedule. The
-// private-register staging of Fig. 5 has no observable effect until the
-// store barrier lands its contents in local memory, so the fast path
-// skips the intermediate copy and loads the local panel directly at the
-// store point; one PhaseBarrier per skipped stage phase keeps the
-// barrier schedule identical to the generic form.
-func (g *GEMM[T]) runPLFast(s *state[T], run *clsim.GroupRun, gx, gy int) {
-	p := &g.P
-	if p.SharedA {
-		g.loadPanelAFast(s, run, gx, 0, 0, p.Kwg)
-	}
-	if p.SharedB {
-		g.loadPanelBFast(s, run, gy, 0, 0, p.Kwg)
-	}
-	pwg := 0
-	for ; pwg <= g.K-2*p.Kwg; pwg += p.Kwg {
-		next := pwg + p.Kwg
-		// Stage-fetch phases (Fig. 5 lines 6-7), fused away.
-		if p.SharedA {
-			run.PhaseBarrier()
-		}
-		if p.SharedB {
-			run.PhaseBarrier()
-		}
-		g.computeUnit(s, run, gx, gy, pwg, 0, p.Kwg)
-		// Stage-store phases (lines 15-16): load local memory directly.
-		if p.SharedA {
-			g.loadPanelAFast(s, run, gx, next, 0, p.Kwg)
-		}
-		if p.SharedB {
-			g.loadPanelBFast(s, run, gy, next, 0, p.Kwg)
-		}
-	}
-	g.computeUnit(s, run, gx, gy, pwg, 0, p.Kwg)
-	g.mergeUnit(s, run, gx, gy)
 }

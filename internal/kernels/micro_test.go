@@ -10,111 +10,110 @@ import (
 	"oclgemm/internal/device"
 	"oclgemm/internal/matrix"
 	"oclgemm/internal/obs"
+	"oclgemm/internal/tunedb"
 )
 
-// runKernelPath packs the operands, runs the GEMM kernel with the fast
-// path toggled as requested, and returns the raw result buffer plus the
-// queue statistics of the launch.
-func runKernelPath[T matrix.Scalar](t *testing.T, p codegen.Params, m, n, k int,
-	alpha, beta T, a, b, c *matrix.Matrix[T], fast bool) ([]T, clsim.QueueStats) {
+// refElementwise is the parameter-free oracle of the micro-kernel: per
+// C element, sum a·b over k ascending skipping a == 0, then α·acc, then
+// +β·C only when β ≠ 0. Every schedule, layout and stride mode must
+// reproduce it bit for bit, because none of them changes the per-element
+// accumulation order.
+func refElementwise[T matrix.Scalar](alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) []T {
+	out := make([]T, c.Rows*c.Cols)
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
+			var acc T
+			for k := 0; k < a.Cols; k++ {
+				if av := a.At(i, k); av != 0 {
+					acc += av * b.At(k, j)
+				}
+			}
+			v := alpha * acc
+			if beta != 0 {
+				v += beta * c.At(i, j)
+			}
+			out[i*c.Cols+j] = v
+		}
+	}
+	return out
+}
+
+// launch packs row-major A (M×K) and B (K×N) into the kernel's layouts,
+// runs the GEMM kernel on the lockstep executor, and returns the raw C
+// buffer plus the queue statistics of the launch.
+func launch[T matrix.Scalar](t *testing.T, p codegen.Params, m, n, k int,
+	alpha, beta T, a, b, c *matrix.Matrix[T]) ([]T, clsim.QueueStats) {
 	t.Helper()
 	at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
 	bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
 	cc := c.Clone()
 	kern, err := NewGEMM(p, m, n, k, alpha, at.Data, bp.Data, beta, cc.Data)
 	if err != nil {
-		t.Fatalf("NewGEMM: %v", err)
+		t.Fatalf("NewGEMM %s: %v", p.Name(), err)
 	}
-	kern.SetFastPath(fast)
 	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
 	if err := q.RunLockstep(kern, kern.NDRange()); err != nil {
-		t.Fatalf("RunLockstep (fast=%v): %v", fast, err)
+		t.Fatalf("RunLockstep %s: %v", p.Name(), err)
 	}
 	return cc.Data, q.Stats()
 }
 
-// compareFastGeneric runs one parameter point down both paths and
-// demands bit-identical output and identical barrier statistics.
-func compareFastGeneric[T matrix.Scalar](t *testing.T, p codegen.Params, m, n, k int, alpha, beta T, seed int64) {
+// randOperands draws M×K, K×N and M×N operands in [-1, 1) and zeroes
+// every seventh element of A so the a == 0 skip is exercised.
+func randOperands[T matrix.Scalar](m, n, k int, seed int64) (a, b, c *matrix.Matrix[T]) {
+	rng := rand.New(rand.NewSource(seed))
+	a = matrix.New[T](m, k, matrix.RowMajor)
+	b = matrix.New[T](k, n, matrix.RowMajor)
+	c = matrix.New[T](m, n, matrix.RowMajor)
+	a.FillRandom(rng)
+	b.FillRandom(rng)
+	c.FillRandom(rng)
+	for i := 0; i < len(a.Data); i += 7 {
+		a.Data[i] = 0
+	}
+	return
+}
+
+// checkBitExact runs one parameter point and demands every C element be
+// bit-identical to refElementwise. It returns the launch statistics.
+func checkBitExact[T matrix.Scalar](t *testing.T, p codegen.Params, m, n, k int, alpha, beta T, seed int64) clsim.QueueStats {
 	t.Helper()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("invalid test params %s: %v", p.Name(), err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	a := matrix.New[T](m, k, matrix.RowMajor)
-	b := matrix.New[T](k, n, matrix.RowMajor)
-	c := matrix.New[T](m, n, matrix.RowMajor)
-	a.FillRandom(rng)
-	b.FillRandom(rng)
-	c.FillRandom(rng)
-
-	got, statsFast := runKernelPath(t, p, m, n, k, alpha, beta, a, b, c, true)
-	want, statsGen := runKernelPath(t, p, m, n, k, alpha, beta, a, b, c, false)
+	a, b, c := randOperands[T](m, n, k, seed)
+	got, stats := launch(t, p, m, n, k, alpha, beta, a, b, c)
+	want := refElementwise(alpha, a, b, beta, c)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s: element %d not bit-identical: fast %v, generic %v", p.Name(), i, got[i], want[i])
+			t.Fatalf("%s β=%v: element %d not bit-identical: kernel %v, reference %v", p.Name(), beta, i, got[i], want[i])
 		}
 	}
-	if statsFast.BarriersHit != statsGen.BarriersHit {
-		t.Errorf("%s: barrier count diverged: fast %d, generic %d",
-			p.Name(), statsFast.BarriersHit, statsGen.BarriersHit)
-	}
-	if statsFast.WorkGroupsRun != statsGen.WorkGroupsRun || statsFast.WorkItemsRun != statsGen.WorkItemsRun {
-		t.Errorf("%s: launch stats diverged: fast %+v, generic %+v", p.Name(), statsFast, statsGen)
-	}
+	return stats
 }
 
-// The dispatch table: unit-stride parameter points select the unit
-// micro-kernel, strided ones fall back to generic, and SetFastPath
-// overrides in both directions.
-func TestMicroDispatch(t *testing.T) {
-	buf := make([]float64, 16*16)
-	mk := func(p codegen.Params) *GEMM[float64] {
-		kern, err := NewGEMM(p, 16, 16, 16, 1.0, buf, buf, 0.0, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kern
-	}
-	if got := mk(base()).Micro(); got != "unit" {
-		t.Errorf("unit-stride config dispatched to %q, want unit", got)
-	}
-	for _, st := range [][2]bool{{true, false}, {false, true}, {true, true}} {
-		p := base()
-		p.StrideM, p.StrideN = st[0], st[1]
-		if got := mk(p).Micro(); got != "generic" {
-			t.Errorf("strided config %v dispatched to %q, want generic", st, got)
-		}
-	}
-	kern := mk(base())
-	kern.SetFastPath(false)
-	if kern.Micro() != "generic" {
-		t.Error("SetFastPath(false) must force the generic micro-kernel")
-	}
-	kern.SetFastPath(true)
-	if kern.Micro() != "unit" {
-		t.Error("SetFastPath(true) must re-run dispatch")
-	}
-}
+var strideModes = [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}}
 
-// Bit-identity of the unit micro-kernel against the generic reference
-// across every schedule, shared-memory mode, layout pair and vector
-// width the fast path claims to cover.
+// Every schedule × shared-memory mode × stride mode matches the
+// element-wise reference bit for bit, on both β branches.
 func TestFastMatchesGenericAllSchedules(t *testing.T) {
 	for _, alg := range []codegen.Algorithm{codegen.BA, codegen.PL, codegen.DB} {
 		for _, sh := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-			p := base()
-			p.Algorithm = alg
-			p.SharedA, p.SharedB = sh[0], sh[1]
-			if alg == codegen.DB {
-				p.Kwg = 8 // even halves
-				if !p.UsesLocalMemory() {
-					continue // DB requires local memory
+			for _, st := range strideModes {
+				p := base()
+				p.Algorithm = alg
+				p.SharedA, p.SharedB = sh[0], sh[1]
+				p.StrideM, p.StrideN = st[0], st[1]
+				if alg == codegen.DB {
+					p.Kwg = 8 // even halves
+					if !p.UsesLocalMemory() {
+						continue // DB requires local memory
+					}
 				}
+				m, n, k := 16, 24, 32
+				checkBitExact(t, p, m, n, k, 1.25, -0.5, 21)
+				checkBitExact(t, p, m, n, k, 2.0, 0.0, 22) // beta == 0 branch
 			}
-			m, n, k := 16, 24, 32
-			compareFastGeneric(t, p, m, n, k, 1.25, -0.5, 21)
-			compareFastGeneric(t, p, m, n, k, 2.0, 0.0, 22) // beta == 0 branch
 		}
 	}
 }
@@ -122,53 +121,47 @@ func TestFastMatchesGenericAllSchedules(t *testing.T) {
 func TestFastMatchesGenericLayouts(t *testing.T) {
 	for _, la := range []matrix.Layout{matrix.LayoutRowMajor, matrix.LayoutCBL, matrix.LayoutRBL} {
 		for _, lb := range []matrix.Layout{matrix.LayoutRowMajor, matrix.LayoutCBL, matrix.LayoutRBL} {
-			p := base()
-			p.LayoutA, p.LayoutB = la, lb
-			p.SharedB = false // exercise direct global reads through panelGeom
-			compareFastGeneric(t, p, 24, 16, 12, 1.0, 1.0, 23)
+			for _, st := range strideModes {
+				p := base()
+				p.LayoutA, p.LayoutB = la, lb
+				p.StrideM, p.StrideN = st[0], st[1]
+				p.SharedB = false // exercise direct global reads through panelGeom
+				checkBitExact(t, p, 24, 16, 12, 1.0, 1.0, 23)
+			}
 		}
 	}
 }
 
 func TestFastMatchesGenericVectorWidths(t *testing.T) {
 	for _, vw := range []int{1, 2, 4} {
-		p := base()
-		p.Nwg = 16 // Nwi = 4
-		p.VectorWidth = vw
-		compareFastGeneric(t, p, 16, 32, 12, -1.5, 0.75, 24)
+		for _, strideN := range []bool{false, true} {
+			p := base()
+			p.Nwg = 16 // Nwi = 4
+			p.VectorWidth = vw
+			p.StrideN = strideN // vw scales the strided pitch
+			checkBitExact(t, p, 16, 32, 12, -1.5, 0.75, 24)
+		}
 	}
 }
 
 func TestFastMatchesGenericFloat32(t *testing.T) {
 	for _, alg := range []codegen.Algorithm{codegen.BA, codegen.PL} {
-		p := base()
-		p.Precision = matrix.Single
-		p.Algorithm = alg
-		compareFastGeneric[float32](t, p, 16, 16, 16, 1.5, -0.25, 25)
-	}
-}
-
-// Strided parameter points run the generic path through the dispatch;
-// the combined kernel must still match the plain reference (covered by
-// TestBAStrideModes) and, trivially, itself — here we pin that the
-// dispatch really selected generic so the fast-path coverage claims in
-// the other tests are meaningful.
-func TestStridedDispatchStaysGeneric(t *testing.T) {
-	p := base()
-	p.StrideM, p.StrideN = true, true
-	a, b, c := randMats(16, 16, 12, 26)
-	got := runKernel(t, p, 16, 16, 12, 1.25, a, b, c, -0.5)
-	want := refGEMM(1.25, a, b, c, -0.5)
-	if d := matrix.MaxRelDiff(got, want); d > 1e-12 {
-		t.Errorf("strided config diff %g vs reference", d)
+		for _, st := range strideModes {
+			p := base()
+			p.Precision = matrix.Single
+			p.Algorithm = alg
+			p.StrideM, p.StrideN = st[0], st[1]
+			checkBitExact[float32](t, p, 16, 16, 16, 1.5, -0.25, 25)
+		}
 	}
 }
 
 // Property: a random walk over the valid parameter grid (all three
-// algorithms, both precisions' worth of shapes, layouts, shared modes,
-// vector widths) never separates the two paths by a single bit.
+// algorithms, both precisions, stride modes, layouts, shared modes and
+// vector widths) never moves a C element by a single bit from the
+// element-wise reference.
 func TestFastGenericPropertyBitIdentical(t *testing.T) {
-	f := func(algSel, mdim, ndim, mwiS, nwiS, kwgS, kwiS, vwS, shSel, layA, layB uint8, seed int64) bool {
+	f := func(algSel, mdim, ndim, mwiS, nwiS, kwgS, kwiS, vwS, shSel, stSel, layA, layB uint8, single bool, seed int64) bool {
 		p := codegen.Params{
 			Precision: matrix.Double,
 			Algorithm: codegen.Algorithms[algSel%3],
@@ -177,8 +170,13 @@ func TestFastGenericPropertyBitIdentical(t *testing.T) {
 			Kwi:       []int{1, 2}[kwiS%2],
 			SharedA:   shSel&1 != 0,
 			SharedB:   shSel&2 != 0,
+			StrideM:   stSel&1 != 0,
+			StrideN:   stSel&2 != 0,
 			LayoutA:   []matrix.Layout{matrix.LayoutRowMajor, matrix.LayoutCBL, matrix.LayoutRBL}[layA%3],
 			LayoutB:   []matrix.Layout{matrix.LayoutRowMajor, matrix.LayoutCBL, matrix.LayoutRBL}[layB%3],
+		}
+		if single {
+			p.Precision = matrix.Single
 		}
 		p.Mwg = p.MdimC * (int(mwiS%3) + 1)
 		p.Nwg = p.NdimC * []int{2, 4}[nwiS%2]
@@ -193,33 +191,83 @@ func TestFastGenericPropertyBitIdentical(t *testing.T) {
 			return true // not a valid draw; skip
 		}
 		m, n, k := p.Mwg*2, p.Nwg, p.Kwg*2
-		rng := rand.New(rand.NewSource(seed))
-		a := matrix.New[float64](m, k, matrix.RowMajor)
-		b := matrix.New[float64](k, n, matrix.RowMajor)
-		c := matrix.New[float64](m, n, matrix.RowMajor)
-		a.FillRandom(rng)
-		b.FillRandom(rng)
-		c.FillRandom(rng)
-		got, sf := runKernelPath(t, p, m, n, k, 1.25, -0.5, a, b, c, true)
-		want, sg := runKernelPath(t, p, m, n, k, 1.25, -0.5, a, b, c, false)
-		if sf.BarriersHit != sg.BarriersHit {
-			return false
+		if single {
+			return propertyBitExact[float32](t, p, m, n, k, seed)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return propertyBitExact[float64](t, p, m, n, k, seed)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 160}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Pack: the row-run copy fast path must be bit-identical to the
-// per-element generic path for every layout, transpose flag and
-// partial-tile geometry (source smaller than the padded destination).
+func propertyBitExact[T matrix.Scalar](t *testing.T, p codegen.Params, m, n, k int, seed int64) bool {
+	a, b, c := randOperands[T](m, n, k, seed)
+	got, _ := launch(t, p, m, n, k, 1.25, -0.5, a, b, c)
+	want := refElementwise(1.25, a, b, -0.5, c)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Logf("%s: element %d: kernel %v, reference %v", p.Name(), i, got[i], want[i])
+			return false
+		}
+	}
+	return true
+}
+
+// paperGoldens pins the launch statistics of every Table II kernel on a
+// 2×2 work-group grid with K = 3·Kwg. The barrier counts are the
+// schedule's phase structure (Fig. 4-6) and must not move when the
+// micro-kernel changes.
+var paperGoldens = map[string]struct{ barriers, groups int64 }{
+	"tahiti/DGEMM":      {28, 4},
+	"tahiti/SGEMM":      {40, 4},
+	"cayman/DGEMM":      {16, 4},
+	"cayman/SGEMM":      {16, 4},
+	"kepler/DGEMM":      {40, 4},
+	"kepler/SGEMM":      {56, 4},
+	"fermi/DGEMM":       {56, 4},
+	"fermi/SGEMM":       {40, 4},
+	"sandybridge/DGEMM": {52, 4},
+	"sandybridge/SGEMM": {28, 4},
+	"bulldozer/DGEMM":   {52, 4},
+	"bulldozer/SGEMM":   {16, 4},
+}
+
+// All 12 paper Table II kernels, both β branches: bit-identical to the
+// element-wise reference, with the barrier and work-group counts pinned.
+func TestPaperTableIIKernelsBitIdentical(t *testing.T) {
+	for _, rec := range tunedb.PaperTableII().Records {
+		p, err := rec.Params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := rec.Device + "/" + p.Precision.GEMMName()
+		m, n, k := 2*p.Mwg, 2*p.Nwg, 3*p.Kwg
+		for _, beta := range []float64{0, -0.5} {
+			var st clsim.QueueStats
+			if p.Precision == matrix.Single {
+				st = checkBitExact(t, p, m, n, k, float32(1.5), float32(beta), 31)
+			} else {
+				st = checkBitExact(t, p, m, n, k, 1.5, beta, 31)
+			}
+			want, ok := paperGoldens[name]
+			if !ok {
+				t.Errorf("%s: no golden", name)
+				continue
+			}
+			if st.BarriersHit != want.barriers || st.WorkGroupsRun != want.groups {
+				t.Errorf("%s β=%v: barriers %d groups %d, golden %d / %d",
+					name, beta, st.BarriersHit, st.WorkGroupsRun, want.barriers, want.groups)
+			}
+		}
+	}
+}
+
+// Pack: the row-run copy kernel must be bit-identical to a per-element
+// reference that mirrors the generated OpenCL source one work-item at a
+// time, for every layout, transpose flag and partial-tile geometry
+// (source smaller than the padded destination). The lockstep queue
+// must count one barrier per work-group: the one ending the pack phase.
 func TestPackFastMatchesGeneric(t *testing.T) {
 	for _, layout := range []matrix.Layout{matrix.LayoutRowMajor, matrix.LayoutCBL, matrix.LayoutRBL} {
 		for _, transpose := range []bool{false, true} {
@@ -236,37 +284,46 @@ func TestPackFastMatchesGeneric(t *testing.T) {
 					Precision: matrix.Double, Layout: layout,
 					Rb: 4, Cb: 8, Transpose: transpose,
 				}
-				run := func(fast bool) ([]float64, clsim.QueueStats) {
-					dst := make([]float64, r*c)
-					pk, err := NewPack(pp, src.Rows, src.Cols, src.Stride, r, c, src.Data, dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pk.SetFastPath(fast)
-					q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
-					if err := q.RunLockstep(pk, pk.NDRange()); err != nil {
-						t.Fatal(err)
-					}
-					return dst, q.Stats()
+				dst := make([]float64, r*c)
+				pk, err := NewPack(pp, src.Rows, src.Cols, src.Stride, r, c, src.Data, dst)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, sf := run(true)
-				want, sg := run(false)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("layout=%v transpose=%v %dx%d: element %d differs: fast %v, generic %v",
-							layout, transpose, dims[0], dims[1], i, got[i], want[i])
+				q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
+				if err := q.RunLockstep(pk, pk.NDRange()); err != nil {
+					t.Fatal(err)
+				}
+
+				want := matrix.NewBlocked[float64](r, c, 4, 8, layout)
+				for gr := 0; gr < r; gr++ {
+					for gc := 0; gc < c; gc++ {
+						var v float64
+						if transpose {
+							if gc < src.Rows && gr < src.Cols {
+								v = src.Data[gc*src.Stride+gr]
+							}
+						} else if gr < src.Rows && gc < src.Cols {
+							v = src.Data[gr*src.Stride+gc]
+						}
+						want.Set(gr, gc, v)
 					}
 				}
-				if sf.BarriersHit != sg.BarriersHit {
-					t.Errorf("layout=%v transpose=%v: pack barrier count diverged: fast %d, generic %d",
-						layout, transpose, sf.BarriersHit, sg.BarriersHit)
+				for i := range want.Data {
+					if dst[i] != want.Data[i] {
+						t.Fatalf("layout=%v transpose=%v %dx%d: element %d differs: kernel %v, reference %v",
+							layout, transpose, dims[0], dims[1], i, dst[i], want.Data[i])
+					}
+				}
+				if st := q.Stats(); st.BarriersHit != st.WorkGroupsRun {
+					t.Errorf("layout=%v transpose=%v: pack barriers %d, want one per work-group (%d)",
+						layout, transpose, st.BarriersHit, st.WorkGroupsRun)
 				}
 			}
 		}
 	}
 }
 
-// Pack with a strided source view down both paths.
+// Pack with a strided source view.
 func TestPackFastStridedSource(t *testing.T) {
 	parent := matrix.New[float64](16, 16, matrix.RowMajor)
 	parent.FillSequential()
@@ -281,8 +338,8 @@ func TestPackFastStridedSource(t *testing.T) {
 	}
 }
 
-// Selection counters: every executed work-group increments the
-// micro-kernel counter of the path that served it.
+// Selection counters: every executed work-group, unit-stride or
+// strided, increments the unit micro-kernel counter.
 func TestMicroSelectionCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	a, b, c := randMats(16, 16, 12, 28)
@@ -300,16 +357,12 @@ func TestMicroSelectionCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run(base()) // 2×2 groups on the unit path
+	run(base()) // 2×2 groups
 	strided := base()
 	strided.StrideM = true
-	run(strided) // 2×2 groups on the generic fallback
+	run(strided) // 2×2 more groups, same micro-kernel
 
-	s := reg.Snapshot()
-	if got := s.Counters["kernels.gemm.groups{micro=unit}"]; got != 4 {
-		t.Errorf("unit group counter = %d, want 4", got)
-	}
-	if got := s.Counters["kernels.gemm.groups{micro=generic}"]; got != 4 {
-		t.Errorf("generic group counter = %d, want 4", got)
+	if got := reg.Snapshot().Counters["kernels.gemm.groups{micro=unit}"]; got != 8 {
+		t.Errorf("unit group counter = %d, want 8", got)
 	}
 }
