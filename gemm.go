@@ -66,7 +66,7 @@ func (g *GEMM) Close() { g.eng.Close() }
 // simulated device. The element type T must match the routine's
 // precision (float32 for Single, float64 for Double).
 func Run[T Scalar](g *GEMM, transA, transB Transpose, alpha T, a, b *Matrix[T], beta T, c *Matrix[T]) error {
-	return gemmimpl.EngineRun(g.eng, transA, transB, alpha, a, b, beta, c)
+	return gemmimpl.EngineRunCtx(context.Background(), g.eng, transA, transB, alpha, a, b, beta, c)
 }
 
 // RunCtx is Run honoring a context: the call checks the deadline
@@ -80,7 +80,7 @@ func RunCtx[T Scalar](ctx context.Context, g *GEMM, transA, transB Transpose, al
 
 // Run is a convenience method for float64 (DGEMM) routines.
 func (g *GEMM) Run(transA, transB Transpose, alpha float64, a, b *Matrix[float64], beta float64, c *Matrix[float64]) error {
-	return gemmimpl.EngineRun(g.eng, transA, transB, alpha, a, b, beta, c)
+	return gemmimpl.EngineRunCtx(context.Background(), g.eng, transA, transB, alpha, a, b, beta, c)
 }
 
 // RunCtx is the context-honoring variant of Run (see the package-level
@@ -91,7 +91,7 @@ func (g *GEMM) RunCtx(ctx context.Context, transA, transB Transpose, alpha float
 
 // RunSingle is the float32 (SGEMM) counterpart of Run.
 func (g *GEMM) RunSingle(transA, transB Transpose, alpha float32, a, b *Matrix[float32], beta float32, c *Matrix[float32]) error {
-	return gemmimpl.EngineRun(g.eng, transA, transB, alpha, a, b, beta, c)
+	return gemmimpl.EngineRunCtx(context.Background(), g.eng, transA, transB, alpha, a, b, beta, c)
 }
 
 // RunSingleCtx is the context-honoring variant of RunSingle.
@@ -109,7 +109,7 @@ type GEMMCall[T Scalar] = gemmimpl.Call[T]
 // that operand's copy — the intended API for repeated GEMM traffic
 // (e.g. one weight matrix against a stream of inputs).
 func RunBatch[T Scalar](g *GEMM, calls []GEMMCall[T]) error {
-	return gemmimpl.RunBatch(g.eng, calls)
+	return gemmimpl.RunBatchCtx(context.Background(), g.eng, calls)
 }
 
 // RunBatchCtx is RunBatch honoring a context: the batch stops with the
@@ -134,7 +134,7 @@ type StridedBatch[T Scalar] = batch.Strided[T]
 // nothing in the kernel phase (the work-group state is free-listed).
 // Results are bit-identical to looping Run over the items.
 func GEMMStridedBatched[T Scalar](g *GEMM, sb *StridedBatch[T]) error {
-	return gemmimpl.EngineRunStrided(g.eng, sb)
+	return gemmimpl.EngineRunStridedCtx(context.Background(), g.eng, sb)
 }
 
 // GEMMStridedBatchedCtx is GEMMStridedBatched honoring a context: the

@@ -39,7 +39,7 @@ func TestColdPlanBuildDoesNotBlockWarmShape(t *testing.T) {
 
 	// Warm shape: build its plan up front.
 	aw, bw, cw := randCM(8, 8, 1), randCM(8, 8, 2), randCM(8, 8, 3)
-	if err := pc.Run(blas.NoTrans, blas.NoTrans, 1, aw, bw, 0, cw); err != nil {
+	if err := pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, aw, bw, 0, cw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +56,7 @@ func TestColdPlanBuildDoesNotBlockWarmShape(t *testing.T) {
 	coldDone := make(chan error, 1)
 	go func() {
 		a, b, c := randCM(32, 32, 4), randCM(32, 32, 5), randCM(32, 32, 6)
-		coldDone <- pc.Run(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
+		coldDone <- pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
 	}()
 	select {
 	case <-entered:
@@ -70,7 +70,7 @@ func TestColdPlanBuildDoesNotBlockWarmShape(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			c := randCM(8, 8, int64(10+i))
 			want := refGEMM(blas.NoTrans, blas.NoTrans, 1.0, aw, bw, 0.0, c)
-			if err := pc.Run(blas.NoTrans, blas.NoTrans, 1, aw, bw, 0, c); err != nil {
+			if err := pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, aw, bw, 0, c); err != nil {
 				warmDone <- err
 				return
 			}
@@ -118,7 +118,7 @@ func TestColdMissSingleflight(t *testing.T) {
 		go func(g int) {
 			c := randCM(16, 16, int64(3+g))
 			want := refGEMM(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c)
-			if err := pc.Run(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c); err != nil {
+			if err := pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, a, b, 0, c); err != nil {
 				errs <- err
 				return
 			}
@@ -162,7 +162,7 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 	a, b := randCM(16, 16, 1), randCM(16, 16, 2)
 	go func() {
 		c := randCM(16, 16, 3)
-		_ = pc.Run(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
+		_ = pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
 	}()
 	<-entered
 
@@ -199,7 +199,7 @@ func TestFailedBuildDoesNotPoisonKey(t *testing.T) {
 	for g := 0; g < G; g++ {
 		go func(g int) {
 			c := randCM(16, 16, int64(3+g))
-			errs <- pc.Run(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
+			errs <- pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
 		}(g)
 	}
 	var failed int
@@ -218,7 +218,7 @@ func TestFailedBuildDoesNotPoisonKey(t *testing.T) {
 	// The key must recover on the next call.
 	c := randCM(16, 16, 99)
 	want := refGEMM(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c)
-	if err := pc.Run(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c); err != nil {
+	if err := pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, a, b, 0, c); err != nil {
 		t.Fatalf("key poisoned after failed build: %v", err)
 	}
 	if d := matrix.MaxRelDiff(c, want); d != 0 {
@@ -261,7 +261,7 @@ func TestSetWorkersConcurrentWithRuns(t *testing.T) {
 			for i := 0; i < runs; i++ {
 				c := randCM(24, 24, int64(100*g+i))
 				want := refGEMM(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c)
-				if err := EngineRun(eng, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
+				if err := EngineRunCtx(context.Background(), eng, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
 					errs <- err
 					return
 				}
@@ -312,7 +312,7 @@ func TestConcurrentEngineSharingMixedShapes(t *testing.T) {
 					a, b := randCM(m, k, int64(g*100+i)), randCM(k, n, int64(g*100+i+1))
 					c := randCM(m, n, int64(g*100+i+2))
 					want := refGEMM(blas.NoTrans, blas.NoTrans, 1.0, a, b, 1.0, c)
-					if err := EngineRun(eng, blas.NoTrans, blas.NoTrans, 1.0, a, b, 1.0, c); err != nil {
+					if err := EngineRunCtx(context.Background(), eng, blas.NoTrans, blas.NoTrans, 1.0, a, b, 1.0, c); err != nil {
 						errs <- fmt.Errorf("f64 g%d i%d: %v", g, i, err)
 						return
 					}
@@ -328,7 +328,7 @@ func TestConcurrentEngineSharingMixedShapes(t *testing.T) {
 					b.FillRandom(rng)
 					c.FillRandom(rng)
 					want := refGEMM(blas.NoTrans, blas.NoTrans, float32(1), a, b, float32(0), c)
-					if err := EngineRun(eng, blas.NoTrans, blas.NoTrans, float32(1), a, b, float32(0), c); err != nil {
+					if err := EngineRunCtx(context.Background(), eng, blas.NoTrans, blas.NoTrans, float32(1), a, b, float32(0), c); err != nil {
 						errs <- fmt.Errorf("f32 g%d i%d: %v", g, i, err)
 						return
 					}

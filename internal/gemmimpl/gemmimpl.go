@@ -13,6 +13,7 @@
 package gemmimpl
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -155,7 +156,7 @@ func Run[T matrix.Scalar](im *Impl, ta, tb blas.Transpose, alpha T, a, b *matrix
 		return err
 	}
 	defer plan.Close()
-	return plan.Run(ta, tb, alpha, a, b, beta, c)
+	return plan.RunCtx(context.Background(), ta, tb, alpha, a, b, beta, c)
 }
 
 func view[T matrix.Scalar](b *clsim.Buffer) []T {
@@ -168,12 +169,26 @@ func view[T matrix.Scalar](b *clsim.Buffer) []T {
 	}
 }
 
-func writeBuf[T matrix.Scalar](q *clsim.Queue, b *clsim.Buffer, host []T) error {
+// writeRows uploads rows of sc elements, ld apart in host, densely into
+// b (row r lands at element r·sc).
+func writeRows[T matrix.Scalar](q *clsim.Queue, b *clsim.Buffer, host []T, rows, sc, ld int) error {
+	if ld == sc {
+		return writeBuf(q, b, 0, host[:rows*sc])
+	}
+	for r := 0; r < rows; r++ {
+		if err := writeBuf(q, b, r*sc, host[r*ld:r*ld+sc]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeBuf[T matrix.Scalar](q *clsim.Queue, b *clsim.Buffer, offset int, host []T) error {
 	switch h := any(host).(type) {
 	case []float64:
-		return q.WriteFloat64(b, 0, h)
+		return q.WriteFloat64(b, offset, h)
 	case []float32:
-		return q.WriteFloat32(b, 0, h)
+		return q.WriteFloat32(b, offset, h)
 	}
 	return fmt.Errorf("gemmimpl: unsupported element type %T", host)
 }

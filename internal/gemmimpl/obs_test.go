@@ -1,6 +1,7 @@
 package gemmimpl
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -68,7 +69,7 @@ func TestPlanPhaseMetricsAndReuseCounters(t *testing.T) {
 	c := randCM(m, n, 3)
 	const calls = 3
 	for i := 0; i < calls; i++ {
-		if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
+		if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,6 +101,58 @@ func TestPlanPhaseMetricsAndReuseCounters(t *testing.T) {
 	}
 }
 
+// A plan fed views of larger parents must upload only each view's own
+// rows×cols elements: a view's Data runs on to the end of its parent,
+// and reading past the view races with other callers writing there
+// (pool tiles on neighboring C regions). Each pack span's byte count,
+// and the queue's host-to-device total, must match the dense extents,
+// and no parent element outside C may change.
+func TestPackUploadsViewsDensely(t *testing.T) {
+	im := testImpl(t)
+	im.SetWorkers(1)
+	tr := obs.NewTracer(64)
+	im.SetObservability(nil, tr)
+
+	const m, n, k = 13, 19, 11
+	pl, err := NewPlan[float64](im, m, n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+
+	pa, pb, pc := randCM(m+5, k+3, 1), randCM(k+4, n+6, 2), randCM(m+7, n+2, 3)
+	a, b, c := pa.View(2, 1, m, k), pb.View(3, 2, k, n), pc.View(1, 1, m, n)
+	want := pc.Clone()
+	blas.GEMM(blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.5, want.View(1, 1, m, n))
+	if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.5, c); err != nil {
+		t.Fatal(err)
+	}
+	if d := matrix.MaxRelDiff(pc, want); d > 1e-12 {
+		t.Fatalf("parent of C differs from reference by %g", d)
+	}
+
+	const esz = 8
+	wantBytes := map[string]int64{
+		"gemm.pack.A": m * k * esz,
+		"gemm.pack.B": k * n * esz,
+		"gemm.pack.C": m * n * esz,
+	}
+	for _, rec := range tr.Snapshot() {
+		if w, ok := wantBytes[rec.Name]; ok {
+			if rec.Bytes != w {
+				t.Errorf("%s span bytes = %d, want %d (rows×cols×esz)", rec.Name, rec.Bytes, w)
+			}
+			delete(wantBytes, rec.Name)
+		}
+	}
+	for name := range wantBytes {
+		t.Errorf("no %s span recorded", name)
+	}
+	if got, w := pl.q.Stats().BytesWritten, int64((m*k+k*n+m*n)*esz); got != w {
+		t.Errorf("queue uploaded %d bytes, want %d (only the views' elements)", got, w)
+	}
+}
+
 // The warm-plan instrumentation tax must stay under 5%: the point of
 // the pre-resolved nil-safe instruments is that serving paths can stay
 // instrumented in production. Plain and instrumented batches are timed
@@ -128,7 +181,7 @@ func TestWarmPlanOverheadUnderFivePercent(t *testing.T) {
 		return func(reps int) time.Duration {
 			start := time.Now()
 			for i := 0; i < reps; i++ {
-				if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
+				if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -227,7 +280,7 @@ func checkWarmKernelZeroAllocs[T matrix.Scalar](t *testing.T, im *Impl) {
 	}
 	a, b, c := mat(m, k), mat(k, n), mat(m, n)
 	// Warm: packs done, state and GroupRun pools populated.
-	if err := pl.Run(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c); err != nil {
+	if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, a, b, 0, c); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {

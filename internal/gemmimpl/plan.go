@@ -325,8 +325,11 @@ func (pl *Plan[T]) Close() {
 	pl.pool.close()
 }
 
-// pack uploads src through a pooled staging buffer and runs the §III-D
-// copy kernel into the prebuilt destination. transpose is relative to
+// pack uploads src's own elements — sr rows of sc, densely — through a
+// pooled staging buffer and runs the §III-D copy kernel into the
+// prebuilt destination. A view's Data runs on to the end of its parent,
+// so uploading it whole would read elements other callers (pool tiles
+// on neighboring C regions) may be writing. transpose is relative to
 // the logical matrix; column-major storage flips the physical flag.
 func (pl *Plan[T]) pack(pk *kernels.Pack[T], src *matrix.Matrix[T], transpose bool) error {
 	sr, sc := src.Rows, src.Cols
@@ -334,16 +337,15 @@ func (pl *Plan[T]) pack(pk *kernels.Pack[T], src *matrix.Matrix[T], transpose bo
 		sr, sc = sc, sr
 		transpose = !transpose
 	}
-	esz := pl.im.Params.Precision.Size()
-	bufS, err := pl.pool.get(max(len(src.Data), 1) * esz)
+	bufS, err := pl.pool.get(sr * sc * pl.im.Params.Precision.Size())
 	if err != nil {
 		return err
 	}
 	defer pl.pool.put(bufS)
-	if err := writeBuf(pl.q, bufS, src.Data); err != nil {
+	if err := writeRows(pl.q, bufS, src.Data, sr, sc, src.Stride); err != nil {
 		return err
 	}
-	if err := pk.Rebind(sr, sc, src.Stride, transpose, view[T](bufS)); err != nil {
+	if err := pk.Rebind(sr, sc, sc, transpose, view[T](bufS)); err != nil {
 		return err
 	}
 	return pl.q.RunLockstep(pk, pk.NDRange())
@@ -355,21 +357,17 @@ func ctxErr(err error, phase string) error {
 	return fmt.Errorf("gemmimpl: call abandoned before %s: %w", phase, err)
 }
 
-// Run computes C ← alpha·op(A)·op(B) + beta·C on the plan's device
+// RunCtx computes C ← alpha·op(A)·op(B) + beta·C on the plan's device
 // state. The problem must pad to the plan's shape. When A or B is
 // bit-identical to the operand packed by the previous call (same
 // geometry, order and contents), its upload and pack are skipped; when
 // beta == 0, C is neither read nor packed, per BLAS semantics.
-func (pl *Plan[T]) Run(ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	return pl.RunCtx(context.Background(), ta, tb, alpha, a, b, beta, c)
-}
-
-// RunCtx is Run with cancellation: the context is checked before every
-// phase (pack A/B/C, kernel, copy-out), so a cancelled or deadline-
-// expired call returns within one phase of the signal instead of
-// finishing the whole tile. A partially-executed call leaves the plan
-// consistent — the next Run simply re-packs whatever the abandoned call
-// invalidated. The returned error wraps ctx.Err(), so errors.Is against
+//
+// The context is checked before every phase (pack A/B/C, kernel,
+// copy-out), so a cancelled or deadline-expired call returns within one
+// phase of the signal instead of finishing the whole tile. A
+// partially-executed call leaves the plan consistent — the next call
+// simply re-packs whatever the abandoned call invalidated. The returned error wraps ctx.Err(), so errors.Is against
 // context.DeadlineExceeded/context.Canceled works.
 func (pl *Plan[T]) RunCtx(ctx context.Context, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
 	m, n, k, err := gemmDims(ta, tb, a, b, c)
@@ -412,7 +410,7 @@ func (pl *Plan[T]) runLocked(ctx context.Context, ta, tb blas.Transpose, alpha T
 		pl.o.reusedA.Inc()
 	} else {
 		pl.haveA = false
-		err := pl.phase("gemm.pack.A", pl.o.packASec, int64(len(a.Data))*esz, 0, func() error {
+		err := pl.phase("gemm.pack.A", pl.o.packASec, int64(a.Rows*a.Cols)*esz, 0, func() error {
 			return pl.pack(pl.packA, a, ta == blas.NoTrans)
 		})
 		if err != nil {
@@ -430,7 +428,7 @@ func (pl *Plan[T]) runLocked(ctx context.Context, ta, tb blas.Transpose, alpha T
 		pl.o.reusedB.Inc()
 	} else {
 		pl.haveB = false
-		err := pl.phase("gemm.pack.B", pl.o.packBSec, int64(len(b.Data))*esz, 0, func() error {
+		err := pl.phase("gemm.pack.B", pl.o.packBSec, int64(b.Rows*b.Cols)*esz, 0, func() error {
 			return pl.pack(pl.packB, b, tb == blas.Trans)
 		})
 		if err != nil {
@@ -449,7 +447,7 @@ func (pl *Plan[T]) runLocked(ctx context.Context, ta, tb blas.Transpose, alpha T
 		pl.stats.SkippedC++
 		pl.o.skippedC.Inc()
 	} else {
-		err := pl.phase("gemm.pack.C", pl.o.packCSec, int64(len(c.Data))*esz, 0, func() error {
+		err := pl.phase("gemm.pack.C", pl.o.packCSec, int64(c.Rows*c.Cols)*esz, 0, func() error {
 			return pl.pack(pl.packC, c, false)
 		})
 		if err != nil {
@@ -582,13 +580,8 @@ func (pc *PlanCache[T]) Stats() PlanStats {
 	return out
 }
 
-// Run executes one GEMM through the cache: the plan for the padded
+// RunCtx executes one GEMM through the cache: the plan for the padded
 // shape is built on first use and reused afterwards.
-func (pc *PlanCache[T]) Run(ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	return pc.RunCtx(context.Background(), ta, tb, alpha, a, b, beta, c)
-}
-
-// RunCtx is Run with cancellation, forwarded to the plan's RunCtx.
 //
 // A cold shape builds its plan outside the cache lock: the call
 // publishes a singleflight placeholder, releases pc.mu, and only then
@@ -769,14 +762,9 @@ func (e *Engine) Cache32() *PlanCache[float32] { return e.c32 }
 // Cache64 exposes the float64 plan cache.
 func (e *Engine) Cache64() *PlanCache[float64] { return e.c64 }
 
-// EngineRun executes one GEMM through the engine's plan cache for T.
-func EngineRun[T matrix.Scalar](e *Engine, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	return EngineRunCtx(context.Background(), e, ta, tb, alpha, a, b, beta, c)
-}
-
-// EngineRunCtx is EngineRun with cancellation: the serve path's
-// deadline-aware entry point into the engine. The context is checked at
-// every phase boundary of the underlying plan.
+// EngineRunCtx executes one GEMM through the engine's plan cache for T.
+// The context is checked at every phase boundary of the underlying
+// plan.
 func EngineRunCtx[T matrix.Scalar](ctx context.Context, e *Engine, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
 	switch any(alpha).(type) {
 	case float64:
@@ -799,18 +787,13 @@ type Call[T matrix.Scalar] struct {
 	C              *matrix.Matrix[T]
 }
 
-// RunBatch executes the calls in order through the engine, stopping at
-// the first error. Calls sharing a padded shape reuse one plan, and
+// RunBatchCtx executes the calls in order through the engine, stopping
+// at the first error. Calls sharing a padded shape reuse one plan, and
 // consecutive calls with an unchanged A or B skip that operand's
 // upload and pack — the steady-state serving path for repeated GEMM
-// traffic.
-func RunBatch[T matrix.Scalar](e *Engine, calls []Call[T]) error {
-	return RunBatchCtx(context.Background(), e, calls)
-}
-
-// RunBatchCtx is RunBatch with cancellation: a cancelled context stops
-// the batch between calls (and within the current call at its next
-// phase boundary), reporting how far it got.
+// traffic. A cancelled context stops the batch between calls (and
+// within the current call at its next phase boundary), reporting how
+// far it got.
 func RunBatchCtx[T matrix.Scalar](ctx context.Context, e *Engine, calls []Call[T]) error {
 	for i, cl := range calls {
 		if err := EngineRunCtx(ctx, e, cl.TransA, cl.TransB, cl.Alpha, cl.A, cl.B, cl.Beta, cl.C); err != nil {

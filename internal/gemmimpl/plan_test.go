@@ -1,6 +1,7 @@
 package gemmimpl
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -40,7 +41,7 @@ func checkGEMM(t *testing.T, pl *Plan[float64], ta, tb blas.Transpose, alpha flo
 	t.Helper()
 	want := c.Clone()
 	blas.GEMM(ta, tb, alpha, a, b, beta, want)
-	if err := pl.Run(ta, tb, alpha, a, b, beta, c); err != nil {
+	if err := pl.RunCtx(context.Background(), ta, tb, alpha, a, b, beta, c); err != nil {
 		t.Fatal(err)
 	}
 	if d := matrix.MaxRelDiff(c, want); d > 1e-12 {
@@ -125,11 +126,11 @@ func TestBetaZeroDoesNotReadC(t *testing.T) {
 	}
 	defer pl.Close()
 	c2 := randCM(m, n, 3)
-	if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c2); err != nil {
+	if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c2); err != nil {
 		t.Fatal(err)
 	}
 	c = poison()
-	if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.0, c); err != nil {
+	if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.0, c); err != nil {
 		t.Fatal(err)
 	}
 	if d := matrix.MaxRelDiff(c, want); d > 1e-12 || math.IsNaN(d) {
@@ -149,7 +150,7 @@ func TestPlanShapeAndClosedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c := randCM(40, 40, 1), randCM(40, 40, 2), randCM(40, 40, 3)
-	if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err == nil {
+	if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err == nil {
 		t.Error("padded-shape mismatch must fail")
 	} else if !strings.Contains(err.Error(), "plan holds") {
 		t.Errorf("unexpected mismatch error: %v", err)
@@ -157,7 +158,7 @@ func TestPlanShapeAndClosedErrors(t *testing.T) {
 	pl.Close()
 	pl.Close() // idempotent
 	a, b, c = randCM(13, 11, 1), randCM(11, 19, 2), randCM(13, 19, 3)
-	if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err == nil {
+	if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err == nil {
 		t.Error("Run on closed plan must fail")
 	}
 }
@@ -179,13 +180,13 @@ func TestPlanBufferAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b, c := mk(1)
-		if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
+		if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
 			t.Fatal(err)
 		}
 		after1 := pl.Context().BufferStats()
 		for i := int64(0); i < 5; i++ {
 			a, b, c := mk(10 * i)
-			if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
+			if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -216,7 +217,7 @@ func TestPlanBufferAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b, c := mk(fail)
-		if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err == nil {
+		if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err == nil {
 			t.Fatalf("fail=%d: injected fault must surface", fail)
 		}
 		pl.Close()
@@ -229,7 +230,7 @@ func TestPlanBufferAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pl2.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
+		if err := pl2.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
 			t.Errorf("fail=%d: clean rerun failed: %v", fail, err)
 		}
 		pl2.Close()
@@ -247,7 +248,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		a, b, c := randCM(m, k, seed), randCM(k, n, seed+1), randCM(m, n, seed+2)
 		want := c.Clone()
 		blas.GEMM(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, want)
-		if err := pc.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
+		if err := pc.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.5, c); err != nil {
 			t.Fatal(err)
 		}
 		if d := matrix.MaxRelDiff(c, want); d > 1e-12 {
@@ -292,7 +293,7 @@ func TestEngineRunBatch(t *testing.T) {
 			Alpha: 2.0, A: a, B: b, Beta: 0.25, C: c,
 		}
 	}
-	if err := RunBatch(e, calls); err != nil {
+	if err := RunBatchCtx(context.Background(), e, calls); err != nil {
 		t.Fatal(err)
 	}
 	for i, cl := range calls {
@@ -308,7 +309,7 @@ func TestEngineRunBatch(t *testing.T) {
 	// A bad call reports its index.
 	bad := []Call[float64]{{TransA: blas.NoTrans, TransB: blas.NoTrans,
 		Alpha: 1, A: randCM(4, 5, 1), B: randCM(6, 7, 2), Beta: 0, C: randCM(4, 7, 3)}}
-	if err := RunBatch(e, bad); err == nil || !strings.Contains(err.Error(), "batch call 0") {
+	if err := RunBatchCtx(context.Background(), e, bad); err == nil || !strings.Contains(err.Error(), "batch call 0") {
 		t.Errorf("batch error attribution: %v", err)
 	}
 }
@@ -328,7 +329,7 @@ func TestEngineFloat32(t *testing.T) {
 	c.FillRandom(rng)
 	want := c.Clone()
 	for i := 0; i < 2; i++ {
-		if err := EngineRun(e, blas.NoTrans, blas.NoTrans, float32(1.5), a, b, float32(0.5), c); err != nil {
+		if err := EngineRunCtx(context.Background(), e, blas.NoTrans, blas.NoTrans, float32(1.5), a, b, float32(0.5), c); err != nil {
 			t.Fatal(err)
 		}
 		blas.GEMM(blas.NoTrans, blas.NoTrans, float32(1.5), a, b, float32(0.5), want)
@@ -399,7 +400,7 @@ func TestPlanSteadyStateAllocations(t *testing.T) {
 	warm := testing.Benchmark(func(bb *testing.B) {
 		bb.ReportAllocs()
 		for i := 0; i < bb.N; i++ {
-			if err := pl.Run(blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
+			if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
 				bb.Fatal(err)
 			}
 		}
@@ -455,7 +456,7 @@ func runGEMMTable[T matrix.Scalar](t *testing.T, im *Impl, sizes []int) {
 						c.FillRandom(rng)
 						want := c.Clone()
 						blas.GEMM(g.TransA, g.TransB, alpha, a, b, beta, want)
-						if err := pc.Run(g.TransA, g.TransB, alpha, a, b, beta, c); err != nil {
+						if err := pc.RunCtx(context.Background(), g.TransA, g.TransB, alpha, a, b, beta, c); err != nil {
 							t.Fatalf("%s %v m=%d n=%d k=%d: %v", g, order, m, n, k, err)
 						}
 						if d := matrix.MaxRelDiff(c, want); d > matrix.Tolerance(im.Params.Precision, k) {
@@ -501,7 +502,7 @@ func comparePlanPaths[T matrix.Scalar](t *testing.T, p codegen.Params, ta, tb bl
 	}
 	defer pl.Close()
 	got := c0.Clone()
-	if err := pl.Run(ta, tb, T(alpha), a, b, T(beta), got); err != nil {
+	if err := pl.RunCtx(context.Background(), ta, tb, T(alpha), a, b, T(beta), got); err != nil {
 		t.Fatal(err)
 	}
 

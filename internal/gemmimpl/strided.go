@@ -17,11 +17,6 @@ import (
 	"oclgemm/internal/matrix"
 )
 
-// RunStrided executes a strided batch on the plan. See RunStridedCtx.
-func (pl *Plan[T]) RunStrided(sb *batch.Strided[T]) error {
-	return pl.RunStridedCtx(context.Background(), sb)
-}
-
 // RunStridedCtx executes every item of the batch back-to-back under a
 // single lock hold on the plan. The batch's shape must pad to the
 // plan's shape. A failed or cancelled item stops the batch and reports
@@ -63,12 +58,6 @@ func (pc *PlanCache[T]) RunStridedCtx(ctx context.Context, sb *batch.Strided[T])
 	err = e.plan.RunStridedCtx(ctx, sb)
 	pc.release(e)
 	return err
-}
-
-// EngineRunStrided executes a strided batch through the engine's plan
-// cache for T. See EngineRunStridedCtx.
-func EngineRunStrided[T matrix.Scalar](e *Engine, sb *batch.Strided[T]) error {
-	return EngineRunStridedCtx(context.Background(), e, sb)
 }
 
 // EngineRunStridedCtx is the engine entry point for strided-batched

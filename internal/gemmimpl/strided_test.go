@@ -54,11 +54,11 @@ func TestRunStridedMatchesLoop(t *testing.T) {
 	}
 	for i := range items {
 		it := &items[i]
-		if err := pl.Run(oracle.TransA, oracle.TransB, oracle.Alpha, it.A, it.B, oracle.Beta, it.C); err != nil {
+		if err := pl.RunCtx(context.Background(), oracle.TransA, oracle.TransB, oracle.Alpha, it.A, it.B, oracle.Beta, it.C); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pl.RunStrided(sb); err != nil {
+	if err := pl.RunStridedCtx(context.Background(), sb); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range sb.C {
@@ -84,7 +84,7 @@ func TestStridedBatchOnePlanZeroAllocs(t *testing.T) {
 	sb := randStrided(m, n, k, count, 0, 2)
 
 	// Cold call: exactly one plan build for the whole 64-item batch.
-	if err := EngineRunStrided(eng, sb); err != nil {
+	if err := EngineRunStridedCtx(context.Background(), eng, sb); err != nil {
 		t.Fatal(err)
 	}
 	cache := eng.Cache64()
@@ -106,7 +106,7 @@ func TestStridedBatchOnePlanZeroAllocs(t *testing.T) {
 	defer cache.release(e)
 	before := pl.KernelStateAllocs()
 	for i := 0; i < 3; i++ {
-		if err := EngineRunStrided(eng, sb); err != nil {
+		if err := EngineRunStridedCtx(context.Background(), eng, sb); err != nil {
 			t.Fatal(err)
 		}
 	}

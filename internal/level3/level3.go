@@ -11,6 +11,7 @@
 package level3
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"oclgemm/internal/blas"
@@ -125,9 +126,9 @@ func (e *Engine) Close() {
 // whole pool when the engine is pool-backed.
 func gemmDev[T matrix.Scalar](e *Engine, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
 	if e.pool != nil {
-		return sched.Run(e.pool, ta, tb, alpha, a, b, beta, c)
+		return sched.RunCtx(context.Background(), e.pool, ta, tb, alpha, a, b, beta, c)
 	}
-	return gemmimpl.EngineRun(e.eng, ta, tb, alpha, a, b, beta, c)
+	return gemmimpl.EngineRunCtx(context.Background(), e.eng, ta, tb, alpha, a, b, beta, c)
 }
 
 func blocks(n, nb int) []int {

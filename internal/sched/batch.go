@@ -1,174 +1,65 @@
 // Strided-batched execution across the pool: the batch INDEX is the
-// only partitioned dimension. Each item i is one whole GEMM executed
-// on exactly one member (through that member's warm engine plan), so
-// every element of every C_i keeps the accumulation order of a
-// single-device run and the pool result is bit-identical to the
-// loop-of-GEMMs oracle. Contiguous index spans are dealt to members by
-// modeled per-item throughput, then rebalanced by the same
-// steal/retry/requeue machinery single-GEMM tiles use — a batch item
-// is simply a "tile" whose coordinates are (index, 0) and whose shape
-// is the item's full m×n. The degradation ladder matches RunCtx: pool
-// → healthiest single member (running the whole batch on one plan via
-// the engine's strided path) → opt-in pure-Go BLAS.
+// only partitioned dimension. Each item is one unit of the pool job —
+// one whole GEMM on exactly one member — so every element of every C_i
+// keeps the accumulation order of a single-device run and the pool
+// result is bit-identical to the loop-of-GEMMs oracle.
 package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"oclgemm/internal/batch"
 	"oclgemm/internal/blas"
-	"oclgemm/internal/core"
 	"oclgemm/internal/gemmimpl"
 	"oclgemm/internal/matrix"
 )
 
-// RunStridedBatched executes a strided batch across the pool's live
-// members with no deadline. See RunStridedBatchedCtx.
-func RunStridedBatched[T matrix.Scalar](p *Pool, sb *batch.Strided[T]) error {
-	return RunStridedBatchedCtx(context.Background(), p, sb)
-}
-
 // RunStridedBatchedCtx executes C_i ← alpha·op(A_i)·op(B_i) + beta·C_i
 // for every item of the batch across the pool, honoring the context.
-// Items are assigned whole — the batch index is partitioned, never the
-// problem — so results are bit-identical to looping single GEMMs. A
-// failed pool run degrades to the single healthiest member executing
-// the whole batch on one warm plan, then (when Options.Fallback is
-// set) to the pure-Go BLAS reference.
+// Items are assigned whole, so results are bit-identical to looping
+// single GEMMs. Rung 2 of the ladder runs the whole batch on one warm
+// plan of the healthiest member; rung 3 loops the pure-Go BLAS.
 func RunStridedBatchedCtx[T matrix.Scalar](ctx context.Context, p *Pool, sb *batch.Strided[T]) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	items, err := sb.Items()
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return p.finish(p.ctxError(err))
+	regions := make([]*matrix.Matrix[T], len(items))
+	for i := range items {
+		regions[i] = items[i].C
 	}
-	p.admitQuarantined(ctx)
-	prec := precisionOf[T]()
-
-	// Ladder restarts need the original C slab: completed items of a
-	// failed rung have already consumed the beta·C addend.
-	var snap []T
-	if sb.Beta != 0 {
-		snap = append([]T(nil), sb.C...)
-	}
-	restore := func() {
-		if snap != nil {
-			copy(sb.C, snap)
-		}
-	}
-
-	var poolErr error
-	if live := p.alive(); len(live) > 0 {
-		poolErr = runBatchItems(ctx, p, live, prec, sb, items)
-		if poolErr == nil {
-			return nil
-		}
-	} else {
-		poolErr = p.noDevicesError(0, nil)
-	}
-	if errors.Is(poolErr, ErrDeadlineExceeded) || ctx.Err() != nil {
-		return p.finish(poolErr)
-	}
-
-	// Rung 2: the single healthiest member runs the whole batch on one
-	// warm plan (bit-identical: same kernels, items whole).
-	if mb := p.healthiest(prec, sb.M, sb.N, sb.K); mb != nil {
-		p.o.degradeSingle.Inc()
-		sp := mb.tr.Start("sched.degrade")
-		sp.SetAttr("rung", "single").SetAttr("device", mb.dev.ID)
-		restore()
-		err := gemmimpl.EngineRunStridedCtx(ctx, engineFor[T](mb), sb)
-		if err == nil {
-			sp.End()
-			return nil
-		}
-		sp.SetAttr("error", err.Error()).End()
-		p.noteFailure(mb, err)
-		poolErr = fmt.Errorf("%w; single-device batch retry on %s: %w", poolErr, mb.dev.ID, err)
-		if err := ctx.Err(); err != nil {
-			restore()
-			return p.finish(p.ctxError(err))
-		}
-	}
-
-	// Rung 3 (opt-in): the pure-Go reference, item by item.
-	if p.opts.Fallback {
-		p.o.degradeBlas.Inc()
-		sp := p.opts.Trace.Start("sched.degrade")
-		sp.SetAttr("rung", "blas")
-		restore()
-		for i := range items {
-			it := &items[i]
-			blas.GEMM(sb.TransA, sb.TransB, sb.Alpha, it.A, it.B, sb.Beta, it.C)
-		}
-		sp.End()
-		return nil
-	}
-	restore()
-	return p.finish(poolErr)
-}
-
-// runBatchItems drives one pool pass over the batch: contiguous index
-// spans dealt by modeled throughput, then the shared worker machinery
-// (steal, transient backoff, requeue, quarantine drain) at item
-// granularity. It reuses runState and the tile queues verbatim — an
-// item is a tile at (index, 0) of shape m×n, which also prices its
-// model time and failure accounting correctly.
-func runBatchItems[T matrix.Scalar](ctx context.Context, p *Pool, live []*member, prec matrix.Precision, sb *batch.Strided[T], items []batch.Item[T]) error {
-	rs := &runState{
-		live:    live,
-		queues:  assignBatch(sb, live, prec),
-		pending: sb.Count,
-		staged:  ctx.Done() != nil,
-	}
-	rs.cond = sync.NewCond(&rs.mu)
-
-	runStart := time.Now()
-	var wg sync.WaitGroup
-	for i, mb := range live {
-		wg.Add(1)
-		go func(me int, mb *member) {
-			defer wg.Done()
-			batchWorker(ctx, p, rs, me, mb, sb, items)
-		}(i, mb)
-	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		p.o.runs.Inc()
-		p.o.runSec.Observe(time.Since(runStart).Seconds())
-		close(done)
-	}()
-
-	select {
-	case <-done:
-	case <-ctx.Done():
-		rs.abort(p.ctxError(ctx.Err()))
-	}
-
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.fatal != nil {
-		return rs.fatal
-	}
-	if rs.pending > 0 {
-		return p.noDevicesError(rs.pending, rs.lastErr)
-	}
-	return nil
+	return runLadder(ctx, p, &job[T]{
+		ta: sb.TransA, tb: sb.TransB, alpha: sb.Alpha, beta: sb.Beta,
+		m: sb.M, n: sb.N, k: sb.K,
+		span: "sched.batch.item",
+		label: func(u *tile) (string, string) {
+			return "item", fmt.Sprintf("%d/%d", u.i0, sb.Count)
+		},
+		queues: func(live []*member, prec matrix.Precision) [][]*tile {
+			return assignBatch(sb, live, prec)
+		},
+		operands: func(u *tile) (a, b, c *matrix.Matrix[T]) {
+			it := &items[u.i0]
+			return it.A, it.B, it.C
+		},
+		regions: regions,
+		whole: func(ctx context.Context, e *gemmimpl.Engine) error {
+			return gemmimpl.EngineRunStridedCtx(ctx, e, sb)
+		},
+		reference: func() {
+			for _, it := range items {
+				blas.GEMM(sb.TransA, sb.TransB, sb.Alpha, it.A, it.B, sb.Beta, it.C)
+			}
+		},
+	})
 }
 
 // assignBatch deals contiguous index spans to the live members,
-// proportional to each member's modeled per-item throughput (the
-// engine-facing analogue of the single-GEMM static partitioner).
-// Stealing rebalances whatever the model got wrong.
+// proportional to each member's modeled per-item throughput; an item
+// is a tile at (index, 0) of the item's full m×n shape, which also
+// prices its model time and failure accounting. Stealing rebalances
+// whatever the model got wrong.
 func assignBatch[T matrix.Scalar](sb *batch.Strided[T], live []*member, prec matrix.Precision) [][]*tile {
 	weights := make([]float64, len(live))
 	for i, mb := range live {
@@ -186,70 +77,4 @@ func assignBatch[T matrix.Scalar](sb *batch.Strided[T], live []*member, prec mat
 		queues[i] = q
 	}
 	return queues
-}
-
-// batchWorker drains batch items for one member until the run
-// completes, a fatal error is raised, or the member is quarantined —
-// the item-granular mirror of the single-GEMM worker, sharing its
-// retry/backoff/requeue policy.
-func batchWorker[T matrix.Scalar](ctx context.Context, p *Pool, rs *runState, me int, mb *member, sb *batch.Strided[T], items []batch.Item[T]) {
-	prec := precisionOf[T]()
-	for {
-		t, stolen, ok := rs.next(me, mb)
-		if !ok {
-			return
-		}
-	attempts:
-		for {
-			sp := mb.tr.Start("sched.batch.item")
-			sp.SetFlops(int64(blas.FlopCount(sb.M, sb.N, sb.K))).
-				SetAttr("device", mb.dev.ID).
-				SetAttr("item", fmt.Sprintf("%d/%d", t.i0, sb.Count))
-			if stolen {
-				sp.SetAttr("stolen", "true")
-			}
-			start := time.Now()
-			commit, err := execItem(ctx, rs, mb, sb, &items[t.i0])
-			busy := time.Since(start).Seconds()
-			if err == nil {
-				sp.End()
-				rs.commit(commit)
-				p.tileDone(rs, mb, prec, t, stolen, busy, sb.K, sb.Beta == 0)
-				break attempts
-			}
-			sp.SetAttr("error", err.Error()).End()
-			t.attempts++
-			rs.noteErr(fmt.Errorf("batch item %d: %w", t.i0, err))
-			quarantined := p.noteFailure(mb, err)
-			if !quarantined && t.attempts < p.maxAttempts &&
-				errors.Is(err, core.ErrTransient) && !rs.aborted() {
-				if !p.backoff(ctx, mb.dev.ID, t) {
-					rs.abort(p.ctxError(ctx.Err()))
-					return
-				}
-				continue attempts
-			}
-			p.tileFailed(rs, me, mb, t, err)
-			break attempts
-		}
-		if mb.isDead() || rs.aborted() {
-			return
-		}
-	}
-}
-
-// execItem runs one whole batch item on a member through its engine.
-// The item's C header wraps exactly its own slab elements, so direct
-// execution touches nothing outside the item even when beta != 0; a
-// cancellable run stages the result in a private copy so a straggler's
-// write can be discarded after a deadline return (mirroring execTile).
-func execItem[T matrix.Scalar](ctx context.Context, rs *runState, mb *member, sb *batch.Strided[T], it *batch.Item[T]) (commit func(), err error) {
-	if !rs.staged {
-		return nil, gemmimpl.EngineRunCtx(ctx, engineFor[T](mb), sb.TransA, sb.TransB, sb.Alpha, it.A, it.B, sb.Beta, it.C)
-	}
-	cw := it.C.Clone()
-	if err := gemmimpl.EngineRunCtx(ctx, engineFor[T](mb), sb.TransA, sb.TransB, sb.Alpha, it.A, it.B, sb.Beta, cw); err != nil {
-		return nil, err
-	}
-	return func() { copy(it.C.Data, cw.Data) }, nil
 }

@@ -150,7 +150,7 @@ func (p *Pool) noteSuccessLocked(mb *member) {
 
 // admitQuarantined advances the pool's run clock and probes every
 // quarantined member whose cooldown has elapsed (killed members wait
-// for an explicit Revive). Called at the top of each RunCtx.
+// for an explicit Revive). Called at the top of each pool call.
 func (p *Pool) admitQuarantined(ctx context.Context) {
 	seq := p.runSeq.Add(1)
 	for _, mb := range p.members {

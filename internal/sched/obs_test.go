@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -92,58 +93,55 @@ func sumCounters(s obs.Snapshot, prefix string) int64 {
 	return total
 }
 
-// An instrumented pool run must account for every tile exactly once
-// across the per-member counters, record one run, and emit one
-// sched.tile span per executed tile.
+// An instrumented pool run must account for every unit exactly once
+// across the per-member counters, record one run, and emit one span
+// per executed unit: sched.tile per C tile, sched.batch.item per item.
 func TestPoolMetricsAndSpans(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(0)
-	p := testPool(t, Options{Obs: reg, Trace: tr, Workers: 1})
-
-	const m, n, k = 96, 96, 48
-	a := randMat[float64](m, k, 1)
-	b := randMat[float64](k, n, 2)
-	c := randMat[float64](m, n, 3)
-	if err := Run(p, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
-		t.Fatal(err)
-	}
-
-	tm, tn := p.tileDims(m, n, len(p.members))
-	wantTiles := int64(len(tilesFor(m, n, tm, tn)))
-
-	s := reg.Snapshot()
-	if got := sumCounters(s, "sched.tiles{"); got != wantTiles {
-		t.Errorf("sched.tiles total = %d, want %d", got, wantTiles)
-	}
-	if got := s.Counters["sched.runs"]; got != 1 {
-		t.Errorf("sched.runs = %d, want 1", got)
-	}
-	if h, ok := s.Histograms["sched.run.seconds"]; !ok || h.Count != 1 {
-		t.Errorf("sched.run.seconds count = %+v, want 1 observation", h)
-	}
-	// The members' engines flow into the same registry.
-	if got := s.Counters["gemm.plan.miss"]; got <= 0 {
-		t.Errorf("gemm.plan.miss = %d, want > 0 (cold plans were built)", got)
-	}
-	if got := sumCounters(s, "gemm.calls"); got != wantTiles {
-		t.Errorf("gemm.calls = %d, want %d (one engine call per tile)", got, wantTiles)
-	}
-	// So does the clsim layer underneath them.
-	if got := s.Counters["clsim.kernel.launches"]; got <= 0 {
-		t.Errorf("clsim.kernel.launches = %d, want > 0", got)
-	}
-
-	var tileSpans int64
-	for _, rec := range tr.Snapshot() {
-		if rec.Name == "sched.tile" {
-			tileSpans++
-			if rec.Attrs["device"] == "" {
-				t.Errorf("sched.tile span missing device attr: %+v", rec)
+	for _, jk := range jobKinds(96, 96, 48, 1.0, 0.0, 1) {
+		t.Run(jk.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tr := obs.NewTracer(0)
+			p := testPool(t, Options{Obs: reg, Trace: tr, Workers: 1})
+			if err := jk.run(context.Background(), p, jk.c0.Clone()); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if tileSpans != wantTiles {
-		t.Errorf("sched.tile spans = %d, want %d", tileSpans, wantTiles)
+			wantUnits := int64(jk.units(p))
+
+			s := reg.Snapshot()
+			if got := sumCounters(s, "sched.tiles{"); got != wantUnits {
+				t.Errorf("sched.tiles total = %d, want %d", got, wantUnits)
+			}
+			if got := s.Counters["sched.runs"]; got != 1 {
+				t.Errorf("sched.runs = %d, want 1", got)
+			}
+			if h, ok := s.Histograms["sched.run.seconds"]; !ok || h.Count != 1 {
+				t.Errorf("sched.run.seconds count = %+v, want 1 observation", h)
+			}
+			// The members' engines flow into the same registry.
+			if got := s.Counters["gemm.plan.miss"]; got <= 0 {
+				t.Errorf("gemm.plan.miss = %d, want > 0 (cold plans were built)", got)
+			}
+			if got := sumCounters(s, "gemm.calls"); got != wantUnits {
+				t.Errorf("gemm.calls = %d, want %d (one engine call per unit)", got, wantUnits)
+			}
+			// So does the clsim layer underneath them.
+			if got := s.Counters["clsim.kernel.launches"]; got <= 0 {
+				t.Errorf("clsim.kernel.launches = %d, want > 0", got)
+			}
+
+			var unitSpans int64
+			for _, rec := range tr.Snapshot() {
+				if rec.Name == jk.span {
+					unitSpans++
+					if rec.Attrs["device"] == "" {
+						t.Errorf("%s span missing device attr: %+v", jk.span, rec)
+					}
+				}
+			}
+			if unitSpans != wantUnits {
+				t.Errorf("%s spans = %d, want %d", jk.span, unitSpans, wantUnits)
+			}
+		})
 	}
 }
 
@@ -172,7 +170,7 @@ func TestPoolStatsConcurrentRuns(t *testing.T) {
 			a := randMat[float32](m, k, int64(10*r+1))
 			b := randMat[float32](k, n, int64(10*r+2))
 			c := randMat[float32](m, n, int64(10*r+3))
-			errs[r] = Run(p, blas.NoTrans, blas.NoTrans, float32(1), a, b, float32(0), c)
+			errs[r] = RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, float32(1), a, b, float32(0), c)
 		}(r)
 	}
 	wg.Wait()

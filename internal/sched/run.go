@@ -1,14 +1,15 @@
-// Run-time execution: per-member tile queues, work stealing, fault
+// Run-time execution: one pool job (single GEMM tiles or strided-batch
+// items) driven by per-member unit queues, work stealing and fault
 // handling. Each live member gets one worker goroutine that drains its
 // own queue head-first and steals from the largest other queue
-// tail-first when idle. A transiently-failed tile is retried on the
+// tail-first when idle. A transiently-failed unit is retried on the
 // same member after a jittered exponential backoff; other failures
 // requeue it onto the least-loaded surviving member, and a member that
 // keeps failing is quarantined and its queue picked clean by the
-// others. RunCtx adds a deadline watchdog (detached return: stragglers
-// stage their C writes and discard them once the run is abandoned) and
-// the degradation ladder — surviving members → single healthiest
-// member → opt-in pure-Go BLAS.
+// others. A deadline watchdog returns detached (stragglers stage their
+// C writes and discard them once the run is abandoned), and one
+// degradation ladder — surviving members → single healthiest member →
+// opt-in pure-Go BLAS — serves every job kind.
 package sched
 
 import (
@@ -26,21 +27,23 @@ import (
 	"oclgemm/internal/matrix"
 )
 
-// runState is the shared state of one Run call: the per-member tile
+// runState is the shared state of one pool pass: the per-member unit
 // queues and the completion accounting, all under one mutex + cond.
+// A unit is a *tile: a C tile at (i0, j0), or batch item index at
+// (index, 0) spanning the item's m×n.
 type runState struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	live    []*member
 	queues  [][]*tile
-	pending int   // tiles not yet completed (queued or in flight)
+	pending int   // units not yet completed (queued or in flight)
 	fatal   error // set once; stops every worker
-	lastErr error // most recent tile failure (context for the fatal)
+	lastErr error // most recent unit failure (context for the fatal)
 
-	// staged forces every C write through a private tile copy committed
+	// staged forces every C write through a private copy committed
 	// under mu only while the run is still owned (fatal == nil). Set for
-	// cancellable contexts: RunCtx may return on deadline while a tile
-	// is in flight, and the caller owns C from that moment.
+	// cancellable contexts: the call may return on deadline while a
+	// unit is in flight, and the caller owns C from that moment.
 	staged bool
 }
 
@@ -62,22 +65,18 @@ func (rs *runState) aborted() bool {
 	return rs.fatal != nil
 }
 
-// noteErr records the most recent tile failure for error context.
+// noteErr records the most recent unit failure for error context.
 func (rs *runState) noteErr(err error) {
 	rs.mu.Lock()
 	rs.lastErr = err
 	rs.mu.Unlock()
 }
 
-// commit applies a staged tile write unless the run has been abandoned:
-// after RunCtx returns, the caller owns C again, so stragglers must not
+// commit applies a staged unit write unless the run has been abandoned:
+// after the call returns, the caller owns C again, so stragglers must not
 // touch it. Direct (unstaged) writes pass fn == nil.
 func (rs *runState) commit(fn func()) {
 	if fn == nil {
-		return
-	}
-	if !rs.staged {
-		fn()
 		return
 	}
 	rs.mu.Lock()
@@ -87,28 +86,45 @@ func (rs *runState) commit(fn func()) {
 	rs.mu.Unlock()
 }
 
-// Run executes C ← alpha·op(A)·op(B) + beta·C across the pool's live
-// members with no deadline. See RunCtx.
-func Run[T matrix.Scalar](p *Pool, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	return RunCtx(context.Background(), p, ta, tb, alpha, a, b, beta, c)
+// job is one pool call: independent work units, each a whole GEMM
+// executed on exactly one member (K is never split, so every element
+// keeps the accumulation order of a single-device run), plus the
+// call-wide rungs of the degradation ladder. RunCtx (C tiles) and
+// RunStridedBatchedCtx (batch items) are its two constructors; one
+// ladder, one driver, one worker loop and one executor run both.
+type job[T matrix.Scalar] struct {
+	ta, tb      blas.Transpose
+	alpha, beta T
+	// m, n, k is the problem rung 2 prices members on; every unit
+	// shares the inner dimension k.
+	m, n, k int
+
+	// span names each unit's trace span; label describes a unit in its
+	// span and in error chains.
+	span  string
+	label func(u *tile) (key, val string)
+	// queues deals the units to the live members.
+	queues func(live []*member, prec matrix.Precision) [][]*tile
+	// operands returns a unit's A, B and C views.
+	operands func(u *tile) (a, b, c *matrix.Matrix[T])
+	// regions are the C regions the call owns: the ladder snapshots and
+	// restores exactly these.
+	regions []*matrix.Matrix[T]
+	// whole runs the entire call on one member's engine (rung 2);
+	// reference runs it on the pure-Go BLAS (rung 3).
+	whole     func(ctx context.Context, e *gemmimpl.Engine) error
+	reference func()
 }
 
 // RunCtx executes C ← alpha·op(A)·op(B) + beta·C across the pool's live
-// members, honoring the context's deadline and cancellation. The result
-// is bit-identical to a single-device run: C is partitioned only over
-// rows and columns, never over K, so every element keeps its
-// accumulation order.
-//
-// The call returns a correct result or a typed error, never a hang:
-// quarantined members due for a probe are re-admitted first; a failed
-// pool run degrades to the single healthiest member, then (when
-// Options.Fallback is set) to the pure-Go BLAS reference. On deadline
-// it returns an ErrDeadlineExceeded-wrapped error without waiting for
-// straggling launches — their C writes are staged and discarded.
+// members, honoring the context's deadline and cancellation. C is cut
+// into row/column tiles; each tile is one unit. The result is
+// bit-identical to a single-device run. The call returns a correct
+// result or a typed error, never a hang: a failed pool run degrades to
+// the single healthiest member, then (when Options.Fallback is set) to
+// the pure-Go BLAS reference, and a deadline returns an
+// ErrDeadlineExceeded-wrapped error without waiting for stragglers.
 func RunCtx[T matrix.Scalar](ctx context.Context, p *Pool, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	m, n, k, err := gemmimpl.Dims(ta, tb, a, b, c)
 	if err != nil {
 		return err
@@ -119,29 +135,76 @@ func RunCtx[T matrix.Scalar](ctx context.Context, p *Pool, ta, tb blas.Transpose
 	if k <= 0 {
 		return fmt.Errorf("sched: non-positive k %d", k)
 	}
+	return runLadder(ctx, p, &job[T]{
+		ta: ta, tb: tb, alpha: alpha, beta: beta, m: m, n: n, k: k,
+		span: "sched.tile",
+		label: func(u *tile) (string, string) {
+			return "tile", fmt.Sprintf("%d,%d %dx%d", u.i0, u.j0, u.th, u.tw)
+		},
+		queues: func(live []*member, prec matrix.Precision) [][]*tile {
+			tm, tn := p.tileDims(m, n, len(live))
+			return assign(tilesFor(m, n, tm, tn), live, prec, k)
+		},
+		operands: func(u *tile) (av, bv, cv *matrix.Matrix[T]) {
+			if ta == blas.NoTrans {
+				av = a.View(u.i0, 0, u.th, k)
+			} else {
+				av = a.View(0, u.i0, k, u.th)
+			}
+			if tb == blas.NoTrans {
+				bv = b.View(0, u.j0, k, u.tw)
+			} else {
+				bv = b.View(u.j0, 0, u.tw, k)
+			}
+			return av, bv, c.View(u.i0, u.j0, u.th, u.tw)
+		},
+		regions: []*matrix.Matrix[T]{c},
+		whole: func(ctx context.Context, e *gemmimpl.Engine) error {
+			return gemmimpl.EngineRunCtx(ctx, e, ta, tb, alpha, a, b, beta, c)
+		},
+		reference: func() { blas.GEMM(ta, tb, alpha, a, b, beta, c) },
+	})
+}
+
+// runLadder executes a job and returns a correct result or a typed
+// error, never a hang: quarantined members due for a probe are
+// re-admitted first; a failed pool run degrades to the single
+// healthiest member running the whole call, then (when
+// Options.Fallback is set) to the pure-Go BLAS reference. On deadline
+// it returns an ErrDeadlineExceeded-wrapped error without waiting for
+// straggling launches — their C writes are staged and discarded.
+func runLadder[T matrix.Scalar](ctx context.Context, p *Pool, j *job[T]) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if err := ctx.Err(); err != nil {
 		return p.finish(p.ctxError(err))
 	}
 	p.admitQuarantined(ctx)
 	prec := precisionOf[T]()
 
-	// Ladder restarts need the original C: completed tiles of a failed
-	// rung have already consumed the beta·C addend. beta == 0 rungs
-	// overwrite C fully, so no snapshot is needed.
-	var snap *matrix.Matrix[T]
-	if beta != 0 {
-		snap = c.Clone()
+	// Ladder restarts need the original C: completed units of a failed
+	// rung have already consumed the beta·C addend. Only the job's own
+	// C regions are saved and restored — a view's backing slice runs on
+	// into elements other callers own. beta == 0 rungs overwrite C
+	// fully, so no snapshot is needed.
+	var snap []*matrix.Matrix[T]
+	if j.beta != 0 {
+		for _, r := range j.regions {
+			s := matrix.New[T](r.Rows, r.Cols, r.Order)
+			copyRegion(s, r)
+			snap = append(snap, s)
+		}
 	}
 	restore := func() {
-		if snap == nil {
-			return
+		for i, s := range snap {
+			copyRegion(j.regions[i], s)
 		}
-		copy(c.Data, snap.Data)
 	}
 
 	var poolErr error
 	if live := p.alive(); len(live) > 0 {
-		poolErr = runTiles(ctx, p, live, prec, ta, tb, alpha, a, b, beta, c, m, n, k)
+		poolErr = runJob(ctx, p, live, prec, j)
 		if poolErr == nil {
 			return nil
 		}
@@ -154,12 +217,12 @@ func RunCtx[T matrix.Scalar](ctx context.Context, p *Pool, ta, tb blas.Transpose
 
 	// Rung 2: the single healthiest member retries the whole call
 	// (bit-identical: same kernels, K unsplit).
-	if mb := p.healthiest(prec, m, n, k); mb != nil {
+	if mb := p.healthiest(prec, j.m, j.n, j.k); mb != nil {
 		p.o.degradeSingle.Inc()
 		sp := mb.tr.Start("sched.degrade")
 		sp.SetAttr("rung", "single").SetAttr("device", mb.dev.ID)
 		restore()
-		err := gemmimpl.EngineRunCtx(ctx, engineFor[T](mb), ta, tb, alpha, a, b, beta, c)
+		err := j.whole(ctx, engineFor[T](mb))
 		if err == nil {
 			sp.End()
 			return nil
@@ -180,17 +243,29 @@ func RunCtx[T matrix.Scalar](ctx context.Context, p *Pool, ta, tb blas.Transpose
 		sp := p.opts.Trace.Start("sched.degrade")
 		sp.SetAttr("rung", "blas")
 		restore()
-		blas.GEMM(ta, tb, alpha, a, b, beta, c)
+		j.reference()
 		sp.End()
 		return nil
 	}
 	// Ladder exhausted: hand back the original C (beta != 0) rather
-	// than a torn mix of committed tiles and untouched regions. The
+	// than a torn mix of committed units and untouched regions. The
 	// workers have joined on every non-deadline path, so no straggler
 	// races this write. (On a deadline return above, C keeps whatever
-	// tiles committed before the cutoff — stragglers stage and discard.)
+	// units committed before the cutoff — stragglers stage and discard.)
 	restore()
 	return p.finish(poolErr)
+}
+
+// copyRegion copies src's elements into dst (same shape and order),
+// touching nothing outside either matrix's own elements.
+func copyRegion[T matrix.Scalar](dst, src *matrix.Matrix[T]) {
+	lines, n := dst.Rows, dst.Cols
+	if dst.Order == matrix.ColMajor {
+		lines, n = n, lines
+	}
+	for l := 0; l < lines; l++ {
+		copy(dst.Data[l*dst.Stride:l*dst.Stride+n], src.Data[l*src.Stride:])
+	}
 }
 
 // ctxError wraps a context error in the pool's typed sentinel.
@@ -232,20 +307,20 @@ func (p *Pool) noDevicesError(pending int, lastErr error) error {
 	return err
 }
 
-// runTiles partitions the problem and drives the worker pool once,
-// returning when every tile committed, a fatal error was raised, or the
-// context expired. On expiry it returns immediately (detached return):
-// a reaper goroutine joins the workers, whose staged writes are
-// discarded, so no goroutine leaks and C is never touched after return.
-func runTiles[T matrix.Scalar](ctx context.Context, p *Pool, live []*member, prec matrix.Precision, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T], m, n, k int) error {
-	tm, tn := p.tileDims(m, n, len(live))
-	tiles := tilesFor(m, n, tm, tn)
-
+// runJob deals the job's units to the live members and drives the
+// worker pool once, returning when every unit committed, a fatal error
+// was raised, or the context expired. On expiry it returns immediately
+// (detached return): a reaper goroutine joins the workers, whose staged
+// writes are discarded, so no goroutine leaks and C is never touched
+// after return.
+func runJob[T matrix.Scalar](ctx context.Context, p *Pool, live []*member, prec matrix.Precision, j *job[T]) error {
 	rs := &runState{
-		live:    live,
-		queues:  assign(tiles, live, prec, k),
-		pending: len(tiles),
-		staged:  ctx.Done() != nil,
+		live:   live,
+		queues: j.queues(live, prec),
+		staged: ctx.Done() != nil,
+	}
+	for _, q := range rs.queues {
+		rs.pending += len(q)
 	}
 	rs.cond = sync.NewCond(&rs.mu)
 
@@ -255,7 +330,7 @@ func runTiles[T matrix.Scalar](ctx context.Context, p *Pool, live []*member, pre
 		wg.Add(1)
 		go func(me int, mb *member) {
 			defer wg.Done()
-			worker(ctx, p, rs, me, mb, ta, tb, alpha, a, b, beta, c, k)
+			worker(ctx, p, rs, me, mb, j)
 		}(i, mb)
 	}
 	done := make(chan struct{})
@@ -280,43 +355,45 @@ func runTiles[T matrix.Scalar](ctx context.Context, p *Pool, live []*member, pre
 		return rs.fatal
 	}
 	if rs.pending > 0 {
-		// Every worker exited (all members dead) with tiles abandoned.
+		// Every worker exited (all members dead) with units abandoned.
 		return p.noDevicesError(rs.pending, rs.lastErr)
 	}
 	return nil
 }
 
-// worker drains tiles for one member until the run completes, a fatal
+// worker drains units for one member until the run completes, a fatal
 // error is raised, or the member is quarantined. A transient failure is
 // retried here on the same member after a backoff; anything else hands
-// the tile to tileFailed for requeueing.
-func worker[T matrix.Scalar](ctx context.Context, p *Pool, rs *runState, me int, mb *member, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T], k int) {
+// the unit to tileFailed for requeueing.
+func worker[T matrix.Scalar](ctx context.Context, p *Pool, rs *runState, me int, mb *member, j *job[T]) {
 	prec := precisionOf[T]()
 	for {
 		t, stolen, ok := rs.next(me, mb)
 		if !ok {
 			return
 		}
+		key, val := j.label(t)
 	attempts:
 		for {
-			sp := mb.tr.Start("sched.tile")
-			sp.SetFlops(int64(blas.FlopCount(t.th, t.tw, k))).
+			sp := mb.tr.Start(j.span)
+			sp.SetFlops(int64(blas.FlopCount(t.th, t.tw, j.k))).
 				SetAttr("device", mb.dev.ID).
-				SetAttr("tile", fmt.Sprintf("%d,%d %dx%d", t.i0, t.j0, t.th, t.tw))
+				SetAttr(key, val)
 			if stolen {
 				sp.SetAttr("stolen", "true")
 			}
 			start := time.Now()
-			commit, err := execTile(ctx, rs, mb, t, ta, tb, alpha, a, b, beta, c, k)
+			commit, err := exec(ctx, rs, mb, j, t)
 			busy := time.Since(start).Seconds()
 			if err == nil {
 				sp.End()
 				rs.commit(commit)
-				p.tileDone(rs, mb, prec, t, stolen, busy, k, beta == 0)
+				p.tileDone(rs, mb, prec, t, stolen, busy, j.k, j.beta == 0)
 				break attempts
 			}
 			sp.SetAttr("error", err.Error()).End()
 			t.attempts++
+			err = fmt.Errorf("%s %s: %w", key, val, err)
 			rs.noteErr(err)
 			quarantined := p.noteFailure(mb, err)
 			if !quarantined && t.attempts < p.maxAttempts &&
@@ -415,51 +492,25 @@ func (rs *runState) next(me int, mb *member) (t *tile, stolen, ok bool) {
 	}
 }
 
-// execTile runs one C tile on a member: operand panels are views into
-// the caller's matrices (the full K extent — never split — of the
-// tile's rows of op(A) and columns of op(B)). When beta == 0 and the
-// run is not cancellable the C view writes straight through (the engine
-// never reads C then, and write-back touches only the tile's own
-// elements). Otherwise the tile is staged through a compact private
-// copy — for beta != 0 because the engine's C upload copies the
-// operand's whole backing slice (a shared view would read neighboring
-// tiles while their owners write them), and for cancellable runs so a
-// straggler's write can be discarded after a deadline return — and the
-// returned commit closure publishes it.
-func execTile[T matrix.Scalar](ctx context.Context, rs *runState, mb *member, t *tile, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T], k int) (commit func(), err error) {
-	var av, bv *matrix.Matrix[T]
-	if ta == blas.NoTrans {
-		av = a.View(t.i0, 0, t.th, k)
-	} else {
-		av = a.View(0, t.i0, k, t.th)
+// exec runs one unit on a member through its engine. The engine reads
+// and writes a view only inside its own elements (Plan.pack uploads
+// views densely), so units write their disjoint C views directly, even
+// when beta != 0. A cancellable run instead stages C through a private
+// copy and returns a commit that publishes it, so a straggler's write
+// can be discarded after a deadline return.
+func exec[T matrix.Scalar](ctx context.Context, rs *runState, mb *member, j *job[T], u *tile) (commit func(), err error) {
+	a, b, c := j.operands(u)
+	if !rs.staged {
+		return nil, gemmimpl.EngineRunCtx(ctx, engineFor[T](mb), j.ta, j.tb, j.alpha, a, b, j.beta, c)
 	}
-	if tb == blas.NoTrans {
-		bv = b.View(0, t.j0, k, t.tw)
-	} else {
-		bv = b.View(t.j0, 0, t.tw, k)
+	cw := matrix.New[T](c.Rows, c.Cols, c.Order)
+	if j.beta != 0 {
+		copyRegion(cw, c)
 	}
-	cv := c.View(t.i0, t.j0, t.th, t.tw)
-	if beta == 0 && !rs.staged {
-		return nil, gemmimpl.EngineRunCtx(ctx, engineFor[T](mb), ta, tb, alpha, av, bv, beta, cv)
-	}
-	cw := matrix.New[T](t.th, t.tw, c.Order)
-	if beta != 0 {
-		for i := 0; i < t.th; i++ {
-			for j := 0; j < t.tw; j++ {
-				cw.Set(i, j, cv.At(i, j))
-			}
-		}
-	}
-	if err := gemmimpl.EngineRunCtx(ctx, engineFor[T](mb), ta, tb, alpha, av, bv, beta, cw); err != nil {
+	if err := gemmimpl.EngineRunCtx(ctx, engineFor[T](mb), j.ta, j.tb, j.alpha, a, b, j.beta, cw); err != nil {
 		return nil, err
 	}
-	return func() {
-		for i := 0; i < t.th; i++ {
-			for j := 0; j < t.tw; j++ {
-				cv.Set(i, j, cw.At(i, j))
-			}
-		}
-	}, nil
+	return func() { copyRegion(c, cw) }, nil
 }
 
 // tileDone records a completed tile and signals waiters when the run
@@ -508,8 +559,7 @@ func (p *Pool) tileFailed(rs *runState, me int, mb *member, t *tile, err error) 
 	case rs.fatal != nil:
 		// Another worker already failed the run; drop the tile.
 	case t.attempts >= p.maxAttempts:
-		rs.fatal = fmt.Errorf("sched: tile (%d,%d) %dx%d failed %d times across the pool: %w",
-			t.i0, t.j0, t.th, t.tw, t.attempts, err)
+		rs.fatal = fmt.Errorf("sched: %d failed attempts across the pool: %w", t.attempts, err)
 	case rs.requeue(t, me):
 		p.o.requeues.Inc()
 	default:

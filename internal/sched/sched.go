@@ -21,11 +21,14 @@
 // re-probed on later Runs after a cooldown that doubles per failed
 // probe, except explicitly Killed members, which wait for Revive.
 //
-// RunCtx threads a context through every tile so a deadline or cancel
-// returns a typed error instead of hanging; when the pool cannot finish
-// a call, it degrades to the single healthiest member and — opt-in —
-// to the pure-Go BLAS fallback, so a call returns a correct result or a
-// typed error, never a silent wrong answer.
+// Single GEMM (RunCtx, C tiles) and strided batch (RunStridedBatchedCtx,
+// whole items) are two constructors of one pool job, run by one driver
+// and one degradation ladder. A context is threaded through every unit
+// so a deadline or cancel returns a typed error instead of hanging;
+// when the pool cannot finish a call, it degrades to the single
+// healthiest member and — opt-in — to the pure-Go BLAS fallback, so a
+// call returns a correct result or a typed error, never a silent wrong
+// answer.
 //
 // Per-member statistics (tiles executed and stolen, bytes moved,
 // retries, busy and modeled device time) make the load balance and the
@@ -55,7 +58,7 @@ var ErrDeviceDead = errors.New("sched: device removed from pool")
 // ErrNoDevices reports a Run on a pool whose members are all dead.
 var ErrNoDevices = errors.New("sched: no live devices in pool")
 
-// ErrDeadlineExceeded reports a RunCtx abandoned because its context's
+// ErrDeadlineExceeded reports a pool call abandoned because its context's
 // deadline expired before the call completed. It wraps the context
 // error, so errors.Is(err, context.DeadlineExceeded) also holds.
 var ErrDeadlineExceeded = errors.New("sched: run deadline exceeded")
@@ -143,8 +146,9 @@ type Options struct {
 	// sched.degraded.single / sched.degraded.blas, and each member's
 	// engine and clsim metrics.
 	Obs *obs.Registry
-	// Trace, when set, records one span per executed tile (plus each
-	// member's engine phase spans) into its ring buffer.
+	// Trace, when set, records one span per executed unit — sched.tile
+	// or sched.batch.item — plus each member's engine phase spans into
+	// its ring buffer.
 	Trace *obs.Tracer
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -150,7 +151,7 @@ func runBitIdentical[T matrix.Scalar](t *testing.T) {
 				c := randMat[T](m, n, int64(7*size+3))
 				want := c.Clone()
 				singleDeviceRef(t, ta, tb, sc.alpha, a, b, sc.beta, want)
-				if err := Run(p, ta, tb, sc.alpha, a, b, sc.beta, c); err != nil {
+				if err := RunCtx(context.Background(), p, ta, tb, sc.alpha, a, b, sc.beta, c); err != nil {
 					t.Fatalf("size %d %v/%v: %v", size, ta, tb, err)
 				}
 				requireBitIdentical(t, c, want,
@@ -177,7 +178,7 @@ func TestPoolSizesOneToEight(t *testing.T) {
 	for size := 1; size <= len(catalog); size++ {
 		p := testPool(t, Options{Devices: catalog[:size], DB: db})
 		c := cRef.Clone()
-		if err := Run(p, blas.NoTrans, blas.NoTrans, 1.25, a, b, 0.75, c); err != nil {
+		if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.25, a, b, 0.75, c); err != nil {
 			t.Fatalf("pool of %d: %v", size, err)
 		}
 		requireBitIdentical(t, c, want, fmt.Sprintf("pool of %d", size))
@@ -226,7 +227,7 @@ func TestPoolSurvivesDeviceDeathMidRun(t *testing.T) {
 	c := randMat[float64](m, n, 13)
 	want := c.Clone()
 	singleDeviceRef(t, blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.5, want)
-	if err := Run(p, blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.5, c); err != nil {
+	if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.5, c); err != nil {
 		t.Fatalf("run with injected death: %v", err)
 	}
 	requireBitIdentical(t, c, want, "with mid-run device death")
@@ -264,7 +265,7 @@ func TestPoolSurvivesDeviceDeathMidRun(t *testing.T) {
 	want2 := c2.Clone()
 	a2, b2 := randMat[float64](64, 32, 15), randMat[float64](32, 64, 16)
 	singleDeviceRef(t, blas.NoTrans, blas.NoTrans, 1.0, a2, b2, 0.0, want2)
-	if err := Run(p, blas.NoTrans, blas.NoTrans, 1.0, a2, b2, 0.0, c2); err != nil {
+	if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.0, a2, b2, 0.0, c2); err != nil {
 		t.Fatalf("run after death: %v", err)
 	}
 	requireBitIdentical(t, c2, want2, "run after device death")
@@ -294,7 +295,7 @@ func TestPoolKill(t *testing.T) {
 	c := randMat[float32](m, n, 23)
 	want := c.Clone()
 	singleDeviceRef(t, blas.Trans, blas.NoTrans, float32(2), a.Transpose(), b, float32(1), want)
-	if err := Run(p, blas.Trans, blas.NoTrans, float32(2), a.Transpose(), b, float32(1), c); err != nil {
+	if err := RunCtx(context.Background(), p, blas.Trans, blas.NoTrans, float32(2), a.Transpose(), b, float32(1), c); err != nil {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, c, want, "after Kill")
@@ -316,14 +317,14 @@ func TestPoolAllDevicesDead(t *testing.T) {
 	a := randMat[float64](64, 32, 31)
 	b := randMat[float64](32, 64, 32)
 	c := randMat[float64](64, 64, 33)
-	err := Run(p, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c)
+	err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c)
 	if err == nil {
 		t.Fatal("Run succeeded with every launch failing")
 	}
 	if p.Alive() != 0 {
 		t.Errorf("alive = %d, want 0", p.Alive())
 	}
-	if err := Run(p, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); !errors.Is(err, ErrNoDevices) {
+	if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); !errors.Is(err, ErrNoDevices) {
 		t.Errorf("run on dead pool: %v, want ErrNoDevices", err)
 	}
 }
@@ -349,7 +350,7 @@ func TestPoolUnderInjectedFaults(t *testing.T) {
 	c := randMat[float64](m, n, 43)
 	want := c.Clone()
 	singleDeviceRef(t, blas.NoTrans, blas.NoTrans, 1.25, a, b, 0.5, want)
-	runErr := Run(p, blas.NoTrans, blas.NoTrans, 1.25, a, b, 0.5, c)
+	runErr := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.25, a, b, 0.5, c)
 	if p.Alive() == 0 {
 		t.Skipf("seed killed every member (err=%v); pick a tamer seed", runErr)
 	}
@@ -367,7 +368,7 @@ func TestPoolStatsAccounting(t *testing.T) {
 	a := randMat[float64](m, k, 51)
 	b := randMat[float64](k, n, 52)
 	c := randMat[float64](m, n, 53)
-	if err := Run(p, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
+	if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.0, a, b, 0.0, c); err != nil {
 		t.Fatal(err)
 	}
 	wantTiles := ((m + 63) / 64) * ((n + 63) / 64)
@@ -444,13 +445,13 @@ func TestPoolEstimateSpeedup8192(t *testing.T) {
 func TestPoolEdgeCases(t *testing.T) {
 	p := testPool(t, Options{Devices: fourDevices(t)[:2]})
 	// Zero-size C: nothing to do.
-	if err := Run(p, blas.NoTrans, blas.NoTrans, 1.0,
+	if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.0,
 		matrix.New[float64](0, 4, matrix.ColMajor), matrix.New[float64](4, 0, matrix.ColMajor),
 		0.0, matrix.New[float64](0, 0, matrix.ColMajor)); err != nil {
 		t.Errorf("empty C: %v", err)
 	}
 	// Mismatched operands.
-	if err := Run(p, blas.NoTrans, blas.NoTrans, 1.0,
+	if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.0,
 		randMat[float64](4, 5, 1), randMat[float64](6, 4, 2),
 		0.0, randMat[float64](4, 4, 3)); err == nil {
 		t.Error("dimension mismatch not reported")
@@ -472,7 +473,7 @@ func BenchmarkPoolGEMM(b *testing.B) {
 	c := randMat[float64](m, n, 63)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Run(p, blas.NoTrans, blas.NoTrans, 1.0, a, bm, 0.0, c); err != nil {
+		if err := RunCtx(context.Background(), p, blas.NoTrans, blas.NoTrans, 1.0, a, bm, 0.0, c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -127,7 +127,7 @@ func NewPoolGEMM(opts PoolOptions) (*PoolGEMM, error) {
 // PoolRun computes C ← alpha·op(A)·op(B) + beta·C across the pool's
 // live members, bit-identical to a single-device run.
 func PoolRun[T Scalar](pg *PoolGEMM, transA, transB Transpose, alpha T, a, b *Matrix[T], beta T, c *Matrix[T]) error {
-	return sched.Run(pg.pool, transA, transB, alpha, a, b, beta, c)
+	return sched.RunCtx(context.Background(), pg.pool, transA, transB, alpha, a, b, beta, c)
 }
 
 // PoolRunCtx is PoolRun honoring a context: the call returns a correct
@@ -145,7 +145,7 @@ func PoolRunCtx[T Scalar](ctx context.Context, pg *PoolGEMM, transA, transB Tran
 
 // Run is the convenience method for float64 (DGEMM).
 func (pg *PoolGEMM) Run(transA, transB Transpose, alpha float64, a, b *Matrix[float64], beta float64, c *Matrix[float64]) error {
-	return sched.Run(pg.pool, transA, transB, alpha, a, b, beta, c)
+	return sched.RunCtx(context.Background(), pg.pool, transA, transB, alpha, a, b, beta, c)
 }
 
 // RunCtx is the context-honoring variant of Run (see PoolRunCtx).
@@ -155,7 +155,7 @@ func (pg *PoolGEMM) RunCtx(ctx context.Context, transA, transB Transpose, alpha 
 
 // RunSingle is the float32 (SGEMM) counterpart of Run.
 func (pg *PoolGEMM) RunSingle(transA, transB Transpose, alpha float32, a, b *Matrix[float32], beta float32, c *Matrix[float32]) error {
-	return sched.Run(pg.pool, transA, transB, alpha, a, b, beta, c)
+	return sched.RunCtx(context.Background(), pg.pool, transA, transB, alpha, a, b, beta, c)
 }
 
 // RunSingleCtx is the context-honoring variant of RunSingle (see
@@ -173,7 +173,7 @@ func (pg *PoolGEMM) RunSingleCtx(ctx context.Context, transA, transB Transpose, 
 // one warm plan, then (with PoolOptions.Fallback) to the pure-Go BLAS
 // reference.
 func PoolGEMMStridedBatched[T Scalar](pg *PoolGEMM, sb *StridedBatch[T]) error {
-	return sched.RunStridedBatched(pg.pool, sb)
+	return sched.RunStridedBatchedCtx(context.Background(), pg.pool, sb)
 }
 
 // PoolGEMMStridedBatchedCtx is PoolGEMMStridedBatched honoring a
