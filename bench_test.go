@@ -264,9 +264,10 @@ func BenchmarkNativeKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkCLCInterpreter measures interpreting the generated OpenCL C
-// for one work-group-sized problem (the source-fidelity path).
-func BenchmarkCLCInterpreter(b *testing.B) {
+// BenchmarkCLCKernel measures executing the generated OpenCL C on the
+// clc bytecode VM for one work-group-sized problem (the source-fidelity
+// path).
+func BenchmarkCLCKernel(b *testing.B) {
 	p := codegen.Params{
 		Precision: matrix.Double, Algorithm: codegen.BA,
 		Mwg: 16, Nwg: 16, Kwg: 8, MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,

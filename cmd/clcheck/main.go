@@ -4,7 +4,7 @@
 // clc bytecode VM — the engine that executes kernels by default. Exit
 // status 0 when every file checks.
 //
-// Usage: clcheck [-v] [-interp] [-dump-bytecode] file.cl [file2.cl ...]
+// Usage: clcheck [-v] [-dump-bytecode] file.cl [file2.cl ...]
 // With no arguments, reads a single translation unit from stdin.
 // -dump-bytecode disassembles each kernel's compiled and optimized
 // instruction streams so optimizer regressions are diagnosable.
@@ -14,9 +14,8 @@
 // the results against the reference BLAS, reporting per-kernel
 // simulated throughput; it then property-checks generated source across
 // the whole valid small-tile parameter grid against the native Go
-// kernels (exact match in double precision). -interp forces the AST
-// interpreter (the differential oracle) instead of the bytecode VM in
-// both modes; -noopt runs the VM on unoptimized bytecode.
+// kernels (exact match in double precision). -noopt runs the VM on
+// unoptimized bytecode.
 package main
 
 import (
@@ -50,11 +49,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("clcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: clcheck [-v] [-interp] [-dump-bytecode] [file.cl ...]\n       clcheck -selfcheck [-interp] [-noopt]\n")
+		fmt.Fprintf(stderr, "usage: clcheck [-v] [-dump-bytecode] [file.cl ...]\n       clcheck -selfcheck [-noopt]\n")
 		fs.PrintDefaults()
 	}
 	verbose := fs.Bool("v", false, "list kernels and their parameters")
-	interp := fs.Bool("interp", false, "force the AST interpreter instead of the bytecode VM")
 	noopt := fs.Bool("noopt", false, "run the VM on unoptimized bytecode (differential escape hatch)")
 	dump := fs.Bool("dump-bytecode", false, "disassemble each kernel's compiled and optimized bytecode")
 	selfcheck := fs.Bool("selfcheck", false, "generate a grid of GEMM kernels, execute them, and verify against the reference BLAS and the native Go kernels")
@@ -62,7 +60,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *selfcheck {
-		return selfCheck(stdout, stderr, *interp, *noopt)
+		return selfCheck(stdout, stderr, *noopt)
 	}
 
 	failed := 0
@@ -73,13 +71,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			failed++
 			return
 		}
-		if !*interp {
-			for _, k := range prog.Kernels {
-				if err := k.CompileBytecode(); err != nil {
-					fmt.Fprintf(stderr, "%s: kernel %s: bytecode: %v\n", name, k.Name, err)
-					failed++
-					return
-				}
+		for _, k := range prog.Kernels {
+			if err := k.CompileBytecode(); err != nil {
+				fmt.Fprintf(stderr, "%s: kernel %s: bytecode: %v\n", name, k.Name, err)
+				failed++
+				return
 			}
 		}
 		fmt.Fprintf(stdout, "%s: OK (%d kernel(s))\n", name, len(prog.Kernels))
@@ -169,12 +165,9 @@ func selfCheckGrid() []codegen.Params {
 	return grid
 }
 
-func selfCheck(stdout, stderr io.Writer, forceInterp, noOpt bool) error {
+func selfCheck(stdout, stderr io.Writer, noOpt bool) error {
 	engine := "bytecode"
-	switch {
-	case forceInterp:
-		engine = "interp"
-	case noOpt:
+	if noOpt {
 		engine = "bytecode-noopt"
 	}
 	grid := selfCheckGrid()
@@ -184,9 +177,9 @@ func selfCheck(stdout, stderr io.Writer, forceInterp, noOpt bool) error {
 		var err error
 		var elapsed time.Duration
 		if p.Precision == matrix.Double {
-			elapsed, err = execAndVerify[float64](p, forceInterp, noOpt)
+			elapsed, err = execAndVerify[float64](p, noOpt)
 		} else {
-			elapsed, err = execAndVerify[float32](p, forceInterp, noOpt)
+			elapsed, err = execAndVerify[float32](p, noOpt)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "%-44s FAIL: %v\n", p.Name(), err)
@@ -202,12 +195,6 @@ func selfCheck(stdout, stderr io.Writer, forceInterp, noOpt bool) error {
 		return fmt.Errorf("self-check: %d/%d kernels failed", failed, len(grid))
 	}
 	fmt.Fprintf(stdout, "self-check: all %d kernels verified against reference BLAS\n", len(grid))
-	if forceInterp {
-		// The whole-grid sweep below is what the optimizer's speedup
-		// paid for; at interpreter speed it would blow the time budget.
-		fmt.Fprintf(stdout, "whole-grid: skipped under -interp (run the bytecode engine)\n")
-		return nil
-	}
 	return wholeGridCheck(stdout, stderr, noOpt)
 }
 
@@ -325,9 +312,10 @@ func gridExecOne(p codegen.Params, noOpt bool) error {
 }
 
 // execAndVerify generates p's source, compiles it, runs it on the
-// simulated runtime under the selected engine at a multi-work-group
-// size, and compares the result against the reference BLAS.
-func execAndVerify[T matrix.Scalar](p codegen.Params, forceInterp, noOpt bool) (time.Duration, error) {
+// simulated runtime on the optimized (or, with noOpt, the raw) bytecode
+// at a multi-work-group size, and compares the result against the
+// reference BLAS.
+func execAndVerify[T matrix.Scalar](p codegen.Params, noOpt bool) (time.Duration, error) {
 	m, n, k := 2*p.Mwg, 2*p.Nwg, 2*p.Kwg
 	src, err := p.GenerateSource()
 	if err != nil {
@@ -357,7 +345,6 @@ func execAndVerify[T matrix.Scalar](p codegen.Params, forceInterp, noOpt bool) (
 	if err != nil {
 		return 0, fmt.Errorf("bind: %v", err)
 	}
-	bound.SetInterp(forceInterp)
 	bound.SetOptimize(!noOpt)
 	bound.SetFuel(1 << 24)
 	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))

@@ -69,13 +69,15 @@ func TestRunReadsStdin(t *testing.T) {
 	}
 }
 
+// The AST interpreter is gone, and with it -interp: the flag is
+// rejected as unknown.
 func TestRunInterpFlag(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{"-interp"}, strings.NewReader(genKernel(t)), &out, &errOut); err != nil {
-		t.Fatalf("run(-interp): %v", err)
+	if err := run([]string{"-interp"}, strings.NewReader(genKernel(t)), &out, &errOut); err == nil {
+		t.Fatalf("run(-interp) succeeded; want an unknown-flag error (stdout: %s)", out.String())
 	}
-	if !strings.Contains(out.String(), "OK") {
-		t.Errorf("output missing OK: %q", out.String())
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -interp") {
+		t.Errorf("stderr does not name the unknown flag: %q", errOut.String())
 	}
 }
 
@@ -105,19 +107,20 @@ func TestRunNooptFlag(t *testing.T) {
 	}
 }
 
-// The self-check executes every grid kernel against the reference BLAS
-// under both engines.
+// The self-check executes every grid kernel against the reference BLAS,
+// then the whole small-tile grid against the native Go kernels. CI runs
+// the raw-bytecode (-noopt) leg.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes a kernel grid")
 	}
-	for _, flags := range [][]string{{"-selfcheck"}, {"-selfcheck", "-interp"}} {
-		var out, errOut strings.Builder
-		if err := run(flags, strings.NewReader(""), &out, &errOut); err != nil {
-			t.Fatalf("run(%v): %v\nstderr: %s", flags, err, errOut.String())
-		}
-		if !strings.Contains(out.String(), "all") || !strings.Contains(out.String(), "verified against reference BLAS") {
-			t.Errorf("run(%v): missing success summary: %q", flags, out.String())
+	var out, errOut strings.Builder
+	if err := run([]string{"-selfcheck"}, strings.NewReader(""), &out, &errOut); err != nil {
+		t.Fatalf("run(-selfcheck): %v\nstderr: %s", err, errOut.String())
+	}
+	for _, want := range []string{"verified against reference BLAS", "bit-identical to native Go kernels"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("run(-selfcheck): output missing %q: %q", want, out.String())
 		}
 	}
 }

@@ -303,12 +303,10 @@ func runInstrumented(stdout io.Writer, pool, showMetrics bool, tracePath, benchO
 	return nil
 }
 
-// vmPhaseEntries times the clc engine on the committed
-// BenchmarkInterpVsVM kernel phase — the optimized bytecode VM, the raw
-// (unoptimized) bytecode, and the AST interpreter — so the
-// BENCH_gemm.json report tracks the source-execution engine's
-// throughput alongside the native phases (ROADMAP: VM phase in the
-// benchmark report).
+// vmPhaseEntries times the clc engine on the committed BenchmarkVM
+// kernel phase — the optimized and the raw (unoptimized) bytecode — so
+// the BENCH_gemm.json report tracks the source-execution engine's
+// throughput alongside the native phases.
 func vmPhaseEntries() ([]oclgemm.BenchEntry, error) {
 	p := codegen.Params{
 		Precision: matrix.Double, Algorithm: codegen.BA,
@@ -347,16 +345,15 @@ func vmPhaseEntries() ([]oclgemm.BenchEntry, error) {
 	const iters = 10
 	flops := 2 * float64(m) * float64(n) * float64(k)
 	legs := []struct {
-		name                  string
-		forceInterp, optimize bool
-	}{{"clcvm", false, true}, {"clcvm-noopt", false, false}, {"clcvm-interp", true, false}}
+		name     string
+		optimize bool
+	}{{"clcvm", true}, {"clcvm-noopt", false}}
 	out := make([]oclgemm.BenchEntry, 0, len(legs))
 	for _, leg := range legs {
 		bound, err := kern.Bind(m, n, k, 1.0, 0.0, a, b, c)
 		if err != nil {
 			return nil, err
 		}
-		bound.SetInterp(leg.forceInterp)
 		bound.SetOptimize(leg.optimize)
 		if err := q.Run(bound, nd); err != nil { // warm-up
 			return nil, err

@@ -58,13 +58,20 @@ func (c *checker) resolved(name string) bool {
 
 // checkKernel performs the static checks: declared-before-use, no
 // duplicate declarations per scope, assignable left-hand sides,
-// builtin arities, and constant array lengths.
+// builtin arities, constant array lengths, and top-level __local
+// declarations being arrays (they become per-work-group storage).
 func checkKernel(k *KernelDecl) error {
 	c := &checker{}
 	c.push()
 	for _, p := range k.Params {
 		if err := c.declare(p.Name, 0, 0); err != nil {
 			return fmt.Errorf("kernel %s: duplicate parameter %q", k.Name, p.Name)
+		}
+	}
+	for _, s := range k.Body.Stmts {
+		if d, ok := s.(*Decl); ok && d.Space == LocalMem && d.ArrayLen == nil {
+			line, col := d.Pos()
+			return fmt.Errorf("kernel %s: %w", k.Name, &Error{Line: line, Col: col, Msg: "scalar __local variables are not supported"})
 		}
 	}
 	if err := c.block(k.Body); err != nil {

@@ -1,13 +1,10 @@
 package clc
 
 // The bytecode compiler lowers a checked kernel AST into a compact
-// register program executed by vm.go. The translation preserves the AST
-// interpreter's semantics exactly — including evaluation order of
-// runtime faults and their positioned error messages — so the
-// interpreter can serve as a differential oracle. What it removes is
-// the interpreter's per-node costs: scope-map allocation per block and
-// loop iteration, name lookups through the scope chain, and recursive
-// dispatch. Names resolve to register/array slots at compile time,
+// register program executed by vm.go. Evaluation is lazy and in source
+// order: a runtime fault (with its positioned error message) happens
+// exactly when execution reaches the faulting expression, and dead code
+// never faults. Names resolve to register/array slots at compile time,
 // integer-constant subexpressions fold to loads from a constant pool,
 // and control flow becomes jumps over a flat instruction slice.
 
@@ -151,8 +148,7 @@ type compiledKernel struct {
 }
 
 // bytecode compiles (once) and returns the kernel's program, or nil if
-// the declaration has a shape the compiler cannot lower; callers fall
-// back to the interpreter in that case.
+// compilation failed (see CompileBytecode).
 func (k *KernelDecl) bytecode() *compiledKernel {
 	k.compileOnce.Do(func() { k.compiled, k.compileErr = compileKernel(k) })
 	return k.compiled
@@ -169,8 +165,9 @@ func (k *KernelDecl) bytecodeOptimized() *compiledKernel {
 	return k.optimizedProg
 }
 
-// CompileBytecode forces bytecode compilation and reports its error, if
-// any. A nil return guarantees BoundKernel.Run uses the VM by default.
+// CompileBytecode forces bytecode compilation and reports its error, a
+// *Error, if any. Every kernel Compile accepts compiles (FuzzCompile
+// asserts it); Bind returns this error otherwise.
 func (k *KernelDecl) CompileBytecode() error {
 	k.bytecode()
 	return k.compileErr
@@ -197,11 +194,11 @@ type compiler struct {
 func compileKernel(k *KernelDecl) (p *compiledKernel, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e, ok := r.(error)
+			e, ok := r.(*Error)
 			if !ok {
 				panic(r)
 			}
-			p, err = nil, fmt.Errorf("clc: bytecode compile of kernel %s: %w", k.Name, e)
+			p, err = nil, &Error{Line: e.Line, Col: e.Col, Msg: fmt.Sprintf("kernel %s: bytecode compile: %s", k.Name, e.Msg)}
 		}
 	}()
 	c := &compiler{p: &compiledKernel{}}
@@ -231,9 +228,6 @@ func compileKernel(k *KernelDecl) (p *compiledKernel, err error) {
 		d, ok := s.(*Decl)
 		if !ok || d.Space != LocalMem {
 			continue
-		}
-		if d.ArrayLen == nil {
-			return nil, fmt.Errorf("clc: kernel %s: scalar __local variables are not supported", k.Name)
 		}
 		slot := c.newArrSlot()
 		c.define(d.Name, slotRef{reg: -1, arr: slot})
@@ -311,10 +305,9 @@ func (c *compiler) constReg(v value, at Expr) int32 {
 	return dst
 }
 
-// emitErr lowers a fault the interpreter would hit at this point of
-// evaluation into an instruction that panics with the identical
-// positioned error. Dead code never reaches it, matching the
-// interpreter's lazy failure semantics.
+// emitErr lowers a fault that evaluation hits at this point into an
+// instruction that panics with the positioned error. Dead code never
+// reaches it, so failure stays lazy.
 func (c *compiler) emitErr(e *Error) {
 	c.p.errs = append(c.p.errs, e)
 	c.emit(instr{op: opErr, imm: int64(len(c.p.errs) - 1)}, nil)
@@ -439,8 +432,7 @@ func (c *compiler) expr(e Expr) int32 {
 	}
 	switch n := e.(type) {
 	case *Ident:
-		// Builtin constants fold above (they shadow declarations, as in
-		// the interpreter's eval).
+		// Builtin constants fold above (they shadow declarations).
 		ref, ok := c.lookup(n.Name)
 		if !ok {
 			c.emitErr(errAt(e, "undeclared identifier %q", n.Name))
@@ -469,7 +461,7 @@ func (c *compiler) expr(e Expr) int32 {
 		return dst
 	case *Cond:
 		if cv, ok := c.tryFold(n.C); ok {
-			// The interpreter never evaluates the untaken branch.
+			// The untaken branch is never evaluated.
 			if cv.truthy() {
 				return c.expr(n.T)
 			}
@@ -491,7 +483,7 @@ func (c *compiler) expr(e Expr) int32 {
 	case *Index:
 		slot := c.arraySlot(n.X)
 		if slot < 0 {
-			// The interpreter faults before evaluating the index.
+			// The array fault comes before evaluating the index.
 			return c.temp()
 		}
 		idx := c.expr(n.Idx)
@@ -648,8 +640,8 @@ func (c *compiler) call(n *Call) int32 {
 	return c.temp()
 }
 
-// arraySlot resolves x to an array slot, or emits the interpreter's
-// arrayOf fault and returns -1.
+// arraySlot resolves x to an array slot, or emits the fault for a
+// non-array operand and returns -1.
 func (c *compiler) arraySlot(x Expr) int32 {
 	id, ok := x.(*Ident)
 	if !ok {
@@ -746,8 +738,8 @@ func (c *compiler) decl(d *Decl) {
 		}
 		slot := c.newArrSlot()
 		if d.Type.IsInt() {
-			// The interpreter rejects integer arrays when the declaration
-			// executes; mirror that lazily so dead declarations stay dead.
+			// Integer arrays fault when the declaration executes, lazily,
+			// so dead declarations stay dead.
 			line, col := d.Pos()
 			c.emitErr(&Error{Line: line, Col: col, Msg: "integer arrays are not supported"})
 		} else {
@@ -766,8 +758,8 @@ func (c *compiler) decl(d *Decl) {
 		c.emit(instr{op: opConvert, dst: reg, a: r, imm: c.typeIdx(d.Type)}, d.Init)
 	} else {
 		reg = c.allocReg()
-		// Uninitialized declarations re-zero on every execution (the
-		// interpreter rebuilds the variable per loop iteration).
+		// Uninitialized declarations re-zero on every execution (a
+		// loop body's declaration is a fresh variable per iteration).
 		zero := intVal(0)
 		if !d.Type.IsInt() {
 			zero = floatVal(d.Type.Base, d.Type.Lanes)
@@ -823,9 +815,9 @@ func (c *compiler) assign(a *Assign) {
 		}
 		idx := c.expr(lhs.Idx)
 		if bin < 0 {
-			// The interpreter bounds-checks (via its read-modify-write
-			// load) before converting the stored value; opCheckIdx keeps
-			// that fault order without paying for the load.
+			// The index is bounds-checked before the stored value is
+			// converted; opCheckIdx keeps that fault order without paying
+			// for a load.
 			c.emit(instr{op: opCheckIdx, a: slot, b: idx}, lhs)
 			conv := c.temp()
 			c.emit(instr{op: opConvertDyn, dst: conv, a: rhs, b: slot}, a.RHS)

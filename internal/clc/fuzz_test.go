@@ -1,15 +1,11 @@
 package clc
 
-import (
-	"math"
-	"testing"
-
-	"oclgemm/internal/clsim"
-	"oclgemm/internal/device"
-)
+import "testing"
 
 // FuzzCompile asserts the front end never panics on arbitrary input —
-// it either produces a program or a positioned error.
+// it either produces a program or a positioned error — and that every
+// kernel of an accepted program compiles to bytecode, so Bind never
+// fails on a compile error.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"",
@@ -38,84 +34,81 @@ func FuzzCompile(f *testing.F) {
 		if err != nil && prog != nil {
 			t.Fatal("program returned alongside error")
 		}
+		if prog == nil {
+			return
+		}
+		for _, k := range prog.Kernels {
+			if err := k.CompileBytecode(); err != nil {
+				t.Fatalf("kernel %s passes Compile but not CompileBytecode: %v", k.Name, err)
+			}
+		}
 	})
 }
 
-// FuzzInterpretTinyKernel mutates the body of a small kernel and checks
-// the whole pipeline (compile → bind → run) never panics outside the
-// executor's error channel — and that the bytecode VM and the AST
-// interpreter agree bit-for-bit on every surviving input, including on
-// whether the run faults. The VM leg runs with the optimizer both on
-// and off, so every fuzz input is also an optimizer differential test.
-func FuzzInterpretTinyKernel(f *testing.F) {
-	bodies := []string{
-		"o[gid] = 1.0;",
-		"o[gid] = o[gid] + 2.0;",
-		"for (int i = 0; i < 4; i++) { o[gid] += (double)(i); }",
-		"double2 v = vload2(0, o); vstore2(v, 0, o);",
-		"o[gid] = (double)(gid % 3);",
-		"o[100] = 1.0;",                        // out of bounds: must error, not crash
-		"int z = 0; o[gid] = (double)(1 / z);", // div by zero: must error
+// fuzzBodies seed FuzzRunTinyKernel.
+var fuzzBodies = []string{
+	"o[gid] = 1.0;",
+	"o[gid] = o[gid] + 2.0;",
+	"for (int i = 0; i < 4; i++) { o[gid] += (double)(i); }",
+	"double2 v = vload2(0, o); vstore2(v, 0, o);",
+	"o[gid] = (double)(gid % 3);",
+	"o[100] = 1.0;",                        // out of bounds: must error, not crash
+	"int z = 0; o[gid] = (double)(1 / z);", // div by zero: must error
+}
+
+// runTinyKernel compiles tinyKernel(body) and runs it on the optimized
+// and the raw bytecode on one-item groups dispatched serially, requiring
+// identical errors or bit-identical buffers. A source that does not
+// compile or bind returns its error, a fine outcome for a fuzzed input.
+func runTinyKernel(t *testing.T, body string) ([]float64, error) {
+	t.Helper()
+	prog, err := Compile(tinyKernel(body))
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range bodies {
+	k, err := prog.Kernel("k")
+	if err != nil {
+		return nil, err
+	}
+	run := func(optimize bool) ([]float64, error) {
+		buf := make([]float64, 8)
+		for i := range buf {
+			buf[i] = float64(i) * 0.125
+		}
+		bk, err := k.Bind(buf)
+		if err != nil {
+			return nil, err
+		}
+		bk.SetOptimize(optimize)
+		// Fuzzed bodies can contain non-terminating loops; the fuel
+		// budget turns those into deterministic faults.
+		bk.SetFuel(200000)
+		q := newQueue()
+		// Fuzzed kernels may write the same global location from every
+		// work-item (undefined behaviour in OpenCL); single-item groups
+		// dispatched serially keep such inputs deterministic instead of
+		// racing.
+		q.Workers = 1
+		// Run may return an error (runtime faults); it must not panic
+		// or deadlock.
+		return buf, q.Run(bk, oneByFour())
+	}
+	buf, err := run(true)
+	raw, rawErr := run(false)
+	sameResult(t, body, buf, err, raw, rawErr)
+	return buf, err
+}
+
+// FuzzRunTinyKernel mutates the body of a small kernel and checks the
+// whole pipeline (compile → bind → run) never panics outside the
+// executor's error channel, and that the optimized and the raw bytecode
+// agree bit-for-bit on every surviving input, including on whether the
+// run faults: every fuzz input is an optimizer differential test.
+func FuzzRunTinyKernel(f *testing.F) {
+	for _, b := range fuzzBodies {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		src := "__kernel void k(__global double* o)\n{\n const int gid = get_global_id(0);\n" + body + "\n}"
-		prog, err := Compile(src)
-		if err != nil {
-			return // rejected input is fine
-		}
-		k, err := prog.Kernel("k")
-		if err != nil {
-			return
-		}
-		run := func(forceInterp, optimize bool) ([]float64, error) {
-			buf := make([]float64, 8)
-			for i := range buf {
-				buf[i] = float64(i) * 0.125
-			}
-			bk, err := k.Bind(buf)
-			if err != nil {
-				return nil, err
-			}
-			bk.SetInterp(forceInterp)
-			bk.SetOptimize(optimize)
-			// Fuzzed bodies can contain non-terminating loops; the fuel
-			// budget turns those into deterministic faults that both
-			// engines report identically.
-			bk.SetFuel(200000)
-			ctx := clsim.NewContext(&clsim.Device{Spec: device.Tahiti()})
-			q := clsim.NewQueue(ctx)
-			// Fuzzed kernels may write the same global location from every
-			// work-item (undefined behaviour in OpenCL); single-item groups
-			// dispatched serially keep such inputs deterministic instead of
-			// racing.
-			q.Workers = 1
-			// Run may return an error (runtime faults); it must not panic
-			// or deadlock.
-			return buf, q.Run(bk, clsim.NDRange{Global: [2]int{4, 1}, Local: [2]int{1, 1}})
-		}
-		vmBuf, vmErr := run(false, true)
-		check := func(name string, altBuf []float64, altErr error) {
-			if (vmErr == nil) != (altErr == nil) {
-				t.Fatalf("engines disagree on fault: vm=%v %s=%v", vmErr, name, altErr)
-			}
-			if vmErr != nil {
-				if vmErr.Error() != altErr.Error() {
-					t.Fatalf("engines disagree on fault message:\n vm: %v\n %s: %v", vmErr, name, altErr)
-				}
-				return
-			}
-			for i := range vmBuf {
-				if math.Float64bits(vmBuf[i]) != math.Float64bits(altBuf[i]) {
-					t.Fatalf("engines disagree at o[%d]: vm=%v %s=%v", i, vmBuf[i], name, altBuf[i])
-				}
-			}
-		}
-		inBuf, inErr := run(true, false)
-		check("interp", inBuf, inErr)
-		rawBuf, rawErr := run(false, false)
-		check("vm-noopt", rawBuf, rawErr)
+		runTinyKernel(t, body)
 	})
 }

@@ -2,15 +2,15 @@ package clc
 
 // The bytecode optimizer: a pass pipeline between compile.go and vm.go
 // that rewrites a compiledKernel into a faster but observably identical
-// program. "Observably identical" is a hard contract shared with the
-// AST interpreter oracle: for every input the optimized program must
-// produce bit-identical array contents, fault with the byte-identical
-// positioned error whenever the original would (and never fault
-// earlier, later, or differently), and charge loop fuel at exactly the
-// same back-edges. Every pass below is only applied when its legality
-// conditions prove those properties; anything unprovable is left
-// untouched, so the optimizer degrades to a no-op on code it cannot
-// reason about.
+// program. "Observably identical" is a hard contract, checked by the
+// raw-vs-optimized differential tests and the engine golden: for every
+// input the optimized program must produce bit-identical array
+// contents, fault with the byte-identical positioned error whenever
+// the original would (and never fault earlier, later, or differently),
+// and charge loop fuel at exactly the same back-edges. Every pass below
+// is only applied when its legality conditions prove those properties;
+// anything unprovable is left untouched, so the optimizer degrades to a
+// no-op on code it cannot reason about.
 //
 // Passes (see DESIGN.md §15 for the legality write-up):
 //
@@ -52,8 +52,7 @@ package clc
 //
 // The optimizer never changes the set of opJump instructions, so fuel
 // accounting (one charge per backward jump) is structurally identical
-// to the unoptimized program and to the interpreter's per-iteration
-// accounting.
+// to the unoptimized program.
 
 import (
 	"fmt"

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,7 +18,6 @@ import (
 
 	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
-	"oclgemm/internal/device"
 	"oclgemm/internal/matrix"
 )
 
@@ -26,10 +26,6 @@ func withOptDebugPanic(t testing.TB) {
 	old := optDebugPanic
 	optDebugPanic = true
 	t.Cleanup(func() { optDebugPanic = old })
-}
-
-func optQueue() *clsim.Queue {
-	return clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
 }
 
 // disInstrs parses the instruction count from a disassembly header
@@ -43,7 +39,7 @@ func disInstrs(t *testing.T, dis string) int {
 	return n
 }
 
-// benchParams is the committed BenchmarkInterpVsVM kernel schedule.
+// benchParams is the committed BenchmarkVM kernel schedule.
 func benchParams() codegen.Params {
 	return codegen.Params{
 		Precision: matrix.Double, Algorithm: codegen.BA,
@@ -102,10 +98,10 @@ func TestOptimizerTransformsGeneratedGEMM(t *testing.T) {
 	t.Logf("instrs %d -> %d, checkidx %d -> %d", rawN, optN, rawChecks, optChecks)
 }
 
-// threeWayDouble runs src under the optimized VM, the unoptimized VM,
-// and the interpreter over identical (a, b, o) float64 buffers, requires
-// bit-identical o across engines, and returns the optimized result.
-func threeWayDouble(t *testing.T, src string, a, b, o []float64) []float64 {
+// twoWay runs src's kernel k(a, b, o) on the optimized and the raw
+// bytecode over copies of the buffers, requires bit-identical o, and
+// returns the optimized result.
+func twoWay[T float32 | float64](t *testing.T, src string, a, b, o []T) []T {
 	t.Helper()
 	prog, err := Compile(src)
 	if err != nil {
@@ -115,75 +111,70 @@ func threeWayDouble(t *testing.T, src string, a, b, o []float64) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd := clsim.NDRange{Global: [2]int{4, 1}, Local: [2]int{1, 1}}
-	run := func(forceInterp, optimize bool) []float64 {
-		ac, bc, oc := append([]float64(nil), a...), append([]float64(nil), b...), append([]float64(nil), o...)
-		bk, err := kern.Bind(ac, bc, oc)
+	run := func(optimize bool) []T {
+		oc := slices.Clone(o)
+		bk, err := kern.Bind(slices.Clone(a), slices.Clone(b), oc)
 		if err != nil {
 			t.Fatalf("bind: %v", err)
 		}
-		bk.SetInterp(forceInterp)
 		bk.SetOptimize(optimize)
-		q := optQueue()
+		q := newQueue()
 		q.Workers = 1
-		if err := q.Run(bk, nd); err != nil {
+		if err := q.Run(bk, oneByFour()); err != nil {
 			t.Fatalf("run: %v\n%s", err, src)
 		}
 		return oc
 	}
-	vm := run(false, true)
-	for name, alt := range map[string][]float64{"vm-noopt": run(false, false), "interp": run(true, false)} {
-		for i := range vm {
-			if math.Float64bits(vm[i]) != math.Float64bits(alt[i]) {
-				t.Fatalf("engines disagree at o[%d]: vm=%v %s=%v\n%s", i, vm[i], name, alt[i], src)
-			}
-		}
-	}
-	return vm
+	opt := run(true)
+	sameResult(t, src, opt, nil, run(false), nil)
+	return opt
 }
 
-// threeWayFloat is threeWayDouble for float32 buffers.
-func threeWayFloat(t *testing.T, src string, a, b, o []float32) []float32 {
-	t.Helper()
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v\n%s", err, src)
-	}
-	kern, err := prog.Kernel("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd := clsim.NDRange{Global: [2]int{4, 1}, Local: [2]int{1, 1}}
-	run := func(forceInterp, optimize bool) []float32 {
-		ac, bc, oc := append([]float32(nil), a...), append([]float32(nil), b...), append([]float32(nil), o...)
-		bk, err := kern.Bind(ac, bc, oc)
-		if err != nil {
-			t.Fatalf("bind: %v", err)
-		}
-		bk.SetInterp(forceInterp)
-		bk.SetOptimize(optimize)
-		q := optQueue()
-		q.Workers = 1
-		if err := q.Run(bk, nd); err != nil {
-			t.Fatalf("run: %v\n%s", err, src)
-		}
-		return oc
-	}
-	vm := run(false, true)
-	for name, alt := range map[string][]float32{"vm-noopt": run(false, false), "interp": run(true, false)} {
-		for i := range vm {
-			if math.Float32bits(vm[i]) != math.Float32bits(alt[i]) {
-				t.Fatalf("engines disagree at o[%d]: vm=%v %s=%v\n%s", i, vm[i], name, alt[i], src)
-			}
-		}
-	}
-	return vm
+// The mad/fma operands: x*y rounds to exactly 1, so the unfused
+// x*y + z is exactly 0 while a fused multiply-add keeps the residue.
+const (
+	eps29 = 1.0 / (1 << 29)
+	eps14 = float32(1.0 / (1 << 14))
+)
+
+var (
+	madX, madY, madZ       = 1 + eps29, 1 - eps29, -1.0
+	madX32, madY32, madZ32 = 1 + eps14, 1 - eps14, float32(-1)
+)
+
+// madCase is a kernel body over buffers a, b, o of length n. n is
+// chosen so the 4 work-items cover every element: scalar bodies write
+// o[gid] (n=4), vector bodies write lanes 2*gid/4*gid onward (n=8/16).
+type madCase struct {
+	name, body string
+	n          int
+}
+
+var madDoubleCases = []madCase{
+	// The accumulate shape lowers to madacc.d under the optimizer.
+	{"double_madacc", "o[gid] = mad(a[gid], b[gid], o[gid]);", 4},
+	{"double_fma", "o[gid] = fma(a[gid], b[gid], o[gid]);", 4},
+	{"double_literals", "o[gid] = mad(" + strconv.FormatFloat(madX, 'g', -1, 64) + ", " +
+		strconv.FormatFloat(madY, 'g', -1, 64) + ", " + strconv.FormatFloat(madZ, 'g', -1, 64) + ");", 4},
+	{"double2_vector", "double2 av = vload2(gid, a); double2 bv = vload2(gid, b); double2 cv = vload2(gid, o); vstore2(mad(av, bv, cv), gid, o);", 8},
+}
+
+var madFloatCases = []madCase{
+	{"float_madacc", "o[gid] = mad(a[gid], b[gid], o[gid]);", 4},
+	{"float_fma", "o[gid] = fma(a[gid], b[gid], o[gid]);", 4},
+	{"float4_vector", "float4 av = vload4(gid, a); float4 bv = vload4(gid, b); float4 cv = vload4(gid, o); vstore4(mad(av, bv, cv), gid, o);", 16},
+}
+
+// madSource wraps body in a kernel k(a, b, o) over elem buffers.
+func madSource(elem, body string) string {
+	return "__kernel void k(__global " + elem + "* a, __global " + elem + "* b, __global " + elem + "* o)\n{\n" +
+		" const int gid = get_global_id(0);\n" + body + "\n}"
 }
 
 // TestMadFmaUnfusedContract pins the mad/fma double-rounding contract
 // (see the opMad handler comment in vm.go): mad and fma evaluate as a
 // rounded multiply followed by a rounded add — never a hardware fused
-// multiply-add — in every engine and at every optimization level,
+// multiply-add — at every optimization level,
 // across both precisions and vector widths. The operands are chosen so
 // a fused evaluation produces different bits, which the test asserts as
 // a precondition; the madacc.d/madacc.f superinstructions (the only
@@ -191,42 +182,19 @@ func threeWayFloat(t *testing.T, src string, a, b, o []float32) []float32 {
 // are explicitly exercised via the accumulate pattern.
 func TestMadFmaUnfusedContract(t *testing.T) {
 	withOptDebugPanic(t)
-	const eps29 = 1.0 / (1 << 29)
-	x, y, z := 1+eps29, 1-eps29, -1.0
-	prod := float64(x * y)
-	want := prod + z // x*y rounds to exactly 1.0 in double, so want == 0
+	x, y, z := madX, madY, madZ
+	want := float64(x*y) + z // x*y rounds to exactly 1.0 in double, so want == 0
 	if fused := math.FMA(x, y, z); math.Float64bits(fused) == math.Float64bits(want) {
 		t.Fatal("double operands do not distinguish fused from unfused evaluation")
 	}
-	lit := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-	const eps14 = float32(1.0 / (1 << 14))
-	x32, y32, z32 := 1+eps14, 1-eps14, float32(-1)
-	prod32 := float32(x32 * y32)
-	want32 := prod32 + z32 // x*y rounds to exactly 1.0f, so want32 == 0
+	x32, y32, z32 := madX32, madY32, madZ32
+	want32 := float32(x32*y32) + z32 // x*y rounds to exactly 1.0f, so want32 == 0
 	if fused := float32(math.FMA(float64(x32), float64(y32), float64(z32))); math.Float32bits(fused) == math.Float32bits(want32) {
 		t.Fatal("float operands do not distinguish fused from unfused evaluation")
 	}
-
-	header := " const int gid = get_global_id(0);\n"
-	// Buffer length n is chosen so the 4 work-items cover every element:
-	// scalar bodies write o[gid] (n=4), vector bodies write lanes
-	// 2*gid/4*gid onward (n=8/n=16).
-	dcases := []struct {
-		name, body string
-		n          int
-	}{
-		// The accumulate shape lowers to madacc.d under the optimizer.
-		{"double_madacc", "o[gid] = mad(a[gid], b[gid], o[gid]);", 4},
-		{"double_fma", "o[gid] = fma(a[gid], b[gid], o[gid]);", 4},
-		{"double_literals", "o[gid] = mad(" + lit(x) + ", " + lit(y) + ", " + lit(z) + ");", 4},
-		{"double2_vector", "double2 av = vload2(gid, a); double2 bv = vload2(gid, b); double2 cv = vload2(gid, o); vstore2(mad(av, bv, cv), gid, o);", 8},
-	}
-	for _, tc := range dcases {
+	for _, tc := range madDoubleCases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := "__kernel void k(__global double* a, __global double* b, __global double* o)\n{\n" + header + tc.body + "\n}"
-			a, b, o := fill64(tc.n, x), fill64(tc.n, y), fill64(tc.n, z)
-			got := threeWayDouble(t, src, a, b, o)
+			got := twoWay(t, madSource("double", tc.body), fill64(tc.n, x), fill64(tc.n, y), fill64(tc.n, z))
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want) {
 					t.Fatalf("o[%d] = %v (bits %#x), want unfused %v", i, got[i], math.Float64bits(got[i]), want)
@@ -234,19 +202,9 @@ func TestMadFmaUnfusedContract(t *testing.T) {
 			}
 		})
 	}
-	fcases := []struct {
-		name, body string
-		n          int
-	}{
-		{"float_madacc", "o[gid] = mad(a[gid], b[gid], o[gid]);", 4},
-		{"float_fma", "o[gid] = fma(a[gid], b[gid], o[gid]);", 4},
-		{"float4_vector", "float4 av = vload4(gid, a); float4 bv = vload4(gid, b); float4 cv = vload4(gid, o); vstore4(mad(av, bv, cv), gid, o);", 16},
-	}
-	for _, tc := range fcases {
+	for _, tc := range madFloatCases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := "__kernel void k(__global float* a, __global float* b, __global float* o)\n{\n" + header + tc.body + "\n}"
-			a, b, o := fill32(tc.n, x32), fill32(tc.n, y32), fill32(tc.n, z32)
-			got := threeWayFloat(t, src, a, b, o)
+			got := twoWay(t, madSource("float", tc.body), fill32(tc.n, x32), fill32(tc.n, y32), fill32(tc.n, z32))
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want32) {
 					t.Fatalf("o[%d] = %v (bits %#x), want unfused %v", i, got[i], math.Float32bits(got[i]), want32)
@@ -259,9 +217,7 @@ func TestMadFmaUnfusedContract(t *testing.T) {
 	// superinstructions, or the contract above tests the generic
 	// handler only.
 	for _, tc := range []struct{ elem, mnemonic string }{{"double", "madacc.d"}, {"float", "madacc.f"}} {
-		src := "__kernel void k(__global " + tc.elem + "* a, __global " + tc.elem + "* b, __global " + tc.elem + "* o)\n{\n" +
-			header + "o[gid] = mad(a[gid], b[gid], o[gid]);\n}"
-		prog, err := Compile(src)
+		prog, err := Compile(madSource(tc.elem, "o[gid] = mad(a[gid], b[gid], o[gid]);"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,9 +252,10 @@ func fill32(n int, v float32) []float32 {
 }
 
 // generatedRunner compiles a generated schedule once and returns a
-// closure that executes it with a chosen engine and fuel budget over
-// deterministic packed inputs, returning the C buffer and run error.
-func generatedRunner(t *testing.T, p codegen.Params, seed int64) func(forceInterp, optimize bool, fuel int64) ([]float64, error) {
+// closure that executes it on the optimized or the raw bytecode with a
+// fuel budget over deterministic packed inputs, returning the C buffer
+// and run error.
+func generatedRunner(t *testing.T, p codegen.Params, seed int64) func(optimize bool, fuel int64) ([]float64, error) {
 	t.Helper()
 	m, n, k := 2*p.Mwg, 2*p.Nwg, 2*p.Kwg
 	src, err := p.GenerateSource()
@@ -326,70 +283,73 @@ func generatedRunner(t *testing.T, p codegen.Params, seed int64) func(forceInter
 		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
 		Local:  [2]int{p.MdimC, p.NdimC},
 	}
-	return func(forceInterp, optimize bool, fuel int64) ([]float64, error) {
+	return func(optimize bool, fuel int64) ([]float64, error) {
 		cc := c.Clone()
 		bound, err := kern.Bind(m, n, k, 1.5, -0.75, at.Data, bp.Data, cc.Data)
 		if err != nil {
 			t.Fatalf("%s: bind: %v", p.Name(), err)
 		}
-		bound.SetInterp(forceInterp)
 		bound.SetOptimize(optimize)
 		bound.SetFuel(fuel)
-		q := optQueue()
+		q := newQueue()
 		q.Workers = 1
 		return cc.Data, q.Run(bound, nd)
 	}
 }
 
+// fuelParityParams is the generated schedule whose minimal fuel
+// TestOptimizerFuelParity and the engine golden pin.
+var fuelParityParams = codegen.Params{
+	Precision: matrix.Double, Algorithm: codegen.BA,
+	Mwg: 8, Nwg: 8, Kwg: 4, MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
+	Kwi: 2, VectorWidth: 1, SharedA: true, SharedB: true,
+	LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutCBL,
+}
+
+// minFuel binary-searches the smallest back-edge budget at which run
+// completes on the optimized or the raw bytecode.
+func minFuel(t *testing.T, run func(optimize bool, fuel int64) ([]float64, error), optimize bool) int64 {
+	t.Helper()
+	const ceiling = int64(1 << 20)
+	if _, err := run(optimize, ceiling); err != nil {
+		t.Fatalf("kernel faults even at fuel ceiling: %v", err)
+	}
+	lo, hi := int64(1), ceiling // run succeeds at hi
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if _, err := run(optimize, mid); err != nil {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // TestOptimizerFuelParity pins structural fuel accounting: the minimal
 // back-edge budget at which a generated kernel completes is identical
-// with the optimizer on, off, and under the interpreter — and one unit
-// below that budget all three engines fault with the same positioned
-// message. The optimizer never adds or removes opJump instructions, so
-// this must hold exactly, not approximately.
+// with the optimizer on and off, and one unit below that budget both
+// programs fault with the same positioned message. The optimizer never
+// adds or removes opJump instructions, so this must hold exactly, not
+// approximately. TestEngineGolden pins the budget itself.
 func TestOptimizerFuelParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuel threshold search")
 	}
 	withOptDebugPanic(t)
-	p := codegen.Params{
-		Precision: matrix.Double, Algorithm: codegen.BA,
-		Mwg: 8, Nwg: 8, Kwg: 4, MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
-		Kwi: 2, VectorWidth: 1, SharedA: true, SharedB: true,
-		LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutCBL,
+	run := generatedRunner(t, fuelParityParams, 97)
+	opt, raw := minFuel(t, run, true), minFuel(t, run, false)
+	if opt != raw {
+		t.Fatalf("fuel thresholds diverge: optimized %d, unoptimized %d", opt, raw)
 	}
-	run := generatedRunner(t, p, 97)
-	const ceiling = int64(1 << 20)
-	minFuel := func(forceInterp, optimize bool) int64 {
-		if _, err := run(forceInterp, optimize, ceiling); err != nil {
-			t.Fatalf("kernel faults even at fuel ceiling: %v", err)
-		}
-		lo, hi := int64(1), ceiling // run succeeds at hi
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if _, err := run(forceInterp, optimize, mid); err != nil {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
+	t.Logf("minimal fuel %d with the optimizer on and off", opt)
+	_, errOpt := run(true, opt-1)
+	_, errRaw := run(false, opt-1)
+	if errOpt == nil || errRaw == nil {
+		t.Fatalf("expected faults one below threshold: opt=%v raw=%v", errOpt, errRaw)
 	}
-	opt := minFuel(false, true)
-	raw := minFuel(false, false)
-	interp := minFuel(true, false)
-	if opt != raw || opt != interp {
-		t.Fatalf("fuel thresholds diverge: optimized %d, unoptimized %d, interp %d", opt, raw, interp)
-	}
-	t.Logf("minimal fuel %d in all three engines", opt)
-	_, errOpt := run(false, true, opt-1)
-	_, errRaw := run(false, false, opt-1)
-	_, errInterp := run(true, false, opt-1)
-	if errOpt == nil || errRaw == nil || errInterp == nil {
-		t.Fatalf("expected faults one below threshold: opt=%v raw=%v interp=%v", errOpt, errRaw, errInterp)
-	}
-	if errOpt.Error() != errRaw.Error() || errOpt.Error() != errInterp.Error() {
-		t.Fatalf("fault messages diverge one below threshold:\n opt:    %v\n raw:    %v\n interp: %v", errOpt, errRaw, errInterp)
+	if errOpt.Error() != errRaw.Error() {
+		t.Fatalf("fault messages diverge one below threshold:\n opt: %v\n raw: %v", errOpt, errRaw)
 	}
 }
 
@@ -427,8 +387,8 @@ func TestOptimizerDifferentialRandomConfigs(t *testing.T) {
 			return true
 		}
 		run := generatedRunner(t, p, seed)
-		opt, errOpt := run(false, true, 1<<22)
-		raw, errRaw := run(false, false, 1<<22)
+		opt, errOpt := run(true, 1<<22)
+		raw, errRaw := run(false, 1<<22)
 		if errOpt != nil || errRaw != nil {
 			t.Errorf("%s: unexpected fault with ample fuel: opt=%v raw=%v", p.Name(), errOpt, errRaw)
 			return false
@@ -439,8 +399,8 @@ func TestOptimizerDifferentialRandomConfigs(t *testing.T) {
 				return false
 			}
 		}
-		_, starvedOpt := run(false, true, 8)
-		_, starvedRaw := run(false, false, 8)
+		_, starvedOpt := run(true, 8)
+		_, starvedRaw := run(false, 8)
 		if starvedOpt == nil || starvedRaw == nil {
 			t.Errorf("%s: expected fuel faults at budget 8: opt=%v raw=%v", p.Name(), starvedOpt, starvedRaw)
 			return false

@@ -1,9 +1,9 @@
 // Package clc is an OpenCL C front end for the kernel subset the GEMM
 // code generator emits: a lexer, a recursive-descent parser, light
-// semantic checking, and a tree-walking interpreter that executes
-// kernels per work-item on the clsim runtime (so generated kernel
-// *source text* is what gets validated against the reference BLAS, not
-// a hand-written reimplementation).
+// semantic checking, and a bytecode compiler, optimizer and VM that
+// execute kernels per work-item on the clsim runtime (so generated
+// kernel *source text* is what gets validated against the reference
+// BLAS, not a hand-written reimplementation).
 //
 // Supported subset: scalar types int/uint/float/double, vector types
 // float2/4/8 and double2/4/8, address-space qualifiers (__global,

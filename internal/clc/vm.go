@@ -3,16 +3,151 @@ package clc
 // The bytecode VM: a flat instruction loop over a compiledKernel. One
 // frame of registers and array slots is checked out of the program's
 // pool per work-item execution; parameters are copied into registers up
-// front so the hot loop never touches a map. Faults panic with the same
-// positioned *Error values the interpreter produces (the executor
-// recovers them into launch errors), using the per-instruction ex table
-// for positions at zero cost off the error path.
+// front so the hot loop never touches a map. Faults panic with
+// positioned *Error values (the executor recovers them into launch
+// errors), using the per-instruction ex table for positions at zero
+// cost off the error path.
 
 import (
+	"fmt"
 	"math"
 
 	"oclgemm/internal/clsim"
 )
+
+// kernelArg is one bound argument: a scalar value, or the array store
+// wrapping a __global buffer.
+type kernelArg struct {
+	val value
+	arr *arrayStore
+}
+
+// Bind attaches argument values to a kernel, producing a
+// clsim.WorkItemKernel. Supported argument kinds: int, float32,
+// float64 for scalar parameters; []float32 and []float64 for __global
+// pointer parameters. It compiles the kernel to bytecode (once per
+// declaration) and returns a compile failure as a *Error.
+func (k *KernelDecl) Bind(args ...any) (*BoundKernel, error) {
+	if len(args) != len(k.Params) {
+		return nil, fmt.Errorf("clc: kernel %s takes %d arguments, got %d", k.Name, len(k.Params), len(args))
+	}
+	b := &BoundKernel{decl: k, args: make([]kernelArg, len(args))}
+	for i, p := range k.Params {
+		v := &b.args[i]
+		switch a := args[i].(type) {
+		case int:
+			if p.Pointer || !p.Type.IsInt() {
+				return nil, fmt.Errorf("clc: argument %d: int given for parameter %q (%s)", i, p.Name, p.Type)
+			}
+			v.val = intVal(int64(a))
+		case float32:
+			if p.Pointer || p.Type.Base != BaseFloat {
+				return nil, fmt.Errorf("clc: argument %d: float32 given for parameter %q (%s)", i, p.Name, p.Type)
+			}
+			v.val = floatVal(BaseFloat, 1)
+			v.val.f[0] = float64(a)
+		case float64:
+			if p.Pointer || p.Type.Base != BaseDouble {
+				return nil, fmt.Errorf("clc: argument %d: float64 given for parameter %q (%s)", i, p.Name, p.Type)
+			}
+			v.val = floatVal(BaseDouble, 1)
+			v.val.f[0] = a
+		case []float32:
+			if !p.Pointer || p.Type.Base != BaseFloat {
+				return nil, fmt.Errorf("clc: argument %d: []float32 given for parameter %q", i, p.Name)
+			}
+			v.arr = &arrayStore{t: Type{Base: BaseFloat, Lanes: 1}, f32: a}
+		case []float64:
+			if !p.Pointer || p.Type.Base != BaseDouble {
+				return nil, fmt.Errorf("clc: argument %d: []float64 given for parameter %q", i, p.Name)
+			}
+			v.arr = &arrayStore{t: Type{Base: BaseDouble, Lanes: 1}, f64: a}
+		default:
+			return nil, fmt.Errorf("clc: argument %d: unsupported type %T", i, args[i])
+		}
+	}
+	if err := k.CompileBytecode(); err != nil {
+		return nil, err
+	}
+	// Top-level __local declarations (all arrays; the checker rejects
+	// scalars) are work-group state, allocated by SetupGroup.
+	for _, s := range k.Body.Stmts {
+		if d, ok := s.(*Decl); ok && d.Space == LocalMem {
+			b.locals = append(b.locals, d)
+		}
+	}
+	b.prog = k.bytecode()
+	b.progOpt = k.bytecodeOptimized()
+	b.noOpt = clcDisableOpt()
+	return b, nil
+}
+
+// BoundKernel is a kernel with bound arguments, runnable on clsim.
+type BoundKernel struct {
+	decl   *KernelDecl
+	args   []kernelArg
+	locals []*Decl
+
+	// prog is the compiled bytecode; progOpt is the optimized program
+	// (== prog when the optimizer made no changes).
+	prog    *compiledKernel
+	progOpt *compiledKernel
+	noOpt   bool
+	fuel    int64
+}
+
+// Name implements clsim.WorkItemKernel.
+func (b *BoundKernel) Name() string { return b.decl.Name }
+
+// SetOptimize selects between the optimized and the straight-from-the-
+// compiler bytecode (the differential escape hatch). The default is
+// optimized unless CLC_DISABLE_OPT is set in the environment. Both
+// programs are observationally identical: bit-equal outputs, byte-equal
+// fault strings, identical fuel accounting.
+func (b *BoundKernel) SetOptimize(on bool) { b.noOpt = !on }
+
+// SetFuel bounds loop back-edges per work-item: once a work-item
+// completes n loop iterations (summed across all loops) the run faults
+// with a budget error instead of spinning forever. Zero or negative
+// disables the bound. The optimized and raw programs count identically,
+// so a fuel fault is deterministic.
+func (b *BoundKernel) SetFuel(n int64) { b.fuel = n }
+
+// errLoopBudget is the fault raised when SetFuel's budget runs out.
+var errLoopBudget = &Error{Msg: "loop iteration budget exhausted"}
+
+// SetupGroup allocates the kernel's __local arrays, in hoisting order,
+// through the work-group's accounting (so capacity overruns surface
+// exactly as on a real device).
+func (b *BoundKernel) SetupGroup(g *clsim.Group) any {
+	slots := make([]*arrayStore, len(b.locals))
+	for i, d := range b.locals {
+		n, err := constFold(d.ArrayLen)
+		if err != nil {
+			panic(err)
+		}
+		total := int(n) * d.Type.Lanes
+		st := &arrayStore{t: d.Type}
+		if d.Type.Base == BaseDouble {
+			st.f64 = g.AllocLocalFloat64(total)
+		} else {
+			st.f32 = g.AllocLocalFloat32(total)
+		}
+		slots[i] = st
+	}
+	return slots
+}
+
+// Run implements clsim.WorkItemKernel: execute the body for one
+// work-item on the optimized bytecode, or on the raw bytecode when
+// SetOptimize(false).
+func (b *BoundKernel) Run(it *clsim.Item, shared any) {
+	p := b.progOpt
+	if b.noOpt {
+		p = b.prog
+	}
+	p.run(it, b.args, shared.([]*arrayStore), b.fuel)
+}
 
 type vmFrame struct {
 	regs []value
@@ -28,20 +163,20 @@ func (p *compiledKernel) frame() *vmFrame {
 
 // run executes the program for one work-item. args are the bound kernel
 // arguments (scalar values are copied into registers — OpenCL argument
-// semantics); gs carries the work-group's __local arrays; fuel > 0
-// bounds loop back-edges (see BoundKernel.SetFuel).
-func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, fuel int64) {
+// semantics); locals are the work-group's __local arrays in hoisting
+// order; fuel > 0 bounds loop back-edges (see BoundKernel.SetFuel).
+func (p *compiledKernel) run(it *clsim.Item, args []kernelArg, locals []*arrayStore, fuel int64) {
 	f := p.frame()
 	regs, arrs := f.regs, f.arrs
-	for i, v := range args {
+	for i := range args {
 		if r := p.paramRegs[i]; r >= 0 {
-			copyVal(&regs[r], &v.val)
+			copyVal(&regs[r], &args[i].val)
 		} else {
-			arrs[p.paramArrs[i]] = v.arr
+			arrs[p.paramArrs[i]] = args[i].arr
 		}
 	}
 	for ord, slot := range p.localSlots {
-		arrs[slot] = gs.slots[ord]
+		arrs[slot] = locals[ord]
 	}
 	code := p.code
 	pc := 0
@@ -107,7 +242,7 @@ func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, f
 			dst.t = to
 		case opJump:
 			// Loop back-edges are the only backward jumps; charge fuel
-			// exactly as the interpreter does per completed iteration.
+			// once per completed loop iteration.
 			if int(in.imm) <= pc && fuel > 0 {
 				fuel--
 				if fuel == 0 {
@@ -152,10 +287,9 @@ func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, f
 		case opMad:
 			// Contract: mad(a,b,c)/fma(a,b,c) is NOT fused — it lowers to
 			// two separate binopInto calls (multiply, then add) through a
-			// temporary, each rounding to the operands' promoted precision,
-			// exactly as the interpreter evaluates mad as two binopVal
-			// calls. Double rounding is therefore part of the semantics
-			// both engines pin bit-for-bit; no handler may replace this
+			// temporary, each rounding to the operands' promoted precision.
+			// Double rounding is therefore part of the semantics the
+			// engine golden pins bit-for-bit; no handler may replace this
 			// with a hardware FMA. ex2 carries the multiply's fault
 			// position (it differs from ex only when the optimizer fused a
 			// separate mul+add pair into this opMad).
@@ -178,8 +312,8 @@ func (p *compiledKernel) run(it *clsim.Item, args []*variable, gs *groupState, f
 					setInt(&regs[in.dst], max(a.i, b.i))
 				}
 			} else {
-				// The interpreter's float min/max returns a double scalar
-				// of lane 0 regardless of operand types; keep the quirk.
+				// Float min/max returns a double scalar of lane 0
+				// regardless of operand types; the golden pins the quirk.
 				x, y := a.lane(0), b.lane(0)
 				dst := &regs[in.dst]
 				if in.op == opMin {

@@ -1,18 +1,16 @@
-package clc_test
+package clc
 
-// Differential tests pinning the tentpole property: the bytecode VM is
-// bit-identical to the AST interpreter — on results and on faults —
-// across the full generated-kernel space and a feature-coverage corpus
-// of hand-written kernels. The interpreter is the semantic oracle; any
-// divergence is a VM bug by definition.
+// Differential tests: the optimized and the raw bytecode must agree
+// bit-for-bit, on results and on faults, across a feature-coverage
+// corpus of hand-written kernels and the generated-kernel space.
+// TestEngineGolden pins what both compute.
 
 import (
 	"math"
-	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"oclgemm/internal/clc"
 	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
 	"oclgemm/internal/device"
@@ -23,13 +21,34 @@ func newQueue() *clsim.Queue {
 	return clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
 }
 
-// runBoth compiles src, binds it three times over independent copies of
-// a float64 buffer of length n, runs the optimized bytecode VM, the
-// unoptimized VM, and the interpreter, and requires identical faults or
-// bit-identical buffers across all three engines.
+func bitsOf[T float32 | float64](x T) uint64 {
+	if f, ok := any(x).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(x))
+}
+
+// sameResult fails t unless the optimized run (opt, optErr) and the
+// raw-bytecode run (raw, rawErr) agree: the same error string, or
+// bit-identical buffers.
+func sameResult[T float32 | float64](t *testing.T, what string, opt []T, optErr error, raw []T, rawErr error) {
+	t.Helper()
+	if (optErr == nil) != (rawErr == nil) || optErr != nil && optErr.Error() != rawErr.Error() {
+		t.Fatalf("%s: optimized and raw bytecode disagree on error:\n opt: %v\n raw: %v", what, optErr, rawErr)
+	}
+	for i := range opt {
+		if optErr == nil && bitsOf(opt[i]) != bitsOf(raw[i]) {
+			t.Fatalf("%s: optimized and raw bytecode disagree at [%d]: opt=%v raw=%v", what, i, opt[i], raw[i])
+		}
+	}
+}
+
+// runBoth compiles src, binds it twice over independent copies of a
+// float64 buffer of length n, runs the optimized and the raw bytecode,
+// and requires identical faults or bit-identical buffers.
 func runBoth(t *testing.T, src string, n int, nd clsim.NDRange) ([]float64, error) {
 	t.Helper()
-	prog, err := clc.Compile(src)
+	prog, err := Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
@@ -37,7 +56,7 @@ func runBoth(t *testing.T, src string, n int, nd clsim.NDRange) ([]float64, erro
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(forceInterp, optimize bool) ([]float64, error) {
+	run := func(optimize bool) ([]float64, error) {
 		buf := make([]float64, n)
 		for i := range buf {
 			buf[i] = float64(i%5) * 0.375
@@ -46,89 +65,74 @@ func runBoth(t *testing.T, src string, n int, nd clsim.NDRange) ([]float64, erro
 		if err != nil {
 			t.Fatalf("bind: %v", err)
 		}
-		bk.SetInterp(forceInterp)
 		bk.SetOptimize(optimize)
 		bk.SetFuel(1 << 20)
 		q := newQueue()
 		q.Workers = 1
 		return buf, q.Run(bk, nd)
 	}
-	vmBuf, vmErr := run(false, true)
-	compare := func(name string, altBuf []float64, altErr error) {
-		if (vmErr == nil) != (altErr == nil) {
-			t.Fatalf("engines disagree on fault:\n vm:  %v\n %s: %v\n%s", vmErr, name, altErr, src)
-		}
-		if vmErr != nil {
-			if vmErr.Error() != altErr.Error() {
-				t.Fatalf("engines disagree on fault message:\n vm:  %v\n %s: %v\n%s", vmErr, name, altErr, src)
-			}
-			return
-		}
-		for i := range vmBuf {
-			if math.Float64bits(vmBuf[i]) != math.Float64bits(altBuf[i]) {
-				t.Fatalf("engines disagree at o[%d]: vm=%v %s=%v\n%s", i, vmBuf[i], name, altBuf[i], src)
-			}
-		}
-	}
-	inBuf, inErr := run(true, false)
-	compare("interp", inBuf, inErr)
-	rawBuf, rawErr := run(false, false)
-	compare("vm-noopt", rawBuf, rawErr)
-	if vmErr != nil {
-		return nil, vmErr
-	}
-	return vmBuf, nil
+	buf, err := run(true)
+	raw, rawErr := run(false)
+	sameResult(t, src, buf, err, raw, rawErr)
+	return buf, err
+}
+
+// tinyKernel wraps body in a one-buffer kernel k(o) with gid in scope.
+func tinyKernel(body string) string {
+	return "__kernel void k(__global double* o)\n{\n const int gid = get_global_id(0);\n" + body + "\n}"
 }
 
 func oneByFour() clsim.NDRange {
 	return clsim.NDRange{Global: [2]int{4, 1}, Local: [2]int{1, 1}}
 }
 
+// featureCases sweep the language subset feature by feature.
+var featureCases = []struct {
+	name string
+	body string
+}{
+	{"ternary", "o[gid] = (gid > 0 && gid < 3) ? 1.5 : -2.25;"},
+	{"short_circuit_or", "o[gid] = (gid == 0 || 1 / gid > 0) ? 3.0 : 4.0;"},
+	{"min_max_int", "o[gid] = (double)(min(gid, 2) + max(gid, 1));"},
+	{"min_max_float_quirk", "o[gid] = min(0.5f, (float)(gid)) + max(1.5, (double)(gid));"},
+	{"mad", "o[gid] = mad(o[gid], 2.0, 1.0) + fma(0.5, (double)(gid), o[gid]);"},
+	{"casts", "o[gid] = (double)((int)(2.9)) + (double)((float)(1.0 / 3.0));"},
+	{"uint_collapse", "uint u = 7; o[gid] = (double)(u + gid);"},
+	{"vector_ctor_broadcast", "double2 v = (double2)(1.25); vstore2(v, gid, o);"},
+	{"vector_ctor_components", "double4 v = (double4)(1.0, 2.0, (double)(gid), 4.0); double tmp[4]; vstore4(v, 0, tmp); o[gid] = tmp[0] + tmp[2] + tmp[3];"},
+	{"vector_arith", "double2 v = vload2(gid, o); vstore2(v * (double2)(2.0) + (double2)(1.0, -1.0), gid, o);"},
+	{"loop_accumulate", "double acc = 0.0; for (int i = 0; i < 5; i++) { acc += (double)(i) * 0.5; } o[gid] = acc;"},
+	{"loop_shadowing", "double x = 9.0; for (int i = 0; i < 2; i++) { double x = (double)(i); o[gid] += x; } o[gid] += x;"},
+	{"loop_decl_rezero", "for (int i = 0; i < 3; i++) { int z; o[gid] += (double)(z); z = 5; }"},
+	{"nested_loops", "for (int i = 0; i < 3; i++) { for (int j = 0; j < 2; j++) { o[gid] += (double)(i * 2 + j); } }"},
+	{"compound_array_assign", "o[gid] *= 2.0; o[gid] += 0.5; o[gid] -= 0.25; o[gid] /= 2.0;"},
+	{"builtin_const_shadow", "int CLK_GLOBAL_MEM_FENCE = 9; o[gid] = (double)(CLK_GLOBAL_MEM_FENCE);"},
+	{"unary_ops", "o[gid] = -o[gid] + (double)(~gid) + (double)(!gid);"},
+	{"int_ops", "o[gid] = (double)(((gid << 2) | (gid & 1)) ^ ((gid % 3) + (5 / (gid + 1)) - (gid >> 1)));"},
+	{"comparisons", "o[gid] = (double)((gid < 2) + (gid <= 2) + (gid > 2) + (gid >= 2) + (gid == 2) + (gid != 2));"},
+	{"if_else_chain", "if (gid == 0) { o[gid] = 1.0; } else if (gid == 1) { o[gid] = 2.0; } else { o[gid] = 3.0; }"},
+	{"private_array", "double acc[4]; for (int i = 0; i < 4; i++) { acc[i] = (double)(i); } o[gid] = acc[gid];"},
+	{"dead_branch_error", "if (gid < 0) { o[100] = 1.0; } o[gid] = 1.0;"},
+	{"const_fold_divzero_guard", "o[gid] = (gid == 0) ? 1.0 : (double)(4 / gid);"},
+	{"float_literal_single", "o[gid] = (double)(0.1f) + 0.1;"},
+	{"work_item_funcs", "o[gid] = (double)(get_global_id(0) + get_local_id(0) * 10 + get_group_id(0) * 100 + get_local_size(0) * 1000 + get_global_size(0) * 10000 + get_num_groups(0) * 100000);"},
+	{"runtime_casts", "o[gid] = (double)((float)(o[gid] / 7.0)) + (double)((int)(o[gid] * 2.5));"},
+}
+
 // TestVMFeatureCoverage sweeps the language subset feature by feature;
-// each body runs under both engines and must agree bit-for-bit.
+// each body runs on the optimized and the raw bytecode, which must
+// agree bit-for-bit.
 func TestVMFeatureCoverage(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"ternary", "o[gid] = (gid > 0 && gid < 3) ? 1.5 : -2.25;"},
-		{"short_circuit_or", "o[gid] = (gid == 0 || 1 / gid > 0) ? 3.0 : 4.0;"},
-		{"min_max_int", "o[gid] = (double)(min(gid, 2) + max(gid, 1));"},
-		{"min_max_float_quirk", "o[gid] = min(0.5f, (float)(gid)) + max(1.5, (double)(gid));"},
-		{"mad", "o[gid] = mad(o[gid], 2.0, 1.0) + fma(0.5, (double)(gid), o[gid]);"},
-		{"casts", "o[gid] = (double)((int)(2.9)) + (double)((float)(1.0 / 3.0));"},
-		{"uint_collapse", "uint u = 7; o[gid] = (double)(u + gid);"},
-		{"vector_ctor_broadcast", "double2 v = (double2)(1.25); vstore2(v, gid, o);"},
-		{"vector_ctor_components", "double4 v = (double4)(1.0, 2.0, (double)(gid), 4.0); double tmp[4]; vstore4(v, 0, tmp); o[gid] = tmp[0] + tmp[2] + tmp[3];"},
-		{"vector_arith", "double2 v = vload2(gid, o); vstore2(v * (double2)(2.0) + (double2)(1.0, -1.0), gid, o);"},
-		{"loop_accumulate", "double acc = 0.0; for (int i = 0; i < 5; i++) { acc += (double)(i) * 0.5; } o[gid] = acc;"},
-		{"loop_shadowing", "double x = 9.0; for (int i = 0; i < 2; i++) { double x = (double)(i); o[gid] += x; } o[gid] += x;"},
-		{"loop_decl_rezero", "for (int i = 0; i < 3; i++) { int z; o[gid] += (double)(z); z = 5; }"},
-		{"nested_loops", "for (int i = 0; i < 3; i++) { for (int j = 0; j < 2; j++) { o[gid] += (double)(i * 2 + j); } }"},
-		{"compound_array_assign", "o[gid] *= 2.0; o[gid] += 0.5; o[gid] -= 0.25; o[gid] /= 2.0;"},
-		{"builtin_const_shadow", "int CLK_GLOBAL_MEM_FENCE = 9; o[gid] = (double)(CLK_GLOBAL_MEM_FENCE);"},
-		{"unary_ops", "o[gid] = -o[gid] + (double)(~gid) + (double)(!gid);"},
-		{"int_ops", "o[gid] = (double)(((gid << 2) | (gid & 1)) ^ ((gid % 3) + (5 / (gid + 1)) - (gid >> 1)));"},
-		{"comparisons", "o[gid] = (double)((gid < 2) + (gid <= 2) + (gid > 2) + (gid >= 2) + (gid == 2) + (gid != 2));"},
-		{"if_else_chain", "if (gid == 0) { o[gid] = 1.0; } else if (gid == 1) { o[gid] = 2.0; } else { o[gid] = 3.0; }"},
-		{"private_array", "double acc[4]; for (int i = 0; i < 4; i++) { acc[i] = (double)(i); } o[gid] = acc[gid];"},
-		{"dead_branch_error", "if (gid < 0) { o[100] = 1.0; } o[gid] = 1.0;"},
-		{"const_fold_divzero_guard", "o[gid] = (gid == 0) ? 1.0 : (double)(4 / gid);"},
-		{"float_literal_single", "o[gid] = (double)(0.1f) + 0.1;"},
-		{"work_item_funcs", "o[gid] = (double)(get_global_id(0) + get_local_id(0) * 10 + get_group_id(0) * 100 + get_local_size(0) * 1000 + get_global_size(0) * 10000 + get_num_groups(0) * 100000);"},
-	}
-	for _, tc := range cases {
+	for _, tc := range featureCases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := "__kernel void k(__global double* o)\n{\n const int gid = get_global_id(0);\n" + tc.body + "\n}"
-			runBoth(t, src, 8, oneByFour())
+			runBoth(t, tinyKernel(tc.body), 8, oneByFour())
 		})
 	}
 }
 
-// TestVMLocalMemoryAndBarrier exercises __local staging with real
-// cross-item communication under both engines.
-func TestVMLocalMemoryAndBarrier(t *testing.T) {
-	src := `__kernel void k(__global double* o)
+// localBarrierSrc stages through __local memory with real cross-item
+// communication across a barrier; it runs at localBarrierND.
+const localBarrierSrc = `__kernel void k(__global double* o)
 {
     const int gid = get_global_id(0);
     const int lid = get_local_id(0);
@@ -137,160 +141,126 @@ func TestVMLocalMemoryAndBarrier(t *testing.T) {
     barrier(CLK_LOCAL_MEM_FENCE);
     o[gid] = lm[(lid + 1) % 2];
 }`
-	runBoth(t, src, 8, clsim.NDRange{Global: [2]int{4, 1}, Local: [2]int{2, 1}})
+
+var localBarrierND = clsim.NDRange{Global: [2]int{4, 1}, Local: [2]int{2, 1}}
+
+// TestVMLocalMemoryAndBarrier exercises __local staging with real
+// cross-item communication.
+func TestVMLocalMemoryAndBarrier(t *testing.T) {
+	runBoth(t, localBarrierSrc, 8, localBarrierND)
 }
 
-// TestVMErrorParity pins fault behaviour: both engines must fail with
-// the same positioned message for every runtime-fault class.
+// errorParityCases cover every runtime-fault class, each with a
+// substring of its positioned message.
+var errorParityCases = []struct {
+	name string
+	body string
+	want string
+}{
+	{"index_oob", "o[100] = 1.0;", "index 100 out of range [0,8)"},
+	{"index_negative", "o[gid - 10] = 1.0;", "out of range"},
+	{"div_zero", "int z = 0; o[gid] = (double)(1 / z);", "integer division by zero"},
+	{"mod_zero", "int z = 0; o[gid] = (double)(1 % z);", "integer modulo by zero"},
+	{"vload_oob", "double2 v = vload2(7, o); vstore2(v, 0, o);", "vload2 offset 7 out of range"},
+	{"vstore_oob", "vstore2((double2)(1.0), 7, o);", "vstore2 offset 7 out of range"},
+	{"dim_oob", "o[gid] = (double)(get_global_id(2));", "dimension 2 out of range"},
+	{"compound_index_oob", "o[8] += 1.0;", "index 8 out of range [0,8)"},
+	{"private_const_oob", "double t[4]; float f = t[4]; o[gid] = f;", "index 4 out of range [0,4)"},
+	{"int_array", "int t[2]; o[gid] = 1.0;", "integer arrays are not supported"},
+	{"array_as_value", "double t[2]; o[gid] = t;", `array "t" used as a value`},
+	{"index_non_array", "double x = 1.0; o[gid] = x[0];", `"x" is not an array`},
+	{"assign_to_array", "double t[2]; t = 1.0;", `cannot assign to array "t"`},
+}
+
+// TestVMErrorParity pins fault behaviour: the optimized and the raw
+// bytecode must fail with the same positioned message for every
+// runtime-fault class.
 func TestVMErrorParity(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-		want string
-	}{
-		{"index_oob", "o[100] = 1.0;", "index 100 out of range [0,8)"},
-		{"index_negative", "o[gid - 10] = 1.0;", "out of range"},
-		{"div_zero", "int z = 0; o[gid] = (double)(1 / z);", "integer division by zero"},
-		{"mod_zero", "int z = 0; o[gid] = (double)(1 % z);", "integer modulo by zero"},
-		{"vload_oob", "double2 v = vload2(7, o); vstore2(v, 0, o);", "vload2 offset 7 out of range"},
-		{"vstore_oob", "vstore2((double2)(1.0), 7, o);", "vstore2 offset 7 out of range"},
-		{"dim_oob", "o[gid] = (double)(get_global_id(2));", "dimension 2 out of range"},
-		{"compound_index_oob", "o[8] += 1.0;", "index 8 out of range [0,8)"},
-	}
-	for _, tc := range cases {
+	for _, tc := range errorParityCases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := "__kernel void k(__global double* o)\n{\n const int gid = get_global_id(0);\n" + tc.body + "\n}"
-			_, err := runBoth(t, src, 8, oneByFour())
+			_, err := runBoth(t, tinyKernel(tc.body), 8, oneByFour())
 			if err == nil {
 				t.Fatalf("expected a fault containing %q, got success", tc.want)
 			}
-			if !contains(err.Error(), tc.want) {
+			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("fault %q does not contain %q", err, tc.want)
 			}
 		})
 	}
 }
 
-// TestVMFuelBudget: a non-terminating loop faults identically in both
-// engines once the back-edge budget runs out instead of hanging.
+// fuelBudgetBody never terminates; runBoth's fuel budget must stop it.
+const fuelBudgetBody = "for (int i = 0; i >= 0;) { o[gid] = 1.0; }"
+
+// TestVMFuelBudget: a non-terminating loop faults identically on the
+// optimized and the raw bytecode once the back-edge budget runs out,
+// instead of hanging.
 func TestVMFuelBudget(t *testing.T) {
-	src := "__kernel void k(__global double* o)\n{\n const int gid = get_global_id(0);\nfor (int i = 0; i >= 0;) { o[gid] = 1.0; }\n}"
-	_, err := runBoth(t, src, 8, oneByFour())
+	_, err := runBoth(t, tinyKernel(fuelBudgetBody), 8, oneByFour())
 	if err == nil {
 		t.Fatal("expected a loop-budget fault")
 	}
-	if !contains(err.Error(), "loop iteration budget exhausted") {
+	if !strings.Contains(err.Error(), "loop iteration budget exhausted") {
 		t.Fatalf("unexpected fault: %v", err)
 	}
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// runGeneratedBoth packs random inputs for a codegen schedule, runs the
-// generated source under all three engines (optimized VM, unoptimized
-// VM, interpreter) at a multi-work-group size, and requires
-// bit-identical C buffers. Returns false (instead of failing) for
-// invalid parameter combinations.
-func runGeneratedBoth(t *testing.T, p codegen.Params, seed int64) bool {
+// runGeneratedBoth runs a codegen schedule's generated source on the
+// optimized and the raw bytecode at a multi-work-group size, requires
+// bit-identical C buffers and returns the optimized C. It returns nil
+// (instead of failing) for invalid parameter combinations.
+func runGeneratedBoth(t *testing.T, p codegen.Params, seed int64) []float64 {
 	t.Helper()
 	if err := p.Validate(); err != nil {
-		return false
+		return nil
 	}
-	m, n, k := 2*p.Mwg, 2*p.Nwg, 2*p.Kwg
-	src, err := p.GenerateSource()
+	run := generatedRunner(t, p, seed)
+	opt, err := run(true, 0)
 	if err != nil {
-		t.Fatalf("%s: generate: %v", p.Name(), err)
+		t.Fatalf("%s: run: %v", p.Name(), err)
 	}
-	prog, err := clc.Compile(src)
-	if err != nil {
-		t.Fatalf("%s: clc compile: %v\n%s", p.Name(), err, src)
-	}
-	kern, err := prog.Kernel(codegen.KernelName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kern.CompileBytecode(); err != nil {
-		t.Fatalf("%s: bytecode compile: %v\n%s", p.Name(), err, src)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	a := matrix.New[float64](m, k, matrix.RowMajor)
-	b := matrix.New[float64](k, n, matrix.RowMajor)
-	c := matrix.New[float64](m, n, matrix.RowMajor)
-	a.FillRandom(rng)
-	b.FillRandom(rng)
-	c.FillRandom(rng)
-	at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
-	bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
-	nd := clsim.NDRange{
-		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
-		Local:  [2]int{p.MdimC, p.NdimC},
-	}
-	run := func(forceInterp, optimize bool) []float64 {
-		cc := c.Clone()
-		bound, err := kern.Bind(m, n, k, 1.5, -0.75, at.Data, bp.Data, cc.Data)
-		if err != nil {
-			t.Fatalf("%s: bind: %v", p.Name(), err)
-		}
-		bound.SetInterp(forceInterp)
-		bound.SetOptimize(optimize)
-		if want := "bytecode"; !forceInterp && bound.Engine() != want {
-			t.Fatalf("%s: engine = %q, want %q", p.Name(), bound.Engine(), want)
-		}
-		q := newQueue()
-		if err := q.Run(bound, nd); err != nil {
-			t.Fatalf("%s: run: %v\n%s", p.Name(), err, src)
-		}
-		return cc.Data
-	}
-	vm := run(false, true)
-	raw := run(false, false)
-	in := run(true, false)
-	for i := range vm {
-		if math.Float64bits(vm[i]) != math.Float64bits(in[i]) {
-			t.Fatalf("%s: engines disagree at C[%d]: vm=%v interp=%v", p.Name(), i, vm[i], in[i])
-		}
-		if math.Float64bits(vm[i]) != math.Float64bits(raw[i]) {
-			t.Fatalf("%s: optimizer changed C[%d]: vm=%v vm-noopt=%v", p.Name(), i, vm[i], raw[i])
-		}
-	}
-	return true
+	raw, rawErr := run(false, 0)
+	sameResult(t, p.Name(), opt, err, raw, rawErr)
+	return opt
 }
 
-// TestVMMatchesInterpreterOnGeneratedKernels sweeps every algorithm ×
-// shared-memory mode × vector width with layout pairs cycling through
-// all nine combinations, so each axis of the schedule space is covered
-// against the interpreter oracle at multi-work-group sizes.
-func TestVMMatchesInterpreterOnGeneratedKernels(t *testing.T) {
+// generatedSweep is every algorithm × shared-memory mode × vector width
+// with layout pairs cycling through all nine combinations, so each axis
+// of the schedule space is covered at multi-work-group sizes. Some
+// points are invalid; runGeneratedBoth skips those.
+func generatedSweep() []codegen.Params {
 	layouts := []matrix.Layout{matrix.LayoutRowMajor, matrix.LayoutCBL, matrix.LayoutRBL}
 	shared := [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}}
-	vws := []int{1, 2, 4}
-	idx, ran := 0, 0
+	var sweep []codegen.Params
 	for _, alg := range codegen.Algorithms {
 		for _, sh := range shared {
-			for _, vw := range vws {
-				if testing.Short() && vw == 4 {
-					continue
-				}
-				p := codegen.Params{
+			for _, vw := range []int{1, 2, 4} {
+				idx := len(sweep)
+				sweep = append(sweep, codegen.Params{
 					Precision: matrix.Double, Algorithm: alg,
 					Mwg: 8, Nwg: 16, Kwg: 8,
 					MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
 					Kwi: 2, VectorWidth: vw,
 					SharedA: sh[0], SharedB: sh[1],
 					LayoutA: layouts[idx%3], LayoutB: layouts[(idx/3)%3],
-				}
-				idx++
-				if runGeneratedBoth(t, p, int64(idx)) {
-					ran++
-				}
+				})
 			}
+		}
+	}
+	return sweep
+}
+
+// TestVMMatchesInterpreterOnGeneratedKernels runs the generated sweep
+// on the optimized and the raw bytecode. TestEngineGolden pins each
+// kernel's C to the verdict the removed AST interpreter agreed on.
+func TestVMMatchesInterpreterOnGeneratedKernels(t *testing.T) {
+	ran := 0
+	for i, p := range generatedSweep() {
+		if testing.Short() && p.VectorWidth == 4 {
+			continue
+		}
+		if runGeneratedBoth(t, p, int64(i+1)) != nil {
+			ran++
 		}
 	}
 	if ran < 12 {
@@ -299,7 +269,8 @@ func TestVMMatchesInterpreterOnGeneratedKernels(t *testing.T) {
 }
 
 // TestVMGeneratedPropertyRandomConfigs is the randomized counterpart:
-// quick.Check over the schedule space, comparing engines bit-for-bit.
+// quick.Check over the schedule space, comparing the optimized and the
+// raw bytecode bit-for-bit.
 func TestVMGeneratedPropertyRandomConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential property test")

@@ -7,24 +7,14 @@ import (
 
 	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
-	"oclgemm/internal/device"
-	"oclgemm/internal/matrix"
 )
 
 // benchKernel builds the kernel-phase workload the clcheck/verify path
-// executes: a generated BA double kernel with shared __local staging at
-// a multi-work-group size.
-func benchKernel(tb testing.TB, forceInterp bool) (*BoundKernel, *clsim.Queue, clsim.NDRange) {
-	return benchKernelOpt(tb, forceInterp, true)
-}
-
-func benchKernelOpt(tb testing.TB, forceInterp, optimize bool) (*BoundKernel, *clsim.Queue, clsim.NDRange) {
-	p := codegen.Params{
-		Precision: matrix.Double, Algorithm: codegen.BA,
-		Mwg: 16, Nwg: 16, Kwg: 8, MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
-		Kwi: 2, VectorWidth: 1, SharedA: true, SharedB: true,
-		LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutCBL,
-	}
+// executes: the generated benchParams kernel (BA double with shared
+// __local staging) at a multi-work-group size, on the optimized or the
+// raw bytecode.
+func benchKernel(tb testing.TB, optimize bool) (*BoundKernel, *clsim.Queue, clsim.NDRange) {
+	p := benchParams()
 	src, err := p.GenerateSource()
 	if err != nil {
 		tb.Fatal(err)
@@ -51,28 +41,25 @@ func benchKernelOpt(tb testing.TB, forceInterp, optimize bool) (*BoundKernel, *c
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bound.SetInterp(forceInterp)
 	bound.SetOptimize(optimize)
-	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
 	nd := clsim.NDRange{
 		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
 		Local:  [2]int{p.MdimC, p.NdimC},
 	}
-	return bound, q, nd
+	return bound, newQueue(), nd
 }
 
-// BenchmarkInterpVsVM compares the AST interpreter against the bytecode
-// VM — both the raw compiler output ("vm-noopt", the PR 9 baseline) and
-// the optimized program ("vm") — on the same generated-GEMM kernel
-// phase. CI smokes this trio so the VM's throughput claims stay
-// continuously checked.
-func BenchmarkInterpVsVM(b *testing.B) {
+// BenchmarkVM times the raw compiler output ("vm-noopt") and the
+// optimized program ("vm") on the same generated-GEMM kernel phase. CI
+// smokes both so the optimizer's throughput claim stays continuously
+// checked.
+func BenchmarkVM(b *testing.B) {
 	for _, eng := range []struct {
-		name                  string
-		forceInterp, optimize bool
-	}{{"interp", true, false}, {"vm-noopt", false, false}, {"vm", false, true}} {
+		name     string
+		optimize bool
+	}{{"vm-noopt", false}, {"vm", true}} {
 		b.Run(eng.name, func(b *testing.B) {
-			bound, q, nd := benchKernelOpt(b, eng.forceInterp, eng.optimize)
+			bound, q, nd := benchKernel(b, eng.optimize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := q.Run(bound, nd); err != nil {
@@ -83,15 +70,14 @@ func BenchmarkInterpVsVM(b *testing.B) {
 	}
 }
 
-// TestVMSpeedupOverInterpreter pins the tentpole claims: the optimized
-// bytecode VM must run the kernel-phase workload at least 10× faster
-// than the AST interpreter, and at least 2× faster than the raw
-// (unoptimized) bytecode — the PR 9 VM. Wall-clock thresholds are
-// inherently machine-sensitive, so both bars sit below the typical
-// measured ratios. The three engines are timed interleaved, rotating
-// which goes first, and each ratio is the median over the samples of
+// TestVMSpeedupOverRawBytecode pins the optimizer's claim: the
+// optimized bytecode must run the kernel-phase workload at least 2×
+// faster than the raw (unoptimized) bytecode. Wall-clock thresholds are
+// inherently machine-sensitive, so the bar sits below the typical
+// measured ratio. The two programs are timed interleaved, alternating
+// which goes first, and the ratio is the median over the samples of
 // back-to-back timings, so host drift between samples cancels.
-func TestVMSpeedupOverInterpreter(t *testing.T) {
+func TestVMSpeedupOverRawBytecode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement")
 	}
@@ -101,9 +87,9 @@ func TestVMSpeedupOverInterpreter(t *testing.T) {
 		nd    clsim.NDRange
 		last  time.Duration
 	}
-	var eng []*engine // interp, vm-noopt, vm
-	for _, e := range []struct{ forceInterp, optimize bool }{{true, false}, {false, false}, {false, true}} {
-		bound, q, nd := benchKernelOpt(t, e.forceInterp, e.optimize)
+	var eng []*engine // vm-noopt, vm
+	for _, optimize := range []bool{false, true} {
+		bound, q, nd := benchKernel(t, optimize)
 		// Warm up pools and caches.
 		if err := q.Run(bound, nd); err != nil {
 			t.Fatal(err)
@@ -111,7 +97,7 @@ func TestVMSpeedupOverInterpreter(t *testing.T) {
 		eng = append(eng, &engine{bound: bound, q: q, nd: nd})
 	}
 	const samples, iters = 15, 3
-	var overInterp, overRaw []float64
+	var overRaw []float64
 	for s := 0; s < samples; s++ {
 		for k := range eng {
 			e := eng[(s+k)%len(eng)]
@@ -123,19 +109,11 @@ func TestVMSpeedupOverInterpreter(t *testing.T) {
 			}
 			e.last = time.Since(start)
 		}
-		vm := float64(eng[2].last)
-		overInterp = append(overInterp, float64(eng[0].last)/vm)
-		overRaw = append(overRaw, float64(eng[1].last)/vm)
+		overRaw = append(overRaw, float64(eng[0].last)/float64(eng[1].last))
 	}
-	median := func(xs []float64) float64 {
-		slices.Sort(xs)
-		return xs[len(xs)/2]
-	}
-	ratio, raw := median(overInterp), median(overRaw)
-	t.Logf("median of %d interleaved samples of %d runs: %.1fx over interp, %.1fx over noopt", samples, iters, ratio, raw)
-	if ratio < 10 {
-		t.Errorf("optimized VM speedup %.2fx over interpreter, want >= 10x", ratio)
-	}
+	slices.Sort(overRaw)
+	raw := overRaw[len(overRaw)/2]
+	t.Logf("median of %d interleaved samples of %d runs: %.1fx over noopt", samples, iters, raw)
 	if raw < 2 {
 		t.Errorf("optimized VM speedup %.2fx over unoptimized bytecode, want >= 2x", raw)
 	}

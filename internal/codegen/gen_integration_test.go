@@ -1,14 +1,13 @@
 package codegen_test
 
 // Integration of the full code-generation pipeline: the OpenCL C text
-// emitted by codegen is compiled by the clc front end, interpreted on
+// emitted by codegen is compiled by the clc front end, executed on
 // the clsim runtime with true per-work-item execution and barriers, and
 // compared against both the reference BLAS and the native Go kernels —
 // which must agree exactly in double precision, since both execute the
 // same schedule in the same accumulation order.
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,11 +21,9 @@ import (
 	"oclgemm/internal/matrix"
 )
 
-// runGenerated executes the generated source under BOTH clc engines —
-// the bytecode VM (whose result lands in c) and the AST-interpreter
-// oracle — and fails on any bitwise divergence between them. Every
-// integration test below therefore doubles as a differential check of
-// the VM.
+// runGenerated executes the generated source on the clc bytecode VM
+// (optimized by default; raw under CLC_DISABLE_OPT), leaving the result
+// in c.
 func runGenerated(t *testing.T, p codegen.Params, m, n, k int,
 	alpha float64, at, bp []float64, beta float64, c []float64) {
 	t.Helper()
@@ -42,33 +39,17 @@ func runGenerated(t *testing.T, p codegen.Params, m, n, k int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kern.CompileBytecode(); err != nil {
-		t.Fatalf("bytecode compile: %v\n%s", err, src)
+	bound, err := kern.Bind(m, n, k, alpha, beta, at, bp, c)
+	if err != nil {
+		t.Fatalf("bind: %v", err)
 	}
 	nd := clsim.NDRange{
 		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
 		Local:  [2]int{p.MdimC, p.NdimC},
 	}
-	cInterp := append([]float64(nil), c...)
-	run := func(out []float64, forceInterp bool) {
-		bound, err := kern.Bind(m, n, k, alpha, beta, at, bp, out)
-		if err != nil {
-			t.Fatalf("bind: %v", err)
-		}
-		bound.SetInterp(forceInterp)
-		ctx := clsim.NewContext(&clsim.Device{Spec: device.Tahiti()})
-		q := clsim.NewQueue(ctx)
-		if err := q.Run(bound, nd); err != nil {
-			t.Fatalf("run: %v\n%s", err, src)
-		}
-	}
-	run(c, false)
-	run(cInterp, true)
-	for i := range c {
-		if math.Float64bits(c[i]) != math.Float64bits(cInterp[i]) {
-			t.Fatalf("%s: bytecode VM diverges from interpreter at C[%d]: vm=%v interp=%v",
-				p.Name(), i, c[i], cInterp[i])
-		}
+	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
+	if err := q.Run(bound, nd); err != nil {
+		t.Fatalf("run: %v\n%s", err, src)
 	}
 }
 
@@ -91,7 +72,7 @@ func checkGenerated(t *testing.T, p codegen.Params, m, n, k int, seed int64) {
 	at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
 	bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
 
-	// Generated source through the interpreter.
+	// Generated source through the clc VM.
 	cGen := c.Clone()
 	runGenerated(t, p, m, n, k, alpha, at.Data, bp.Data, beta, cGen.Data)
 
@@ -114,7 +95,7 @@ func checkGenerated(t *testing.T, p codegen.Params, m, n, k int, seed int64) {
 	if d := matrix.MaxRelDiff(cGen, want); d > 1e-12 {
 		t.Errorf("%s: generated source differs from reference by %g", p.Name(), d)
 	}
-	// Same schedule, same accumulation order: interpreter and native
+	// Same schedule, same accumulation order: the clc VM and the native
 	// kernel must agree exactly in double precision.
 	if d := matrix.MaxRelDiff(cGen, cNat); d != 0 {
 		t.Errorf("%s: generated source differs from native kernel by %g (want exact)", p.Name(), d)
@@ -246,10 +227,11 @@ func TestGeneratedPaperConfig(t *testing.T) {
 }
 
 // Property test over random small configurations: the generated source,
-// interpreted, matches the reference BLAS for all three algorithms.
+// executed on the clc VM, matches the reference BLAS for all three
+// algorithms.
 func TestGeneratedPropertyRandomConfigs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("interpreter property test")
+		t.Skip("generated-source property test")
 	}
 	f := func(algSel, mwiS, nwiS, kwgS, vwS, shSel, stSel, layA, layB uint8, seed int64) bool {
 		p := codegen.Params{

@@ -11,7 +11,7 @@ import (
 	"oclgemm/internal/matrix"
 )
 
-// The generated §III-D copy kernel, interpreted from its OpenCL C
+// The generated §III-D copy kernel, executed from its OpenCL C
 // source, must agree with the host pack for every layout and transpose
 // mode.
 func TestGeneratedPackSourceMatchesHost(t *testing.T) {
@@ -64,7 +64,7 @@ func TestGeneratedPackSourceMatchesHost(t *testing.T) {
 	}
 }
 
-// Float32 pack through the interpreter.
+// Float32 pack through the clc VM.
 func TestGeneratedPackSourceFloat32(t *testing.T) {
 	pp := codegen.PackParams{Precision: matrix.Single, Layout: matrix.LayoutCBL, Rb: 4, Cb: 4}
 	src, err := pp.GeneratePackSource()

@@ -7,7 +7,7 @@
 // These kernels run on the clsim lockstep executor and compute real
 // results; they are the functional counterpart of the performance
 // model, and they cross-check the OpenCL C sources emitted by the
-// generator (interpreted by the clc package) against the reference
+// generator (executed by the clc package) against the reference
 // BLAS.
 package kernels
 
