@@ -9,7 +9,7 @@
 // Usage:
 //
 //	gemmserve [-addr :8080] [-device tahiti] [-db tuned.json] [-pool]
-//	          [-window 500us] [-max-batch 16] [-max-queue 256]
+//	          [-max-queue 256]
 //	          [-quota-rate 2000] [-quota-burst 8000] [-deadline 30s]
 //	          [-workers N] [-metrics-out metrics.json]
 //	gemmserve -selfcheck [-clients 64] [-requests 8] [-batched 16] [-metrics-out ...]
@@ -53,8 +53,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	dev := fs.String("device", "tahiti", "single-device engine's processor ID")
 	dbPath := fs.String("db", "", "tuning database JSON (default: the paper's Table II)")
 	pool := fs.Bool("pool", false, "partition large problems across the full device pool")
-	window := fs.Duration("window", serve.DefaultWindow, "coalescing window")
-	maxBatch := fs.Int("max-batch", serve.DefaultMaxBatch, "fire a batch early at this many requests")
 	maxQueue := fs.Int("max-queue", serve.DefaultMaxQueue, "queue depth that sheds new requests")
 	quotaRate := fs.Float64("quota-rate", serve.DefaultQuotaRate, "per-tenant quota accrual, Mflop/s (negative disables)")
 	quotaBurst := fs.Float64("quota-burst", serve.DefaultQuotaBurst, "per-tenant quota ceiling, Mflop")
@@ -82,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	reg := obs.NewRegistry()
 	srv, err := serve.New(serve.Config{
 		Device: *dev, DB: db, Pool: *pool,
-		Window: *window, MaxBatch: *maxBatch, MaxQueue: *maxQueue,
+		MaxQueue:       *maxQueue,
 		QuotaMflopRate: *quotaRate, QuotaMflopBurst: *quotaBurst,
 		DefaultDeadline: *deadline, MaxDim: *maxDim, Workers: *workers,
 		Metrics: reg,

@@ -92,9 +92,9 @@ func GEMM[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], be
 		for j := 0; j < n; j++ {
 			var acc float64
 			for p := 0; p < k; p++ {
-				acc += float64(opAt(a, ta, i, p)) * float64(opAt(b, tb, p, j))
+				acc += float64(float64(opAt(a, ta, i, p)) * float64(opAt(b, tb, p, j)))
 			}
-			c.Set(i, j, T(float64(alpha)*acc+float64(beta)*float64(c.At(i, j))))
+			c.Set(i, j, T(float64(float64(alpha)*acc)+float64(float64(beta)*float64(c.At(i, j)))))
 		}
 	}
 }
@@ -126,7 +126,7 @@ func GEMMBlocked[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix
 							continue
 						}
 						for j := jj; j < jEnd; j++ {
-							c.Set(i, j, T(float64(c.At(i, j))+av*float64(opAt(b, tb, p, j))))
+							c.Set(i, j, T(float64(c.At(i, j))+float64(av*float64(opAt(b, tb, p, j)))))
 						}
 					}
 				}
@@ -162,9 +162,9 @@ func GEMMParallel[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matri
 				for j := 0; j < n; j++ {
 					var acc float64
 					for p := 0; p < k; p++ {
-						acc += float64(opAt(a, ta, i, p)) * float64(opAt(b, tb, p, j))
+						acc += float64(float64(opAt(a, ta, i, p)) * float64(opAt(b, tb, p, j)))
 					}
-					c.Set(i, j, T(float64(alpha)*acc+float64(beta)*float64(c.At(i, j))))
+					c.Set(i, j, T(float64(float64(alpha)*acc)+float64(float64(beta)*float64(c.At(i, j)))))
 				}
 			}
 		}(lo, hi)

@@ -109,7 +109,7 @@ func solveColumn(forward bool, n int, m func(i, j int) float64, rhs func(i int) 
 		for i := 0; i < n; i++ {
 			acc := rhs(i)
 			for p := 0; p < i; p++ {
-				acc -= m(i, p) * cur(p)
+				acc -= float64(m(i, p) * cur(p))
 			}
 			set(i, acc/m(i, i))
 		}
@@ -118,7 +118,7 @@ func solveColumn(forward bool, n int, m func(i, j int) float64, rhs func(i int) 
 	for i := n - 1; i >= 0; i-- {
 		acc := rhs(i)
 		for p := i + 1; p < n; p++ {
-			acc -= m(i, p) * cur(p)
+			acc -= float64(m(i, p) * cur(p))
 		}
 		set(i, acc/m(i, i))
 	}

@@ -802,26 +802,3 @@ func RunBatchCtx[T matrix.Scalar](ctx context.Context, e *Engine, calls []Call[T
 	}
 	return nil
 }
-
-// RunBatchEachCtx executes a batch of independent calls with per-call
-// contexts, returning one error slot per call instead of stopping at
-// the first failure — the serve coalescer's entry point: requests from
-// different clients share the warm plan (and pack reuse) of a batch,
-// but one expired deadline or bad call must not fail its neighbors. A
-// nil or missing context means context.Background; ctxs may be shorter
-// than calls. Each non-nil error names its batch index in the chain
-// (and still unwraps to the underlying cause), so an aggregated report
-// identifies which call failed.
-func RunBatchEachCtx[T matrix.Scalar](e *Engine, ctxs []context.Context, calls []Call[T]) []error {
-	errs := make([]error, len(calls))
-	for i, cl := range calls {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		if err := EngineRunCtx(ctx, e, cl.TransA, cl.TransB, cl.Alpha, cl.A, cl.B, cl.Beta, cl.C); err != nil {
-			errs[i] = fmt.Errorf("batch call %d: %w", i, err)
-		}
-	}
-	return errs
-}

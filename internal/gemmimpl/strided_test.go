@@ -145,33 +145,3 @@ func TestRunStridedCtxReportsItemIndex(t *testing.T) {
 		t.Errorf("error %q does not name the item (%q)", err, want)
 	}
 }
-
-// TestRunBatchEachCtxErrorNamesIndex pins the satellite fix: a failed
-// call in RunBatchEachCtx reports its batch index in the error chain.
-func TestRunBatchEachCtxErrorNamesIndex(t *testing.T) {
-	im := testImpl(t)
-	eng := NewEngine(im)
-	defer eng.Close()
-	good := func(seed int64) Call[float64] {
-		a := matrix.New[float64](6, 4, matrix.RowMajor)
-		b := matrix.New[float64](4, 6, matrix.RowMajor)
-		c := matrix.New[float64](6, 6, matrix.RowMajor)
-		a.FillRandom(rand.New(rand.NewSource(seed)))
-		b.FillRandom(rand.New(rand.NewSource(seed + 1)))
-		return Call[float64]{TransA: blas.NoTrans, TransB: blas.NoTrans, Alpha: 1, A: a, B: b, C: c}
-	}
-	calls := []Call[float64]{good(1), good(2), good(3)}
-	// Poison call 1 with mismatched dimensions.
-	calls[1].B = matrix.New[float64](5, 6, matrix.RowMajor)
-	ctxs := []context.Context{context.Background(), context.Background(), context.Background()}
-	errs := RunBatchEachCtx(eng, ctxs, calls)
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy calls failed: %v / %v", errs[0], errs[2])
-	}
-	if errs[1] == nil {
-		t.Fatal("poisoned call succeeded")
-	}
-	if want := "batch call 1"; !strings.Contains(errs[1].Error(), want) {
-		t.Errorf("error %q does not name its index (%q)", errs[1], want)
-	}
-}

@@ -178,8 +178,8 @@ func (g *GEMM[T]) compute(s *state[T], run *clsim.GroupRun, gx, gy, pwg, k0, kLe
 			b0, b1, b2, b3 := b0[:len(acc)], b1[:len(acc)], b2[:len(acc)], b3[:len(acc)]
 			for j, v := range acc {
 				p0, p1, p2, p3 := b0[j], b1[j], b2[j], b3[j]
-				acc[j] = v + x0*p0 + x1*p1 + x2*p2 + x3*p3
-				acd[j] = acd[j] + y0*p0 + y1*p1 + y2*p2 + y3*p3
+				acc[j] = v + T(x0*p0) + T(x1*p1) + T(x2*p2) + T(x3*p3)
+				acd[j] = acd[j] + T(y0*p0) + T(y1*p1) + T(y2*p2) + T(y3*p3)
 			}
 		}
 		if r < len(a0) {
@@ -207,7 +207,7 @@ func rank4[T matrix.Scalar](acc []T, x0, x1, x2, x3 T, b0, b1, b2, b3 []T) {
 	}
 	b0, b1, b2, b3 = b0[:len(acc)], b1[:len(acc)], b2[:len(acc)], b3[:len(acc)]
 	for j, v := range acc {
-		acc[j] = v + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+		acc[j] = v + T(x0*b0[j]) + T(x1*b1[j]) + T(x2*b2[j]) + T(x3*b3[j])
 	}
 }
 
@@ -218,7 +218,7 @@ func axpy[T matrix.Scalar](acc []T, a T, b []T) {
 	}
 	b = b[:len(acc)]
 	for j := range acc {
-		acc[j] += a * b[j]
+		acc[j] += T(a * b[j])
 	}
 }
 
@@ -240,7 +240,7 @@ func (g *GEMM[T]) merge(s *state[T], run *clsim.GroupRun, gx, gy int) {
 			}
 		} else {
 			for j, v := range acc {
-				crow[j] = alpha*v + beta*crow[j]
+				crow[j] = T(alpha*v) + T(beta*crow[j])
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func potf2[T matrix.Scalar](a *matrix.Matrix[T]) error {
 		d := float64(a.At(j, j))
 		for p := 0; p < j; p++ {
 			v := float64(a.At(j, p))
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 {
 			return ErrNotSPD
@@ -61,7 +61,7 @@ func potf2[T matrix.Scalar](a *matrix.Matrix[T]) error {
 		for i := j + 1; i < n; i++ {
 			v := float64(a.At(i, j))
 			for p := 0; p < j; p++ {
-				v -= float64(a.At(i, p)) * float64(a.At(j, p))
+				v -= float64(float64(a.At(i, p)) * float64(a.At(j, p)))
 			}
 			a.Set(i, j, T(v/d))
 		}
@@ -159,7 +159,7 @@ func getf2[T matrix.Scalar](a *matrix.Matrix[T], piv []int) error {
 			l := float64(a.At(i, j)) / d
 			a.Set(i, j, T(l))
 			for c := j + 1; c < n; c++ {
-				a.Set(i, c, T(float64(a.At(i, c))-l*float64(a.At(j, c))))
+				a.Set(i, c, T(float64(a.At(i, c))-float64(l*float64(a.At(j, c)))))
 			}
 		}
 	}

@@ -216,9 +216,9 @@ func syrkDiagHost[T matrix.Scalar](uplo Uplo, trans blas.Transpose, alpha T, a *
 		for j := lo; j < hi; j++ {
 			var acc float64
 			for p := 0; p < k; p++ {
-				acc += at(i, p) * at(j, p)
+				acc += float64(at(i, p) * at(j, p))
 			}
-			c.Set(i, j, T(float64(alpha)*acc+float64(beta)*float64(c.At(i, j))))
+			c.Set(i, j, T(float64(float64(alpha)*acc)+float64(float64(beta)*float64(c.At(i, j)))))
 		}
 	}
 }
@@ -571,7 +571,7 @@ func trsmDiagHostLeft[T matrix.Scalar](effLower bool, diag Diag, op blas.Transpo
 			for i := 0; i < n; i++ {
 				acc := float64(b.At(i, c))
 				for j := 0; j < i; j++ {
-					acc -= at(i, j) * float64(b.At(j, c))
+					acc -= float64(at(i, j) * float64(b.At(j, c)))
 				}
 				if diag == NonUnit {
 					acc /= at(i, i)
@@ -582,7 +582,7 @@ func trsmDiagHostLeft[T matrix.Scalar](effLower bool, diag Diag, op blas.Transpo
 			for i := n - 1; i >= 0; i-- {
 				acc := float64(b.At(i, c))
 				for j := i + 1; j < n; j++ {
-					acc -= at(i, j) * float64(b.At(j, c))
+					acc -= float64(at(i, j) * float64(b.At(j, c)))
 				}
 				if diag == NonUnit {
 					acc /= at(i, i)
@@ -609,7 +609,7 @@ func trsmDiagHostRight[T matrix.Scalar](effLower bool, diag Diag, op blas.Transp
 			for j := n - 1; j >= 0; j-- {
 				acc := float64(b.At(r, j))
 				for p := j + 1; p < n; p++ {
-					acc -= float64(b.At(r, p)) * at(p, j)
+					acc -= float64(float64(b.At(r, p)) * at(p, j))
 				}
 				if diag == NonUnit {
 					acc /= at(j, j)
@@ -620,7 +620,7 @@ func trsmDiagHostRight[T matrix.Scalar](effLower bool, diag Diag, op blas.Transp
 			for j := 0; j < n; j++ {
 				acc := float64(b.At(r, j))
 				for p := 0; p < j; p++ {
-					acc -= float64(b.At(r, p)) * at(p, j)
+					acc -= float64(float64(b.At(r, p)) * at(p, j))
 				}
 				if diag == NonUnit {
 					acc /= at(j, j)

@@ -89,7 +89,7 @@ func KernelTime(d *device.Spec, p *codegen.Params, m, n, k int) (Breakdown, erro
 			if over > 1 {
 				over = 1
 			}
-			spillFactor = 1 - (1-d.SpillPenalty)*over
+			spillFactor = 1 - float64((1-d.SpillPenalty)*over)
 			regsPerWI = d.MaxRegsPerWI
 		}
 		if byRegs := d.RegFileWords / (regsPerWI * wgSize); byRegs < wgPerCU {
@@ -160,7 +160,7 @@ func KernelTime(d *device.Spec, p *codegen.Params, m, n, k int) (Breakdown, erro
 	perIterBytes /= spillFactor
 	// C is read (for β) and written once per work-group.
 	cBytes := 2 * float64(mp) * float64(np) * float64(esz) / d.CoalesceUnitStride
-	totalWeighted := perIterBytes*float64(iters)*float64(numWG) + cBytes
+	totalWeighted := float64(perIterBytes*float64(iters)*float64(numWG)) + cBytes
 	tMem := totalWeighted / (d.BandwidthGBs * 1e9)
 
 	// ---- Local memory -------------------------------------------------
@@ -188,9 +188,9 @@ func KernelTime(d *device.Spec, p *codegen.Params, m, n, k int) (Breakdown, erro
 	const leak = 0.08
 	tMax := math.Max(tComp, math.Max(tMem, tLDS))
 	tSum := tComp + tMem + tLDS
-	tWork := overlap*(tMax+leak*(tSum-tMax)) + (1-overlap)*tSum
+	tWork := float64(overlap*(tMax+float64(leak*(tSum-tMax)))) + float64((1-overlap)*tSum)
 	tWork /= busy
-	launch := d.LaunchOverheadUS * 1e-6
+	launch := float64(d.LaunchOverheadUS * 1e-6)
 	total := (tWork + tBar) / d.Calib(p.Precision)
 	// Physical floor: no calibration may push a kernel past the
 	// device's peak throughput (boost included). The knee is soft
@@ -237,13 +237,13 @@ func RoutineTime(d *device.Spec, p *codegen.Params, m, n, k int) (RoutineBreakdo
 	esz := float64(p.Precision.Size())
 
 	// Copy kernels read the source and write the padded destination.
-	bytes := (float64(m*k) + float64(kp*mp)) * esz // A
-	bytes += (float64(k*n) + float64(kp*np)) * esz // B
+	bytes := float64((float64(m*k) + float64(kp*mp)) * esz) // A
+	bytes += float64((float64(k*n) + float64(kp*np)) * esz) // B
 	if mp != m || np != n {
-		bytes += (float64(m*n) + float64(mp*np)) * esz // C pad copy
+		bytes += float64((float64(m*n) + float64(mp*np)) * esz) // C pad copy
 	}
 	copyBW := d.BandwidthGBs * 1e9 * d.CopyBWFrac
-	out.CopySeconds = bytes/copyBW + 2*d.LaunchOverheadUS*1e-6
+	out.CopySeconds = bytes/copyBW + float64(2*d.LaunchOverheadUS*1e-6)
 	out.Kernel = kb
 	out.TotalSeconds = kb.Total + out.CopySeconds
 	return out, nil
@@ -306,7 +306,7 @@ func streamEff(d *device.Spec, layout matrix.Layout, shared, strided bool, loadB
 // absorbed returns the effective element traffic after the cache absorbs
 // a fraction of the redundant (raw − unique) requests.
 func absorbed(raw, unique, reuse float64) float64 {
-	return unique + (raw-unique)*(1-reuse)
+	return unique + float64((raw-unique)*(1-reuse))
 }
 
 func boolInt(b bool) int {

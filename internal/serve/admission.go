@@ -28,24 +28,35 @@ type admission struct {
 	depth atomic.Int64
 
 	mu      sync.Mutex
-	tenants map[string]*bucket
+	tenants map[string]*tenant
 
 	shedQueue, shedQuota *obs.Counter
 	queueDepth           *obs.Gauge
 	reg                  *obs.Registry
 }
 
-type bucket struct {
+// maxTenants bounds the tenant table. X-Tenant is client-chosen, so
+// names past the cap share one "other" record: its bucket and its
+// series.
+const maxTenants = 256
+
+// tenant is one tenant's record, resolved once per name: its token
+// bucket and its instruments.
+type tenant struct {
+	name     string
+	requests *obs.Counter   // serve.requests{tenant=...}
+	seconds  *obs.Histogram // serve.request.seconds{tenant=...}
+	shed     *obs.Counter   // serve.shed.quota{tenant=...}
+
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
-	shed   *obs.Counter // serve.shed.quota{tenant=...}
 }
 
 func newAdmission(rate, burst float64, maxQueue int, reg *obs.Registry) *admission {
 	return &admission{
 		rate: rate, burst: burst, maxQueue: int64(maxQueue),
-		tenants:    make(map[string]*bucket),
+		tenants:    make(map[string]*tenant),
 		shedQueue:  reg.Counter("serve.shed.queue"),
 		shedQuota:  reg.Counter("serve.shed.quota"),
 		queueDepth: reg.Gauge("serve.queue.depth"),
@@ -69,43 +80,53 @@ func (ad *admission) leave() {
 	ad.queueDepth.Set(ad.depth.Add(-1))
 }
 
-// tenantBucket returns (creating on first use) the tenant's bucket.
-func (ad *admission) tenantBucket(tenant string) *bucket {
+// tenant returns the named tenant's record, creating it on first use;
+// past maxTenants names, unknown names fold into "other".
+func (ad *admission) tenant(name string) *tenant {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
-	b := ad.tenants[tenant]
-	if b == nil {
-		b = &bucket{
-			tokens: ad.burst,
-			shed:   ad.reg.Counter(obs.Label("serve.shed.quota", "tenant", tenant)),
-		}
-		ad.tenants[tenant] = b
+	t := ad.tenants[name]
+	if t != nil {
+		return t
 	}
-	return b
+	if len(ad.tenants) >= maxTenants {
+		name = "other"
+		if t = ad.tenants[name]; t != nil {
+			return t
+		}
+	}
+	t = &tenant{
+		name:     name,
+		requests: ad.reg.Counter(obs.Label("serve.requests", "tenant", name)),
+		seconds:  ad.reg.Histogram(obs.Label("serve.request.seconds", "tenant", name)),
+		shed:     ad.reg.Counter(obs.Label("serve.shed.quota", "tenant", name)),
+		tokens:   ad.burst,
+	}
+	ad.tenants[name] = t
+	return t
 }
 
 // admit charges mflop against the tenant's bucket. When the bucket
 // cannot cover the request, it reports false plus how long the tenant
 // must wait for the bucket to refill enough — the 429 Retry-After.
-func (ad *admission) admit(tenant string, mflop float64, now time.Time) (bool, time.Duration) {
-	b := ad.tenantBucket(tenant)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.last.IsZero() {
-		b.tokens = min(ad.burst, b.tokens+now.Sub(b.last).Seconds()*ad.rate)
+func (ad *admission) admit(t *tenant, mflop float64, now time.Time) (bool, time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.last.IsZero() {
+		t.tokens = min(ad.burst, t.tokens+now.Sub(t.last).Seconds()*ad.rate)
 	}
-	b.last = now
-	if b.tokens >= mflop {
-		b.tokens -= mflop
+	t.last = now
+	if t.tokens >= mflop {
+		t.tokens -= mflop
 		return true, 0
 	}
-	b.shed.Inc()
+	t.shed.Inc()
 	ad.shedQuota.Inc()
 	need := mflop
 	if need > ad.burst {
 		need = ad.burst // a request bigger than the burst can at best wait for a full bucket
 	}
-	wait := time.Duration((need - b.tokens) / ad.rate * float64(time.Second))
+	wait := time.Duration((need - t.tokens) / ad.rate * float64(time.Second))
 	if wait < 10*time.Millisecond {
 		wait = 10 * time.Millisecond
 	}

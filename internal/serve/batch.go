@@ -6,20 +6,27 @@ import (
 	"sync"
 	"time"
 
-	"oclgemm/internal/batch"
 	"oclgemm/internal/gemmimpl"
-	"oclgemm/internal/matrix"
 	"oclgemm/internal/obs"
 )
 
 // errDraining rejects submissions after the batcher began draining.
 var errDraining = errors.New("serve: draining")
 
-// groupKey identifies the plan a request will execute on: precision
-// plus the padded problem shape (the plan-cache key). Requests with
-// one groupKey coalesce into one batch on one warm plan.
+// Batching policy: the window lets concurrent same-shape requests find
+// each other; a group that reaches maxBatchSize fires at once, which
+// bounds how many members one executor runs back to back.
+const (
+	coalesceWindow = 500 * time.Microsecond
+	maxBatchSize   = 16
+)
+
+// groupKey identifies the plan a request will execute on: the engine
+// (one per precision) plus the padded problem shape (the plan-cache
+// key). Requests with one groupKey coalesce into one batch on one warm
+// plan.
 type groupKey struct {
-	prec       matrix.Precision
+	eng        *gemmimpl.Engine
 	mp, np, kp int
 }
 
@@ -30,16 +37,12 @@ type batchResult struct {
 	size int
 }
 
-// pending is one request waiting in a coalescing group: a single call
-// (c64/c32) or a whole strided batch (sb64/sb32). Exactly one of the
-// four is set, matching the group's precision.
+// pending is one request waiting in a coalescing group: run executes
+// it (the whole strided batch it carries) under its own context.
 type pending struct {
 	ctx  context.Context
 	done chan batchResult
-	c64  *gemmimpl.Call[float64]
-	c32  *gemmimpl.Call[float32]
-	sb64 *batch.Strided[float64]
-	sb32 *batch.Strided[float32]
+	run  func(context.Context) error
 }
 
 // group is the open coalescing window for one key.
@@ -52,15 +55,16 @@ type group struct {
 // executed back-to-back on the shared engine's warm plan for that
 // shape. The first request of a shape opens a window; requests
 // arriving within it join the batch; the window closing (or the batch
-// filling) fires one executor that runs every member with per-request
-// deadline isolation (gemmimpl.RunBatchEachCtx). Coalescing turns N
-// concurrent small requests into one plan claim + N back-to-back runs
-// — the steady-state serving shape CLTune/GEMMbench identify as where
-// tuned-kernel reuse pays.
+// filling) fires one executor that runs every member under its own
+// deadline and hands each its result as soon as its run returns.
+// Coalescing turns N concurrent small requests into N back-to-back
+// runs on one warm plan — the steady-state serving shape
+// CLTune/GEMMbench identify as where tuned-kernel reuse pays.
 type batcher struct {
-	eng32, eng64 *gemmimpl.Engine
-	window       time.Duration
-	maxBatch     int
+	// window and maxBatch are coalesceWindow and maxBatchSize; tests
+	// lengthen them before serving.
+	window   time.Duration
+	maxBatch int
 
 	mu     sync.Mutex
 	closed bool
@@ -72,10 +76,9 @@ type batcher struct {
 	batchSize *obs.Histogram
 }
 
-func newBatcher(eng32, eng64 *gemmimpl.Engine, window time.Duration, maxBatch int, reg *obs.Registry) *batcher {
+func newBatcher(reg *obs.Registry) *batcher {
 	return &batcher{
-		eng32: eng32, eng64: eng64,
-		window: window, maxBatch: maxBatch,
+		window: coalesceWindow, maxBatch: maxBatchSize,
 		groups:    make(map[groupKey]*group),
 		batches:   reg.Counter("serve.batch.count"),
 		coalesced: reg.Counter("serve.batch.coalesced"),
@@ -83,13 +86,13 @@ func newBatcher(eng32, eng64 *gemmimpl.Engine, window time.Duration, maxBatch in
 	}
 }
 
-// submit enqueues a request into its shape's coalescing group and
-// returns the channel its result will arrive on.
-func (b *batcher) submit(key groupKey, p *pending) (<-chan batchResult, error) {
+// submit enqueues a request into its shape's coalescing group; its
+// result arrives on p.done.
+func (b *batcher) submit(key groupKey, p *pending) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
-		return nil, errDraining
+		return errDraining
 	}
 	g := b.groups[key]
 	if g == nil {
@@ -102,12 +105,10 @@ func (b *batcher) submit(key groupKey, p *pending) (<-chan batchResult, error) {
 		// Full batch: detach and execute now.
 		delete(b.groups, key)
 		g.timer.Stop()
-		reqs := g.reqs
 		b.wg.Add(1)
-		go b.exec(key, reqs)
+		go b.exec(g.reqs)
 	}
-	b.mu.Unlock()
-	return p.done, nil
+	return nil
 }
 
 // fire closes a window: detach the group (if still open) and execute.
@@ -119,64 +120,22 @@ func (b *batcher) fire(key groupKey, g *group) {
 		return
 	}
 	delete(b.groups, key)
-	reqs := g.reqs
 	b.wg.Add(1)
 	b.mu.Unlock()
-	b.exec(key, reqs)
+	b.exec(g.reqs)
 }
 
-// exec runs one coalesced batch on the engine for its precision:
-// single calls back-to-back with per-request deadline isolation, then
-// any strided-batch pendings that coalesced into the same window (each
-// is one engine call over its whole batch). Everything shares the
-// window's warm plan.
-func (b *batcher) exec(key groupKey, reqs []*pending) {
+// exec runs one coalesced batch back-to-back, sending each member its
+// result as soon as its own run returns.
+func (b *batcher) exec(reqs []*pending) {
 	defer b.wg.Done()
 	b.batches.Inc()
 	b.batchSize.Observe(float64(len(reqs)))
 	if len(reqs) > 1 {
 		b.coalesced.Add(int64(len(reqs)))
 	}
-	var singles, strided []*pending
 	for _, p := range reqs {
-		if p.sb64 != nil || p.sb32 != nil {
-			strided = append(strided, p)
-		} else {
-			singles = append(singles, p)
-		}
-	}
-	size := len(reqs)
-	if len(singles) > 0 {
-		ctxs := make([]context.Context, len(singles))
-		for i, p := range singles {
-			ctxs[i] = p.ctx
-		}
-		var errs []error
-		if key.prec == matrix.Double {
-			calls := make([]gemmimpl.Call[float64], len(singles))
-			for i, p := range singles {
-				calls[i] = *p.c64
-			}
-			errs = gemmimpl.RunBatchEachCtx(b.eng64, ctxs, calls)
-		} else {
-			calls := make([]gemmimpl.Call[float32], len(singles))
-			for i, p := range singles {
-				calls[i] = *p.c32
-			}
-			errs = gemmimpl.RunBatchEachCtx(b.eng32, ctxs, calls)
-		}
-		for i, p := range singles {
-			p.done <- batchResult{err: errs[i], size: size}
-		}
-	}
-	for _, p := range strided {
-		var err error
-		if p.sb64 != nil {
-			err = gemmimpl.EngineRunStridedCtx(p.ctx, b.eng64, p.sb64)
-		} else {
-			err = gemmimpl.EngineRunStridedCtx(p.ctx, b.eng32, p.sb32)
-		}
-		p.done <- batchResult{err: err, size: size}
+		p.done <- batchResult{err: p.run(p.ctx), size: len(reqs)}
 	}
 }
 
@@ -188,9 +147,8 @@ func (b *batcher) drain() {
 	for key, g := range b.groups {
 		delete(b.groups, key)
 		g.timer.Stop()
-		reqs := g.reqs
 		b.wg.Add(1)
-		go b.exec(key, reqs)
+		go b.exec(g.reqs)
 	}
 	b.mu.Unlock()
 	b.wg.Wait()

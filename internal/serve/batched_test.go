@@ -10,6 +10,7 @@ import (
 	"oclgemm/internal/blas"
 	"oclgemm/internal/device"
 	"oclgemm/internal/matrix"
+	"oclgemm/internal/obs"
 )
 
 // postBatched sends one framed strided-batch request and returns the
@@ -97,6 +98,49 @@ func TestBatchedPoolRouting(t *testing.T) {
 	rh := batchedRoundTrip[float64](t, ts.URL, &Header{Precision: "double", M: 8, N: 8, K: 4, Alpha: 1, Beta: 0.25, Count: 8}, rng)
 	if rh.Path != "pool" {
 		t.Errorf("path %q, want pool", rh.Path)
+	}
+}
+
+// TestServePoolSingleRequest covers the single-request pool route: a
+// /v1/gemm request over the large-problem threshold comes back from
+// the pool bit-exact, tile-partitioned (sched.tile spans) rather than
+// run as a one-item batch (sched.batch.item).
+func TestServePoolSingleRequest(t *testing.T) {
+	tr := obs.NewTracer(0)
+	_, ts := newTestServer(t, Config{
+		Pool: true, PoolDevices: []*device.Spec{device.Tahiti()},
+		LargeFlops: 1, QuotaMflopRate: -1, Trace: tr,
+	})
+	m, n, k := 13, 9, 7
+	h := &Header{Precision: "double", M: m, N: n, K: k, Alpha: 1.5, Beta: 0.5}
+	rng := rand.New(rand.NewSource(17))
+	na, nb, nc := payloadSizes(h)
+	a, b, c := randSlice[float64](na, rng), randSlice[float64](nb, rng), randSlice[float64](nc, rng)
+	resp := postGEMM(t, ts.URL, "", h, a, b, c)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	}
+	rh, got, err := DecodeResponse[float64](resp.Body, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rh.Path != "pool" {
+		t.Fatalf("path %q, want pool", rh.Path)
+	}
+	want := matrix.FromSlice(m, n, matrix.RowMajor, append([]float64(nil), c...))
+	blas.GEMM(blas.NoTrans, blas.NoTrans, 1.5, matrix.FromSlice(m, k, matrix.RowMajor, a),
+		matrix.FromSlice(k, n, matrix.RowMajor, b), 0.5, want)
+	if !verify(got, want, k) {
+		t.Fatal("pool result is not bit-exact against blas.GEMM")
+	}
+	spans := map[string]int{}
+	for _, sp := range tr.Snapshot() {
+		spans[sp.Name]++
+	}
+	if spans["sched.tile"] == 0 || spans["sched.batch.item"] != 0 {
+		t.Fatalf("sched.tile/sched.batch.item spans = %d/%d, want >0/0", spans["sched.tile"], spans["sched.batch.item"])
 	}
 }
 

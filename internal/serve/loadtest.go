@@ -112,7 +112,6 @@ func RunLoad(opts LoadOptions) (*LoadResult, error) {
 		shapes = defaultShapes()
 	}
 	url := strings.TrimRight(opts.BaseURL, "/") + "/v1/gemm"
-	urlBatched := url + "/batched"
 	client := &http.Client{Timeout: 60 * time.Second}
 
 	res := &LoadResult{
@@ -138,14 +137,9 @@ func RunLoad(opts LoadOptions) (*LoadResult, error) {
 				start := time.Now()
 				var ok, shed, wrong, coalesced bool
 				var err error
-				switch {
-				case sh.Count > 1 && sh.Single:
-					ok, shed, wrong, coalesced, err = doBatchedRequest[float32](client, urlBatched, tenant, sh, rng)
-				case sh.Count > 1:
-					ok, shed, wrong, coalesced, err = doBatchedRequest[float64](client, urlBatched, tenant, sh, rng)
-				case sh.Single:
+				if sh.Single {
 					ok, shed, wrong, coalesced, err = doRequest[float32](client, url, tenant, sh, rng)
-				default:
+				} else {
 					ok, shed, wrong, coalesced, err = doRequest[float64](client, url, tenant, sh, rng)
 				}
 				atomic.AddInt64(&res.Requests, 1)
@@ -187,80 +181,25 @@ func RunLoad(opts LoadOptions) (*LoadResult, error) {
 	return res, nil
 }
 
-// doRequest sends one request and verifies the result. Returns
-// (ok200, shed429, wrong, coalesced, transportErr).
+// doRequest sends one request — Count 1 to /v1/gemm, a strided batch
+// of sh.Count items to /v1/gemm/batched — and verifies every item of
+// the result against the pure-Go reference. Returns (ok200, shed429,
+// wrong, coalesced, transportErr).
 func doRequest[T matrix.Scalar](client *http.Client, url, tenant string, sh LoadShape, rng *rand.Rand) (ok, shed, wrong, coalesced bool, err error) {
-	h := &Header{M: sh.M, N: sh.N, K: sh.K, Alpha: 1.25, Beta: sh.Beta}
+	count := max(sh.Count, 1)
+	h := &Header{M: sh.M, N: sh.N, K: sh.K, Alpha: 1.25, Beta: sh.Beta, Count: count}
 	if elemSize[T]() == 4 {
 		h.Precision = "single"
 	} else {
 		h.Precision = "double"
 	}
-	na, nb, nc := payloadSizes(h)
-	a := randSlice[T](na, rng)
-	b := randSlice[T](nb, rng)
-	c := randSlice[T](nc, rng)
-
-	var body bytes.Buffer
-	if err := EncodeRequest(&body, h, a, b, c); err != nil {
-		return false, false, false, false, err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, &body)
-	if err != nil {
-		return false, false, false, false, err
-	}
-	req.Header.Set("X-Tenant", tenant)
-	resp, err := client.Do(req)
-	if err != nil {
-		return false, false, false, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return false, true, false, false, nil
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return false, false, false, false, fmt.Errorf("unexpected status %d: %s", resp.StatusCode, msg)
-	}
-	rh, got, err := DecodeResponse[T](resp.Body, sh.M, sh.N)
-	if err != nil {
-		return false, false, false, false, err
-	}
-	if !rh.OK {
-		return false, false, false, false, fmt.Errorf("200 with ok=false: %s", rh.Error)
-	}
-
-	// Reference: the same call through the pure-Go oracle.
-	am := matrix.FromSlice(sh.M, sh.K, matrix.RowMajor, a)
-	bm := matrix.FromSlice(sh.K, sh.N, matrix.RowMajor, b)
-	var cm *matrix.Matrix[T]
-	if nc > 0 {
-		cm = matrix.FromSlice(sh.M, sh.N, matrix.RowMajor, append([]T(nil), c...))
-	} else {
-		cm = matrix.New[T](sh.M, sh.N, matrix.RowMajor)
-	}
-	blas.GEMM(blas.NoTrans, blas.NoTrans, T(h.Alpha), am, bm, T(h.Beta), cm)
-	wrong = !verify(got, cm, sh.K)
-	return true, false, wrong, rh.BatchSize > 1, nil
-}
-
-// doBatchedRequest sends one strided-batched request to
-// /v1/gemm/batched and verifies every item of the result slab against
-// the pure-Go reference. Returns (ok200, shed429, wrong, coalesced,
-// transportErr) like doRequest.
-func doBatchedRequest[T matrix.Scalar](client *http.Client, url, tenant string, sh LoadShape, rng *rand.Rand) (ok, shed, wrong, coalesced bool, err error) {
-	h := &Header{M: sh.M, N: sh.N, K: sh.K, Alpha: 1.25, Beta: sh.Beta, Count: sh.Count}
-	if elemSize[T]() == 4 {
-		h.Precision = "single"
-	} else {
-		h.Precision = "double"
+	if count > 1 {
+		url += "/batched"
 	}
 	na, nb, nc := payloadSizes(h)
-	a := randSlice[T](na*sh.Count, rng)
-	b := randSlice[T](nb*sh.Count, rng)
-	c := randSlice[T](nc*sh.Count, rng)
+	a := randSlice[T](na*count, rng)
+	b := randSlice[T](nb*count, rng)
+	c := randSlice[T](nc*count, rng)
 
 	var body bytes.Buffer
 	if err := EncodeBatchedRequest(&body, h, a, b, c); err != nil {
@@ -285,32 +224,27 @@ func doBatchedRequest[T matrix.Scalar](client *http.Client, url, tenant string, 
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return false, false, false, false, fmt.Errorf("unexpected status %d: %s", resp.StatusCode, msg)
 	}
-	rh, got, err := DecodeBatchedResponse[T](resp.Body, sh.M, sh.N, sh.Count)
+	rh, got, err := DecodeResponse[T](resp.Body, sh.M*count, sh.N)
 	if err != nil {
 		return false, false, false, false, err
 	}
 	if !rh.OK {
 		return false, false, false, false, fmt.Errorf("200 with ok=false: %s", rh.Error)
 	}
-	if rh.Count != sh.Count {
-		return false, false, false, false, fmt.Errorf("response count %d, want %d", rh.Count, sh.Count)
+	if count > 1 && rh.Count != count {
+		return false, false, false, false, fmt.Errorf("response count %d, want %d", rh.Count, count)
 	}
 
 	// Reference: every item through the pure-Go oracle.
-	for i := 0; i < sh.Count; i++ {
+	for i := 0; i < count && !wrong; i++ {
 		am := matrix.FromSlice(sh.M, sh.K, matrix.RowMajor, a[i*na:(i+1)*na])
 		bm := matrix.FromSlice(sh.K, sh.N, matrix.RowMajor, b[i*nb:(i+1)*nb])
-		var cm *matrix.Matrix[T]
+		cm := matrix.FromSlice(sh.M, sh.N, matrix.RowMajor, make([]T, sh.M*sh.N))
 		if nc > 0 {
-			cm = matrix.FromSlice(sh.M, sh.N, matrix.RowMajor, append([]T(nil), c[i*nc:(i+1)*nc]...))
-		} else {
-			cm = matrix.New[T](sh.M, sh.N, matrix.RowMajor)
+			copy(cm.Data, c[i*nc:(i+1)*nc])
 		}
 		blas.GEMM(blas.NoTrans, blas.NoTrans, T(h.Alpha), am, bm, T(h.Beta), cm)
-		if !verify(got[i*sh.M*sh.N:(i+1)*sh.M*sh.N], cm, sh.K) {
-			wrong = true
-			break
-		}
+		wrong = !verify(got[i*sh.M*sh.N:(i+1)*sh.M*sh.N], cm, sh.K)
 	}
 	return true, false, wrong, rh.BatchSize > 1, nil
 }

@@ -15,11 +15,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 
+	"oclgemm/internal/batch"
+	"oclgemm/internal/blas"
 	"oclgemm/internal/matrix"
 )
 
-// Wire format of POST /v1/gemm (request and response bodies share it):
+// Wire format of POST /v1/gemm and /v1/gemm/batched (request and
+// response bodies share it):
 //
 //	uint32 big-endian: JSON header length
 //	JSON header (Header on the way in, RespHeader on the way out)
@@ -54,7 +58,7 @@ type Header struct {
 	// multiplications in the strided batch: the payloads become
 	// contiguous slabs of Count operands each (A slab, B slab, and a C
 	// slab when beta != 0), and the response carries the Count·m·n
-	// result slab. POST /v1/gemm ignores it.
+	// result slab. POST /v1/gemm treats every request as Count 1.
 	Count int `json:"count,omitempty"`
 }
 
@@ -139,26 +143,42 @@ func floatsToBytes[T matrix.Scalar](vals []T) []byte {
 	return nil
 }
 
-// bytesToFloats decodes exactly n little-endian elements from raw.
-func bytesToFloats[T matrix.Scalar](raw []byte, n int) ([]T, error) {
-	var zero T
-	esz := 8
-	if _, ok := any(zero).(float32); ok {
-		esz = 4
-	}
-	if len(raw) != n*esz {
-		return nil, fmt.Errorf("payload holds %d bytes, want %d (%d elements)", len(raw), n*esz, n)
-	}
-	out := make([]T, n)
-	switch o := any(out).(type) {
+// decodeFloats fills dst from little-endian raw, which holds exactly
+// len(dst) elements.
+func decodeFloats[T matrix.Scalar](dst []T, raw []byte) {
+	switch d := any(dst).(type) {
 	case []float64:
-		for i := range o {
-			o[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		for i := range d {
+			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	case []float32:
-		for i := range o {
-			o[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		for i := range d {
+			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
+	}
+}
+
+// payloadChunk bounds one read of a payload. The reader grows its
+// result only as bytes arrive, so a header that promises more than the
+// body holds costs at most a chunk, not the promised size.
+const payloadChunk = 64 << 10
+
+// readElems reads n little-endian elements from r in bounded chunks.
+func readElems[T matrix.Scalar](r io.Reader, n int) ([]T, error) {
+	esz := elemSize[T]()
+	buf := make([]byte, min(n*esz, payloadChunk))
+	out := make([]T, 0, min(n, payloadChunk/esz))
+	for len(out) < n {
+		k := min(n-len(out), len(buf)/esz)
+		if _, err := io.ReadFull(r, buf[:k*esz]); err != nil {
+			return nil, err
+		}
+		if len(out)+k > cap(out) {
+			// Double, but never past what the header promised.
+			out = append(make([]T, 0, min(n, 2*cap(out)+k)), out...)
+		}
+		out = out[:len(out)+k]
+		decodeFloats(out[len(out)-k:], buf)
 	}
 	return out, nil
 }
@@ -209,23 +229,80 @@ func readFrameHeader(r io.Reader, hdr any) error {
 	return nil
 }
 
+// maxWireCount bounds a /v1/gemm/batched item count (with MaxDim it
+// also bounds the work one request may ask for).
+const maxWireCount = 4096
+
+// readHeader reads and validates a request frame's header, returning
+// the HTTP status a rejection maps to. On /v1/gemm (batched false)
+// Count is forced to 1; on /v1/gemm/batched it must be 1..maxWireCount.
+func readHeader(body io.Reader, batched bool, maxDim int) (*Header, matrix.Precision, int, error) {
+	var h Header
+	if err := readFrameHeader(body, &h); err != nil {
+		return nil, 0, http.StatusBadRequest, err
+	}
+	switch {
+	case !batched:
+		h.Count = 1
+	case h.Count <= 0:
+		return nil, 0, http.StatusBadRequest, fmt.Errorf("batched request needs a positive count, got %d", h.Count)
+	case h.Count > maxWireCount:
+		return nil, 0, http.StatusRequestEntityTooLarge, fmt.Errorf("count %d exceeds max %d", h.Count, maxWireCount)
+	}
+	if h.M <= 0 || h.N <= 0 || h.K <= 0 {
+		return nil, 0, http.StatusBadRequest, fmt.Errorf("non-positive dimensions %dx%dx%d", h.M, h.N, h.K)
+	}
+	if h.M > maxDim || h.N > maxDim || h.K > maxDim {
+		return nil, 0, http.StatusRequestEntityTooLarge, fmt.Errorf("dimensions %dx%dx%d exceed max %d", h.M, h.N, h.K, maxDim)
+	}
+	prec, err := precisionOf(h.Precision)
+	if err != nil {
+		return nil, 0, http.StatusBadRequest, err
+	}
+	return &h, prec, 0, nil
+}
+
+// decodeRequest reads the operand slabs a validated header promises
+// and describes the request as a strided batch of h.Count items (a
+// single GEMM is Count 1). Without a C payload (beta == 0) the C slab
+// is allocated zeroed once the body has arrived.
+func decodeRequest[T matrix.Scalar](body io.Reader, h *Header) (*batch.Strided[T], error) {
+	na, nb, nc := payloadSizes(h)
+	an, bn, cn := na*h.Count, nb*h.Count, nc*h.Count
+	slab, err := readElems[T](body, an+bn+cn)
+	if err != nil {
+		return nil, fmt.Errorf("%w: body holds fewer than the %d payload bytes the header promises: %v",
+			errPayload, (an+bn+cn)*elemSize[T](), err)
+	}
+	c := slab[an+bn:]
+	if cn == 0 {
+		c = make([]T, h.M*h.N*h.Count)
+	}
+	ta, tb := blas.NoTrans, blas.NoTrans
+	if h.TransA {
+		ta = blas.Trans
+	}
+	if h.TransB {
+		tb = blas.Trans
+	}
+	return &batch.Strided[T]{
+		TransA: ta, TransB: tb,
+		Alpha: T(h.Alpha), Beta: T(h.Beta),
+		M: h.M, N: h.N, K: h.K,
+		Order: matrix.RowMajor,
+		A:     slab[:an:an], StrideA: na,
+		B: slab[an : an+bn : an+bn], StrideB: nb,
+		C: c, StrideC: h.M * h.N,
+		Count: h.Count,
+	}, nil
+}
+
 // EncodeRequest frames one GEMM request for POST /v1/gemm: a, b (and c
 // when h.Beta != 0) are the operand elements, row-major in their
-// stored shapes. The client half of the protocol — the load harness
-// and examples use it; servers use readRequest.
+// stored shapes. The client half of the protocol; the load harness and
+// examples use it.
 func EncodeRequest[T matrix.Scalar](w io.Writer, h *Header, a, b, c []T) error {
-	na, nb, nc := payloadSizes(h)
-	if len(a) != na || len(b) != nb {
-		return fmt.Errorf("operand sizes %d/%d, want %d/%d", len(a), len(b), na, nb)
-	}
-	if len(c) != nc {
-		return fmt.Errorf("C payload %d elements, want %d (beta=%v)", len(c), nc, h.Beta)
-	}
-	payloads := [][]byte{floatsToBytes(a), floatsToBytes(b)}
-	if nc > 0 {
-		payloads = append(payloads, floatsToBytes(c))
-	}
-	return writeFrame(w, h, payloads...)
+	return encodeRequest(w, h, 1, a, b, c)
 }
 
 // EncodeBatchedRequest frames one strided-batched request for POST
@@ -236,13 +313,19 @@ func EncodeBatchedRequest[T matrix.Scalar](w io.Writer, h *Header, a, b, c []T) 
 	if h.Count <= 0 {
 		return fmt.Errorf("batched request needs a positive count, got %d", h.Count)
 	}
+	return encodeRequest(w, h, h.Count, a, b, c)
+}
+
+// encodeRequest checks the slabs of count items against h and frames
+// them.
+func encodeRequest[T matrix.Scalar](w io.Writer, h *Header, count int, a, b, c []T) error {
 	na, nb, nc := payloadSizes(h)
-	na, nb, nc = na*h.Count, nb*h.Count, nc*h.Count
+	na, nb, nc = na*count, nb*count, nc*count
 	if len(a) != na || len(b) != nb {
-		return fmt.Errorf("operand slab sizes %d/%d, want %d/%d", len(a), len(b), na, nb)
+		return fmt.Errorf("operand sizes %d/%d, want %d/%d", len(a), len(b), na, nb)
 	}
 	if len(c) != nc {
-		return fmt.Errorf("C slab %d elements, want %d (beta=%v, count=%d)", len(c), nc, h.Beta, h.Count)
+		return fmt.Errorf("C payload %d elements, want %d (beta=%v, count=%d)", len(c), nc, h.Beta, count)
 	}
 	payloads := [][]byte{floatsToBytes(a), floatsToBytes(b)}
 	if nc > 0 {
@@ -267,18 +350,9 @@ func DecodeResponse[T matrix.Scalar](r io.Reader, m, n int) (*RespHeader, []T, e
 	if !rh.OK {
 		return &rh, nil, nil
 	}
-	var zero T
-	esz := 8
-	if _, ok := any(zero).(float32); ok {
-		esz = 4
-	}
-	raw := make([]byte, m*n*esz)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, nil, fmt.Errorf("reading %d-byte result: %w", len(raw), err)
-	}
-	cv, err := bytesToFloats[T](raw, m*n)
+	cv, err := readElems[T](r, m*n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("reading %d-byte result: %w", m*n*elemSize[T](), err)
 	}
 	return &rh, cv, nil
 }

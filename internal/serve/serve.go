@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oclgemm/internal/batch"
 	"oclgemm/internal/blas"
 	"oclgemm/internal/device"
 	"oclgemm/internal/gemmimpl"
@@ -39,13 +40,6 @@ type Config struct {
 	// LargeFlops is the pool-routing threshold in flops
 	// (0 = DefaultLargeFlops). Ignored without Pool.
 	LargeFlops float64
-	// Window is the coalescing window: how long the first small
-	// request of a shape waits for same-shape company before its batch
-	// fires (0 = DefaultWindow).
-	Window time.Duration
-	// MaxBatch fires a batch early once it holds this many requests
-	// (0 = DefaultMaxBatch).
-	MaxBatch int
 	// MaxQueue is the queue-depth shed bound: more than this many
 	// requests in the building sheds new arrivals with 429
 	// (0 = DefaultMaxQueue).
@@ -75,8 +69,6 @@ type Config struct {
 
 // Defaults for Config's zero fields.
 const (
-	DefaultWindow     = 500 * time.Microsecond
-	DefaultMaxBatch   = 16
 	DefaultMaxQueue   = 256
 	DefaultQuotaRate  = 2000.0 // Mflop/s per tenant
 	DefaultQuotaBurst = 8000.0 // Mflop
@@ -92,8 +84,6 @@ const (
 type Server struct {
 	cfg  Config
 	reg  *obs.Registry
-	im32 *gemmimpl.Impl
-	im64 *gemmimpl.Impl
 	e32  *gemmimpl.Engine
 	e64  *gemmimpl.Engine
 	pool *sched.Pool
@@ -116,12 +106,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Device == "" {
 		cfg.Device = "tahiti"
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = DefaultMaxQueue
@@ -154,27 +138,27 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{cfg: cfg, reg: cfg.Metrics}
-	build := func(prec matrix.Precision) (*gemmimpl.Impl, *gemmimpl.Engine, error) {
+	build := func(prec matrix.Precision) (*gemmimpl.Engine, error) {
 		rec, _, err := tunedb.LookupOrFallback(db, dev, prec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		params, err := rec.Params()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		im, err := gemmimpl.New(dev, params)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		im.SetWorkers(cfg.Workers)
 		im.SetObservability(cfg.Metrics, cfg.Trace)
-		return im, gemmimpl.NewEngine(im), nil
+		return gemmimpl.NewEngine(im), nil
 	}
-	if s.im32, s.e32, err = build(matrix.Single); err != nil {
+	if s.e32, err = build(matrix.Single); err != nil {
 		return nil, fmt.Errorf("serve: building single-precision engine for %s: %w", cfg.Device, err)
 	}
-	if s.im64, s.e64, err = build(matrix.Double); err != nil {
+	if s.e64, err = build(matrix.Double); err != nil {
 		s.e32.Close()
 		return nil, fmt.Errorf("serve: building double-precision engine for %s: %w", cfg.Device, err)
 	}
@@ -195,14 +179,14 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.adm = newAdmission(cfg.QuotaMflopRate, cfg.QuotaMflopBurst, cfg.MaxQueue, cfg.Metrics)
-	s.bat = newBatcher(s.e32, s.e64, cfg.Window, cfg.MaxBatch, cfg.Metrics)
+	s.bat = newBatcher(cfg.Metrics)
 	s.requests = cfg.Metrics.Counter("serve.requests")
 	s.pathEng = cfg.Metrics.Counter("serve.path.engine")
 	s.pathPool = cfg.Metrics.Counter("serve.path.pool")
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/gemm", s.handleGEMM)
-	s.mux.HandleFunc("POST /v1/gemm/batched", s.handleBatched)
+	s.mux.HandleFunc("POST /v1/gemm/batched", s.handleGEMM)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s, nil
@@ -270,8 +254,11 @@ func (s *Server) shed(w http.ResponseWriter, retry time.Duration, reason string)
 	s.fail(w, http.StatusTooManyRequests, "overloaded: %s (retry after %v)", reason, retry)
 }
 
-// handleGEMM is POST /v1/gemm: admission, decode, execute (coalesced
-// engine batch or pool), respond with the framed result.
+// handleGEMM serves POST /v1/gemm and POST /v1/gemm/batched through
+// one pipeline: admission, header validation, the tenant's quota for
+// the whole request's volume, decode, execute (coalesced engine batch
+// or pool), and the framed result. A /v1/gemm request is a strided
+// batch of Count 1.
 func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.fail(w, http.StatusServiceUnavailable, "draining")
@@ -280,8 +267,8 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	s.requests.Inc()
-	tenant := tenantOf(r)
-	s.reg.Counter(obs.Label("serve.requests", "tenant", tenant)).Inc()
+	tn := s.adm.tenant(tenantOf(r))
+	tn.requests.Inc()
 
 	if !s.adm.enter() {
 		s.shed(w, 50*time.Millisecond, "queue full")
@@ -289,29 +276,20 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.leave()
 
-	var h Header
-	if err := readFrameHeader(r.Body, &h); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if h.M <= 0 || h.N <= 0 || h.K <= 0 {
-		s.fail(w, http.StatusBadRequest, "non-positive dimensions %dx%dx%d", h.M, h.N, h.K)
-		return
-	}
-	if h.M > s.cfg.MaxDim || h.N > s.cfg.MaxDim || h.K > s.cfg.MaxDim {
-		s.fail(w, http.StatusRequestEntityTooLarge, "dimensions %dx%dx%d exceed max %d", h.M, h.N, h.K, s.cfg.MaxDim)
-		return
-	}
-	prec, err := precisionOf(h.Precision)
+	batched := r.URL.Path == "/v1/gemm/batched"
+	h, prec, code, err := readHeader(r.Body, batched, s.cfg.MaxDim)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, code, "%v", err)
 		return
 	}
 
+	// Quota: the whole batch's arithmetic volume, not one item's — a
+	// tenant cannot smuggle count× the work past its token bucket by
+	// folding requests into batches.
 	if s.cfg.QuotaMflopRate > 0 {
-		mflop := blas.FlopCount(h.M, h.N, h.K) / 1e6
-		if ok, retry := s.adm.admit(tenant, mflop, time.Now()); !ok {
-			s.shed(w, retry, fmt.Sprintf("tenant %q over quota", tenant))
+		mflop := blas.FlopCount(h.M, h.N, h.K) * float64(h.Count) / 1e6
+		if ok, retry := s.adm.admit(tn, mflop, time.Now()); !ok {
+			s.shed(w, retry, fmt.Sprintf("tenant %q over quota", tn.name))
 			return
 		}
 	}
@@ -327,17 +305,20 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	var resp *RespHeader
 	var payload []byte
 	if prec == matrix.Double {
-		resp, payload, err = runRequest[float64](s, ctx, &h, r.Body)
+		resp, payload, err = runRequest[float64](ctx, s, s.e64, h, r.Body)
 	} else {
-		resp, payload, err = runRequest[float32](s, ctx, &h, r.Body)
+		resp, payload, err = runRequest[float32](ctx, s, s.e32, h, r.Body)
 	}
 	if err != nil {
 		s.fail(w, statusOf(err), "%v", err)
 		return
 	}
+	if batched {
+		resp.Count = h.Count
+	}
 	elapsed := time.Since(start)
 	resp.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-	s.reg.Histogram(obs.Label("serve.request.seconds", "tenant", tenant), obs.TimeBuckets...).Observe(elapsed.Seconds())
+	tn.seconds.Observe(elapsed.Seconds())
 	s.countResponse(http.StatusOK)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	// A write error here means the client went away mid-response;
@@ -364,79 +345,52 @@ func statusOf(err error) int {
 	}
 }
 
-// runRequest decodes the typed operand payloads and executes the call
-// on the engine (coalesced) or the pool (large problems), returning
-// the response header and the encoded m×n result. A free function
-// because methods cannot be generic.
-func runRequest[T matrix.Scalar](s *Server, ctx context.Context, h *Header, body io.Reader) (*RespHeader, []byte, error) {
-	na, nb, nc := payloadSizes(h)
-	esz := elemSize[T]()
-	raw := make([]byte, (na+nb+nc)*esz)
-	if _, err := io.ReadFull(body, raw); err != nil {
-		return nil, nil, fmt.Errorf("%w: body holds fewer than the %d payload bytes the header promises: %v", errPayload, len(raw), err)
+// runRequest decodes the request's operand slabs and executes them:
+// across the pool when the request's volume clears the large-problem
+// threshold, otherwise as one member of its shape's coalescing group
+// on eng, the shared engine for T's precision. It returns the response
+// header and the encoded result slab. A free function because methods
+// cannot be generic.
+func runRequest[T matrix.Scalar](ctx context.Context, s *Server, eng *gemmimpl.Engine, h *Header, body io.Reader) (*RespHeader, []byte, error) {
+	sb, err := decodeRequest[T](body, h)
+	if err != nil {
+		return nil, nil, err
 	}
-	av, _ := bytesToFloats[T](raw[:na*esz], na)
-	bv, _ := bytesToFloats[T](raw[na*esz:(na+nb)*esz], nb)
-	ar, ac := opShape(h.M, h.K, h.TransA)
-	br, bc := opShape(h.K, h.N, h.TransB)
-	a := matrix.FromSlice(ar, ac, matrix.RowMajor, av)
-	b := matrix.FromSlice(br, bc, matrix.RowMajor, bv)
-	var c *matrix.Matrix[T]
-	if nc > 0 {
-		cv, _ := bytesToFloats[T](raw[(na+nb)*esz:], nc)
-		c = matrix.FromSlice(h.M, h.N, matrix.RowMajor, cv)
-	} else {
-		c = matrix.New[T](h.M, h.N, matrix.RowMajor)
-	}
-	ta, tb := blas.NoTrans, blas.NoTrans
-	if h.TransA {
-		ta = blas.Trans
-	}
-	if h.TransB {
-		tb = blas.Trans
-	}
-	alpha, beta := T(h.Alpha), T(h.Beta)
-
 	resp := &RespHeader{OK: true}
-	if s.pool != nil && blas.FlopCount(h.M, h.N, h.K) >= s.cfg.LargeFlops {
+	if s.pool != nil && sb.FlopCount() >= s.cfg.LargeFlops {
 		s.pathPool.Inc()
 		resp.Path = "pool"
-		if err := sched.RunCtx(ctx, s.pool, ta, tb, alpha, a, b, beta, c); err != nil {
-			return nil, nil, err
-		}
+		err = runPool(ctx, s.pool, sb)
 	} else {
 		s.pathEng.Inc()
 		resp.Path = "engine"
-		im, prec := s.im64, matrix.Double
-		if esz == 4 {
-			im, prec = s.im32, matrix.Single
+		mp, np, kp := eng.Impl().PaddedDims(h.M, h.N, h.K)
+		p := &pending{ctx: ctx, done: make(chan batchResult, 1), run: func(ctx context.Context) error {
+			return gemmimpl.EngineRunStridedCtx(ctx, eng, sb)
+		}}
+		if err = s.bat.submit(groupKey{eng: eng, mp: mp, np: np, kp: kp}, p); err == nil {
+			res := <-p.done
+			err, resp.BatchSize = res.err, res.size
 		}
-		mp, np, kp := im.PaddedDims(h.M, h.N, h.K)
-		p := &pending{ctx: ctx, done: make(chan batchResult, 1)}
-		switch cl := any(gemmimpl.Call[T]{TransA: ta, TransB: tb, Alpha: alpha, A: a, B: b, Beta: beta, C: c}).(type) {
-		case gemmimpl.Call[float64]:
-			p.c64 = &cl
-		case gemmimpl.Call[float32]:
-			p.c32 = &cl
-		}
-		done, err := s.bat.submit(groupKey{prec: prec, mp: mp, np: np, kp: kp}, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		res := <-done
-		if res.err != nil {
-			return nil, nil, res.err
-		}
-		resp.BatchSize = res.size
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, floatsToBytes(sb.C), nil
+}
 
-	out := make([]T, h.M*h.N)
-	for i := 0; i < h.M; i++ {
-		for j := 0; j < h.N; j++ {
-			out[i*h.N+j] = c.At(i, j)
-		}
+// runPool executes sb across the pool. A single item is
+// tile-partitioned so a large single GEMM still spreads across the
+// members; a batch is partitioned by item.
+func runPool[T matrix.Scalar](ctx context.Context, pool *sched.Pool, sb *batch.Strided[T]) error {
+	if sb.Count > 1 {
+		return sched.RunStridedBatchedCtx(ctx, pool, sb)
 	}
-	return resp, floatsToBytes(out), nil
+	items, err := sb.Items()
+	if err != nil {
+		return err
+	}
+	return sched.RunCtx(ctx, pool, sb.TransA, sb.TransB, sb.Alpha, items[0].A, items[0].B, sb.Beta, items[0].C)
 }
 
 // handleMetrics is GET /metrics: the registry snapshot as JSON.

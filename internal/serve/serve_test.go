@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -39,8 +40,10 @@ func testDB() *tunedb.DB {
 	return db
 }
 
-// newTestServer starts a serve.Server on an httptest listener.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer starts a serve.Server on an httptest listener. Each
+// tweak adjusts the server (say, its batcher's window) before it
+// serves.
+func newTestServer(t *testing.T, cfg Config, tweaks ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.DB == nil {
 		cfg.DB = testDB()
@@ -48,6 +51,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tw := range tweaks {
+		tw(s)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -98,8 +104,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	if got != *h {
 		t.Fatalf("header round-trip: got %+v, want %+v", got, *h)
 	}
-	raw := buf.Bytes()
-	av, err := bytesToFloats[float64](raw[:na*8], na)
+	av, err := readElems[float64](&buf, na)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +165,10 @@ func TestAdmissionQueueDepth(t *testing.T) {
 func TestAdmissionQuota(t *testing.T) {
 	ad := newAdmission(100, 50, 10, nil) // 100 Mflop/s, 50 Mflop burst
 	now := time.Unix(1000, 0)
-	if ok, _ := ad.admit("t", 40, now); !ok {
+	if ok, _ := ad.admit(ad.tenant("t"), 40, now); !ok {
 		t.Fatal("burst-covered request shed")
 	}
-	ok, retry := ad.admit("t", 40, now)
+	ok, retry := ad.admit(ad.tenant("t"), 40, now)
 	if ok {
 		t.Fatal("over-quota request admitted")
 	}
@@ -172,11 +177,11 @@ func TestAdmissionQuota(t *testing.T) {
 		t.Fatalf("Retry-After = %v, want ~300ms", retry)
 	}
 	// After the advertised wait the same request is admitted.
-	if ok, _ := ad.admit("t", 40, now.Add(retry)); !ok {
+	if ok, _ := ad.admit(ad.tenant("t"), 40, now.Add(retry)); !ok {
 		t.Fatal("request shed after waiting out Retry-After")
 	}
 	// Other tenants are unaffected throughout.
-	if ok, _ := ad.admit("u", 40, now); !ok {
+	if ok, _ := ad.admit(ad.tenant("u"), 40, now); !ok {
 		t.Fatal("independent tenant shed by another tenant's quota")
 	}
 }
@@ -284,7 +289,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 func TestServeDeadline(t *testing.T) {
 	// A long coalescing window guarantees the 1ms deadline expires
 	// while the request waits in its batch group.
-	_, ts := newTestServer(t, Config{Window: 150 * time.Millisecond})
+	_, ts := newTestServer(t, Config{}, func(s *Server) { s.bat.window = 150 * time.Millisecond })
 	h := &Header{M: 8, N: 8, K: 4, Alpha: 1, DeadlineMS: 1}
 	rng := rand.New(rand.NewSource(3))
 	na, nb, _ := payloadSizes(h)
@@ -297,7 +302,9 @@ func TestServeDeadline(t *testing.T) {
 }
 
 func TestServeCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, Config{Window: 40 * time.Millisecond, MaxBatch: 64})
+	s, ts := newTestServer(t, Config{}, func(s *Server) {
+		s.bat.window, s.bat.maxBatch = 40*time.Millisecond, 64
+	})
 	const clients = 8
 	m, n, k := 8, 8, 4
 	var wg sync.WaitGroup
@@ -407,14 +414,12 @@ func TestServeLoadAcceptance(t *testing.T) {
 		t.Skip("load test")
 	}
 	s, ts := newTestServer(t, Config{
-		Window:   2 * time.Millisecond,
-		MaxBatch: 16,
 		// Honest shapes cost ~0.005 Mflop each; the hog's 48^3 costs
 		// ~0.22 Mflop. Burst 4 Mflop covers a whole honest tenant's run
 		// but only ~18 hog requests.
 		QuotaMflopRate:  1,
 		QuotaMflopBurst: 4,
-	})
+	}, func(s *Server) { s.bat.window = 2 * time.Millisecond })
 	res, err := RunLoad(LoadOptions{
 		BaseURL:           ts.URL,
 		Clients:           64,
@@ -463,5 +468,68 @@ func TestServeLoadAcceptance(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTenantTableBounded sends 10 000 distinct X-Tenant names: the
+// tenant table and its serve.requests{tenant=...} series stop at
+// maxTenants plus the shared "other", and a request from yet another
+// new name is still served.
+func TestTenantTableBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for i := 0; i < 10000; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/gemm", strings.NewReader("not a frame"))
+		req.Header.Set("X-Tenant", fmt.Sprintf("tenant-%d", i))
+		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}
+	snap := s.Metrics().Snapshot()
+	series := 0
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "serve.requests{tenant=") {
+			series++
+		}
+	}
+	if series > maxTenants+1 {
+		t.Fatalf("%d serve.requests tenant series, want at most %d", series, maxTenants+1)
+	}
+	if got, want := snap.Counters["serve.requests{tenant=other}"], int64(10000-maxTenants); got != want {
+		t.Fatalf("serve.requests{tenant=other} = %d, want %d", got, want)
+	}
+
+	h := &Header{M: 8, N: 8, K: 4, Alpha: 1}
+	rng := rand.New(rand.NewSource(9))
+	na, nb, _ := payloadSizes(h)
+	resp := postGEMM(t, ts.URL, "tenant-late", h, randSlice[float64](na, rng), randSlice[float64](nb, rng), nil)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("request past the tenant cap: status %d (%s), want 200", resp.StatusCode, msg)
+	}
+}
+
+// TestServeShortBodyAllocatesWhatArrives posts a quota-admitted header
+// that promises ≈134 MB of payload (M=N=4096, K=1, beta≠0) with an
+// empty and with a short body: each is a 400, and the server allocates
+// in step with the bytes that arrived, not the bytes promised.
+func TestServeShortBodyAllocatesWhatArrives(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	hdr := &Header{Precision: "double", M: 4096, N: 4096, K: 1, Alpha: 1, Beta: 1}
+	for _, sent := range []int{0, 1000} {
+		var body bytes.Buffer
+		if err := writeFrame(&body, hdr, make([]byte, sent)); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/gemm", &body)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%d-byte body: status %d (%s), want 400", sent, rec.Code, rec.Body)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%d-byte body: handler allocated %d bytes, want < 1 MiB", sent, grew)
+		}
 	}
 }
