@@ -1,19 +1,27 @@
 package clc
 
-// The bytecode VM: a flat instruction loop over a compiledKernel. One
-// frame of registers and array slots is checked out of the program's
-// pool per work-item execution; parameters are copied into registers up
-// front so the hot loop never touches a map. Faults panic with
-// positioned *Error values (the executor recovers them into launch
-// errors), using the per-instruction ex table for positions at zero
-// cost off the error path.
+// The bytecode VM: a flat instruction loop over a compiledKernel. A
+// work-group runs its items in lockstep between barriers, each on a
+// resumable frame of registers and array slots checked out of the
+// program's pool; parameters are copied into registers up front so the
+// hot loop never touches a map. Faults panic with positioned *Error
+// values (the executor recovers them into launch errors), using the
+// per-instruction ex table for positions at zero cost off the error
+// path.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"oclgemm/internal/clsim"
 )
+
+// ErrBarrierDivergence reports a work-group whose items did not all
+// stop at the same barrier: some reached a barrier while another
+// finished, or items waited at different barriers (undefined behaviour
+// in OpenCL; detected and reported here).
+var ErrBarrierDivergence = errors.New("clc: work-items diverged at a barrier")
 
 // kernelArg is one bound argument: a scalar value, or the array store
 // wrapping a __global buffer.
@@ -23,7 +31,7 @@ type kernelArg struct {
 }
 
 // Bind attaches argument values to a kernel, producing a
-// clsim.WorkItemKernel. Supported argument kinds: int, float32,
+// clsim.GroupKernel. Supported argument kinds: int, float32,
 // float64 for scalar parameters; []float32 and []float64 for __global
 // pointer parameters. It compiles the kernel to bytecode (once per
 // declaration) and returns a compile failure as a *Error.
@@ -70,7 +78,7 @@ func (k *KernelDecl) Bind(args ...any) (*BoundKernel, error) {
 		return nil, err
 	}
 	// Top-level __local declarations (all arrays; the checker rejects
-	// scalars) are work-group state, allocated by SetupGroup.
+	// scalars) are work-group state, allocated by RunGroup.
 	for _, s := range k.Body.Stmts {
 		if d, ok := s.(*Decl); ok && d.Space == LocalMem {
 			b.locals = append(b.locals, d)
@@ -96,7 +104,7 @@ type BoundKernel struct {
 	fuel    int64
 }
 
-// Name implements clsim.WorkItemKernel.
+// Name implements clsim.GroupKernel.
 func (b *BoundKernel) Name() string { return b.decl.Name }
 
 // SetOptimize selects between the optimized and the straight-from-the-
@@ -116,10 +124,73 @@ func (b *BoundKernel) SetFuel(n int64) { b.fuel = n }
 // errLoopBudget is the fault raised when SetFuel's budget runs out.
 var errLoopBudget = &Error{Msg: "loop iteration budget exhausted"}
 
-// SetupGroup allocates the kernel's __local arrays, in hoisting order,
+// RunGroup implements clsim.GroupKernel on the optimized bytecode, or
+// on the raw bytecode when SetOptimize(false). It allocates the group's
+// __local arrays, then starts the items in linear order (ly outer, lx
+// inner); each runs until it halts or stops at a barrier. A sweep over
+// the items must end with every item halted or every item stopped at
+// the same barrier, else the group panics with ErrBarrierDivergence; at
+// a common barrier every item arrives and then every item resumes.
+//
+// An item takes a frame when it starts and a halted item's frame goes
+// to the next item, so a barrier-free kernel runs the whole group on
+// one frame. Frames return to the pool only when the group completes;
+// a faulting group's frames are abandoned to the GC.
+func (b *BoundKernel) RunGroup(g *clsim.Group) {
+	p := b.progOpt
+	if b.noOpt {
+		p = b.prog
+	}
+	locals := b.allocLocals(g)
+	n, nx := g.Size(), g.LocalSize(0)
+	var parked []*vmFrame // by linear local id, once an item stops at a barrier
+	var free *vmFrame
+	halted := 0
+	for i := 0; i < n; i++ {
+		f := free
+		if f == nil {
+			f = p.frame()
+		}
+		free = nil
+		p.start(f, b.args, locals, b.fuel, i%nx, i/nx)
+		if !p.run(g, f) {
+			halted++
+			free = f
+			continue
+		}
+		if parked == nil {
+			parked = make([]*vmFrame, n)
+		}
+		parked[i] = f
+	}
+	for halted < n {
+		if halted > 0 {
+			panic(ErrBarrierDivergence)
+		}
+		for _, f := range parked {
+			if f.pc != parked[0].pc {
+				panic(ErrBarrierDivergence)
+			}
+		}
+		g.Arrive(n)
+		for _, f := range parked {
+			if !p.run(g, f) {
+				halted++
+			}
+		}
+	}
+	if parked == nil {
+		p.pool.Put(free)
+	}
+	for _, f := range parked {
+		p.pool.Put(f)
+	}
+}
+
+// allocLocals allocates the kernel's __local arrays, in hoisting order,
 // through the work-group's accounting (so capacity overruns surface
 // exactly as on a real device).
-func (b *BoundKernel) SetupGroup(g *clsim.Group) any {
+func (b *BoundKernel) allocLocals(g *clsim.Group) []*arrayStore {
 	slots := make([]*arrayStore, len(b.locals))
 	for i, d := range b.locals {
 		n, err := constFold(d.ArrayLen)
@@ -138,20 +209,14 @@ func (b *BoundKernel) SetupGroup(g *clsim.Group) any {
 	return slots
 }
 
-// Run implements clsim.WorkItemKernel: execute the body for one
-// work-item on the optimized bytecode, or on the raw bytecode when
-// SetOptimize(false).
-func (b *BoundKernel) Run(it *clsim.Item, shared any) {
-	p := b.progOpt
-	if b.noOpt {
-		p = b.prog
-	}
-	p.run(it, b.args, shared.([]*arrayStore), b.fuel)
-}
-
+// vmFrame is one work-item's resumable state: registers, array slots,
+// the pc to resume at, the remaining fuel and the local id.
 type vmFrame struct {
 	regs []value
 	arrs []*arrayStore
+	pc   int
+	fuel int64
+	lid  [2]int
 }
 
 func (p *compiledKernel) frame() *vmFrame {
@@ -161,25 +226,32 @@ func (p *compiledKernel) frame() *vmFrame {
 	return &vmFrame{regs: make([]value, p.nreg), arrs: make([]*arrayStore, p.narr)}
 }
 
-// run executes the program for one work-item. args are the bound kernel
-// arguments (scalar values are copied into registers — OpenCL argument
-// semantics); locals are the work-group's __local arrays in hoisting
-// order; fuel > 0 bounds loop back-edges (see BoundKernel.SetFuel).
-func (p *compiledKernel) run(it *clsim.Item, args []kernelArg, locals []*arrayStore, fuel int64) {
-	f := p.frame()
-	regs, arrs := f.regs, f.arrs
+// start readies f to run the program from the top for the item with
+// local id (lx, ly). args are the bound kernel arguments (scalar values
+// are copied into registers — OpenCL argument semantics); locals are
+// the work-group's __local arrays in hoisting order; fuel > 0 bounds
+// loop back-edges (see BoundKernel.SetFuel).
+func (p *compiledKernel) start(f *vmFrame, args []kernelArg, locals []*arrayStore, fuel int64, lx, ly int) {
 	for i := range args {
 		if r := p.paramRegs[i]; r >= 0 {
-			copyVal(&regs[r], &args[i].val)
+			copyVal(&f.regs[r], &args[i].val)
 		} else {
-			arrs[p.paramArrs[i]] = args[i].arr
+			f.arrs[p.paramArrs[i]] = args[i].arr
 		}
 	}
 	for ord, slot := range p.localSlots {
-		arrs[slot] = locals[ord]
+		f.arrs[slot] = locals[ord]
 	}
+	f.pc, f.fuel, f.lid = 0, fuel, [2]int{lx, ly}
+}
+
+// run resumes f's work-item at its saved pc in work-group g. It returns
+// true when the item stops at a barrier (f then holds the pc after the
+// barrier) and false when it halts.
+func (p *compiledKernel) run(g *clsim.Group, f *vmFrame) bool {
+	regs, arrs := f.regs, f.arrs
+	pc, fuel := f.pc, f.fuel
 	code := p.code
-	pc := 0
 	for {
 		in := &code[pc]
 		switch in.op {
@@ -269,21 +341,22 @@ func (p *compiledKernel) run(it *clsim.Item, args []kernelArg, locals []*arraySt
 			var x int
 			switch in.imm {
 			case wiGlobalID:
-				x = it.GlobalID(d)
+				x = g.GlobalID(d, f.lid[d])
 			case wiLocalID:
-				x = it.LocalID(d)
+				x = f.lid[d]
 			case wiGroupID:
-				x = it.GroupID(d)
+				x = g.ID(d)
 			case wiLocalSize:
-				x = it.LocalSize(d)
+				x = g.LocalSize(d)
 			case wiGlobalSize:
-				x = it.GlobalSize(d)
+				x = g.NumGroups(d) * g.LocalSize(d)
 			default:
-				x = it.GlobalSize(d) / it.LocalSize(d)
+				x = g.NumGroups(d)
 			}
 			setInt(&regs[in.dst], int64(x))
 		case opBarrier:
-			it.Barrier()
+			f.pc, f.fuel = pc+1, fuel
+			return true
 		case opMad:
 			// Contract: mad(a,b,c)/fma(a,b,c) is NOT fused — it lowers to
 			// two separate binopInto calls (multiply, then add) through a
@@ -450,10 +523,7 @@ func (p *compiledKernel) run(it *clsim.Item, args []kernelArg, locals []*arraySt
 		case opErr:
 			panic(p.errs[in.imm])
 		case opHalt:
-			// Frames are only recycled on clean exit; a panicking frame
-			// is abandoned to the GC.
-			p.pool.Put(f)
-			return
+			return false
 		}
 		pc++
 	}

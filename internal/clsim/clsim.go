@@ -180,10 +180,10 @@ type Queue struct {
 	mu    sync.Mutex
 	stats QueueStats
 
-	// grFree recycles GroupRun frames across lockstep launches so a
-	// warm launch performs no per-group allocations.
+	// grFree recycles Group frames across launches so a warm launch
+	// performs no per-group allocations.
 	grMu   sync.Mutex
-	grFree []*GroupRun
+	grFree []*Group
 }
 
 // NewQueue creates a command queue on the context.

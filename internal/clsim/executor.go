@@ -13,20 +13,14 @@ import (
 // treats kernels that fail compilation: discarded and not counted.
 var ErrLocalMemExceeded = errors.New("clsim: local memory allocation exceeds device capacity")
 
-// ErrBarrierDivergence reports a kernel in which some work-items of a
-// group reached a barrier while another finished without it (undefined
-// behaviour in OpenCL; detected and reported here).
-var ErrBarrierDivergence = errors.New("clsim: work-items diverged at a barrier")
-
-// Group is the per-work-group execution state: identity, local memory,
-// and the barrier shared by the group's work-items.
+// Group is the execution state of one work-group: identity, local
+// memory accounting and the barrier count.
 type Group struct {
 	id  [2]int
 	nd  NDRange
 	dev *Device
 
 	localUsed int
-	barrier   *wgBarrier
 	barriers  int64
 }
 
@@ -42,9 +36,13 @@ func (g *Group) LocalSize(d int) int { return g.nd.Local[d] }
 // NumGroups returns the group-grid extent in dimension d.
 func (g *Group) NumGroups(d int) int { return g.nd.NumGroups()[d] }
 
+// GlobalID returns the global id in dimension d of the item with local
+// id l in that dimension.
+func (g *Group) GlobalID(d, l int) int { return g.id[d]*g.nd.Local[d] + l }
+
 // AllocLocalFloat32 allocates n float32 elements of local memory.
 // It panics with ErrLocalMemExceeded when the device capacity is
-// exceeded; executors convert the panic into an error result.
+// exceeded; the executor converts the panic into an error result.
 func (g *Group) AllocLocalFloat32(n int) []float32 {
 	g.takeLocal(4 * n)
 	return make([]float32, n)
@@ -73,94 +71,25 @@ func (g *Group) takeLocal(bytes int) {
 // LocalBytesUsed returns the local memory the kernel has allocated so far.
 func (g *Group) LocalBytesUsed() int { return g.localUsed }
 
-// Item is the per-work-item handle passed to kernel code.
-type Item struct {
-	group   *Group
-	localID [2]int
-}
+// PhaseBarrier records one barrier for a kernel that runs a whole
+// barrier phase of the group as bulk operations (panel-row copies,
+// rank-1 tile updates), so its barrier statistics follow the
+// phase-by-phase schedule of the generated source — the native GEMM
+// tests pin them to goldens.
+func (g *Group) PhaseBarrier() { g.barriers++ }
 
-// Group returns the item's work-group.
-func (it *Item) Group() *Group { return it.group }
+// Arrive records n work-item arrivals at a barrier: a kernel that runs
+// its items one by one up to each barrier reports every item, as a
+// device counts them.
+func (g *Group) Arrive(n int) { g.barriers += int64(n) }
 
-// LocalID returns get_local_id(d).
-func (it *Item) LocalID(d int) int { return it.localID[d] }
-
-// GlobalID returns get_global_id(d).
-func (it *Item) GlobalID(d int) int {
-	return it.group.id[d]*it.group.nd.Local[d] + it.localID[d]
-}
-
-// GroupID returns get_group_id(d).
-func (it *Item) GroupID(d int) int { return it.group.id[d] }
-
-// LocalSize returns get_local_size(d).
-func (it *Item) LocalSize(d int) int { return it.group.nd.Local[d] }
-
-// GlobalSize returns get_global_size(d).
-func (it *Item) GlobalSize(d int) int { return it.group.nd.Global[d] }
-
-// LinearLocalID returns the row-major flattened local id
-// (local_id(1)*local_size(0) + local_id(0)), matching OpenCL's
-// get_local_linear_id for 2-D ranges.
-func (it *Item) LinearLocalID() int {
-	return it.localID[1]*it.group.nd.Local[0] + it.localID[0]
-}
-
-// Barrier executes barrier(CLK_LOCAL_MEM_FENCE): no work-item of the
-// group proceeds until all have arrived.
-func (it *Item) Barrier() {
-	atomic.AddInt64(&it.group.barriers, 1)
-	it.group.barrier.wait()
-}
-
-// WorkItemKernel is kernel code expressed per work-item, the way OpenCL
-// kernels are written (SPMD). SetupGroup runs once per work-group before
-// its items start and typically allocates local memory; the returned
-// value is handed to every Run call of that group.
-type WorkItemKernel interface {
-	Name() string
-	SetupGroup(g *Group) any
-	Run(it *Item, shared any)
-}
-
-// GroupKernel is kernel code expressed in barrier-phase form: RunGroup
-// drives all work-items of one group through the kernel's phases via
-// ForAll, which is semantically a loop over work-items followed by a
-// barrier. This lockstep form avoids a goroutine per work-item and is
-// used by the native GEMM kernels.
+// GroupKernel is kernel code in lockstep form: RunGroup runs every
+// work-item of one group, phase by phase between barriers, on the
+// calling goroutine.
 type GroupKernel interface {
 	Name() string
-	RunGroup(g *GroupRun)
+	RunGroup(g *Group)
 }
-
-// GroupRun drives one work-group of a GroupKernel.
-type GroupRun struct {
-	*Group
-}
-
-// ForAll executes fn for every work-item of the group (arguments are
-// local ids lx, ly) and then performs an implicit barrier.
-func (g *GroupRun) ForAll(fn func(lx, ly int)) {
-	for ly := 0; ly < g.nd.Local[1]; ly++ {
-		for lx := 0; lx < g.nd.Local[0]; lx++ {
-			fn(lx, ly)
-		}
-	}
-	g.barriers++
-}
-
-// PhaseBarrier records one barrier without iterating work-items.
-// Kernels that fuse a whole ForAll phase into bulk operations
-// (panel-row copies, rank-1 tile updates) call it once per fused phase,
-// so their barrier statistics follow the phase-by-phase schedule of the
-// generated source — the native GEMM tests pin them to goldens.
-func (g *GroupRun) PhaseBarrier() { g.barriers++ }
-
-// GlobalID0 returns the global id in dimension 0 for local id lx.
-func (g *GroupRun) GlobalID0(lx int) int { return g.id[0]*g.nd.Local[0] + lx }
-
-// GlobalID1 returns the global id in dimension 1 for local id ly.
-func (g *GroupRun) GlobalID1(ly int) int { return g.id[1]*g.nd.Local[1] + ly }
 
 // workerCount resolves the queue's Workers option: 0 (or negative)
 // means one worker per available CPU.
@@ -171,121 +100,15 @@ func (q *Queue) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachGroup dispatches every work-group id of the NDRange to run,
-// either serially (one worker) or over a pool of worker goroutines.
-// Work-groups of one launch are independent in the OpenCL execution
-// model, so the schedule cannot change results. The first error wins.
-func (q *Queue) forEachGroup(nd NDRange, run func(gid [2]int) error) error {
-	groups := nd.NumGroups()
-	if q.workerCount() == 1 {
-		var firstErr error
-		for gy := 0; gy < groups[1]; gy++ {
-			for gx := 0; gx < groups[0]; gx++ {
-				if err := run([2]int{gx, gy}); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-		return firstErr
-	}
-	var firstErr atomic.Value
-	work := make(chan [2]int)
-	var wg sync.WaitGroup
-	for w := 0; w < q.workerCount(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gid := range work {
-				if err := run(gid); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-				}
-			}
-		}()
-	}
-	for gy := 0; gy < groups[1]; gy++ {
-		for gx := 0; gx < groups[0]; gx++ {
-			work <- [2]int{gx, gy}
-		}
-	}
-	close(work)
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return err
-	}
-	return nil
-}
-
-// Run executes a WorkItemKernel over the NDRange with one goroutine per
-// work-item inside each group (true concurrent execution with a cyclic
-// barrier). Work-groups are distributed over the queue's worker pool.
-// Kernel panics become errors.
-func (q *Queue) Run(k WorkItemKernel, nd NDRange) error {
-	if err := nd.Validate(q.Ctx.Device); err != nil {
-		return fmt.Errorf("kernel %s: %w", k.Name(), err)
-	}
-	if err := q.launchAllowed(k.Name()); err != nil {
-		return err
-	}
-	var barriers int64
-	err := q.forEachGroup(nd, func(gid [2]int) error {
-		return q.runGroupConcurrent(k, nd, gid, &barriers)
-	})
-
-	q.addLaunch(int64(nd.TotalGroups()), int64(nd.Global[0])*int64(nd.Global[1]), barriers)
-	if err != nil {
-		return fmt.Errorf("kernel %s: %w", k.Name(), err)
-	}
-	return nil
-}
-
-func (q *Queue) runGroupConcurrent(k WorkItemKernel, nd NDRange, gid [2]int, barriers *int64) (err error) {
-	size := nd.GroupSize()
-	g := &Group{id: gid, nd: nd, dev: q.Ctx.Device, barrier: newWGBarrier(size)}
-	defer func() {
-		atomic.AddInt64(barriers, g.barriers)
-		if r := recover(); r != nil {
-			err = recoveredError(r)
-		}
-	}()
-	shared := k.SetupGroup(g)
-
-	errs := make(chan error, size)
-	var iwg sync.WaitGroup
-	for ly := 0; ly < nd.Local[1]; ly++ {
-		for lx := 0; lx < nd.Local[0]; lx++ {
-			iwg.Add(1)
-			go func(lx, ly int) {
-				defer iwg.Done()
-				it := &Item{group: g, localID: [2]int{lx, ly}}
-				defer g.barrier.leave()
-				defer func() {
-					if r := recover(); r != nil {
-						g.barrier.abort(recoveredError(r))
-						errs <- recoveredError(r)
-					}
-				}()
-				k.Run(it, shared)
-			}(lx, ly)
-		}
-	}
-	iwg.Wait()
-	select {
-	case e := <-errs:
-		return e
-	default:
-	}
-	if e := g.barrier.err(); e != nil {
-		return e
-	}
-	return nil
-}
+// Run is RunLockstep; both names are kept for existing callers.
+func (q *Queue) Run(k GroupKernel, nd NDRange) error { return q.RunLockstep(k, nd) }
 
 // RunLockstep executes a GroupKernel over the NDRange, distributing
 // independent groups over the queue's worker pool (bounded by the
 // Workers option). Kernel panics become errors.
 //
 // The single-worker path is allocation-free in the steady state:
-// GroupRun frames are recycled through a queue-owned free list (a
+// Group frames are recycled through a queue-owned free list (a
 // mutex-guarded stack, not sync.Pool, whose GC-droppable items would
 // defeat the warm-launch zero-allocation guarantee) and the group loop
 // runs without closures.
@@ -293,9 +116,10 @@ func (q *Queue) RunLockstep(k GroupKernel, nd NDRange) error {
 	if err := nd.Validate(q.Ctx.Device); err != nil {
 		return fmt.Errorf("kernel %s: %w", k.Name(), err)
 	}
+	// Name may format a string; only a hooked queue pays for it.
 	if q.LaunchHook != nil {
-		if err := q.launchAllowed(k.Name()); err != nil {
-			return err
+		if err := q.LaunchHook(k.Name()); err != nil {
+			return fmt.Errorf("kernel %s: launch rejected: %w", k.Name(), err)
 		}
 	}
 	var barriers int64
@@ -318,11 +142,11 @@ func (q *Queue) runLockstepSerial(k GroupKernel, nd NDRange) (int64, error) {
 	var firstErr error
 	for gy := 0; gy < groups[1]; gy++ {
 		for gx := 0; gx < groups[0]; gx++ {
-			g := q.getGroupRun()
-			*g.Group = Group{id: [2]int{gx, gy}, nd: nd, dev: q.Ctx.Device}
+			g := q.getGroup()
+			*g = Group{id: [2]int{gx, gy}, nd: nd, dev: q.Ctx.Device}
 			err := runLockstepGroup(k, g)
 			barriers += g.barriers
-			q.putGroupRun(g)
+			q.putGroup(g)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -331,22 +155,45 @@ func (q *Queue) runLockstepSerial(k GroupKernel, nd NDRange) (int64, error) {
 	return barriers, firstErr
 }
 
+// runLockstepParallel runs the groups over a pool of worker
+// goroutines that take group indices in linear order. Work-groups of
+// one launch are independent in the OpenCL execution model, so the
+// schedule cannot change results. The first error wins.
 func (q *Queue) runLockstepParallel(k GroupKernel, nd NDRange) (int64, error) {
-	var barriers int64
-	err := q.forEachGroup(nd, func(gid [2]int) error {
-		g := q.getGroupRun()
-		*g.Group = Group{id: gid, nd: nd, dev: q.Ctx.Device}
-		err := runLockstepGroup(k, g)
-		atomic.AddInt64(&barriers, g.barriers)
-		q.putGroupRun(g)
-		return err
-	})
-	return barriers, err
+	groups := nd.NumGroups()
+	total := groups[0] * groups[1]
+	var s struct {
+		next     atomic.Int64 // next linear group index
+		mu       sync.Mutex
+		barriers int64
+		err      error
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < min(q.workerCount(), total); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(s.next.Add(1) - 1); i < total; i = int(s.next.Add(1) - 1) {
+				g := q.getGroup()
+				*g = Group{id: [2]int{i % groups[0], i / groups[0]}, nd: nd, dev: q.Ctx.Device}
+				err := runLockstepGroup(k, g)
+				s.mu.Lock()
+				s.barriers += g.barriers
+				if s.err == nil {
+					s.err = err
+				}
+				s.mu.Unlock()
+				q.putGroup(g)
+			}
+		}()
+	}
+	wg.Wait()
+	return s.barriers, s.err
 }
 
 // runLockstepGroup runs one group, converting kernel panics (local
 // memory exhaustion, bounds faults) into errors.
-func runLockstepGroup(k GroupKernel, g *GroupRun) (err error) {
+func runLockstepGroup(k GroupKernel, g *Group) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = recoveredError(r)
@@ -356,36 +203,24 @@ func runLockstepGroup(k GroupKernel, g *GroupRun) (err error) {
 	return nil
 }
 
-func (q *Queue) getGroupRun() *GroupRun {
+func (q *Queue) getGroup() *Group {
 	q.grMu.Lock()
-	var g *GroupRun
+	var g *Group
 	if n := len(q.grFree); n > 0 {
 		g = q.grFree[n-1]
 		q.grFree = q.grFree[:n-1]
 	}
 	q.grMu.Unlock()
 	if g == nil {
-		g = &GroupRun{Group: &Group{}}
+		g = &Group{}
 	}
 	return g
 }
 
-func (q *Queue) putGroupRun(g *GroupRun) {
+func (q *Queue) putGroup(g *Group) {
 	q.grMu.Lock()
 	q.grFree = append(q.grFree, g)
 	q.grMu.Unlock()
-}
-
-// launchAllowed consults the queue's LaunchHook (simulated launch-time
-// failures).
-func (q *Queue) launchAllowed(name string) error {
-	if q.LaunchHook == nil {
-		return nil
-	}
-	if err := q.LaunchHook(name); err != nil {
-		return fmt.Errorf("kernel %s: launch rejected: %w", name, err)
-	}
-	return nil
 }
 
 func recoveredError(r any) error {

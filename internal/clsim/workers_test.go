@@ -2,6 +2,7 @@ package clsim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -57,27 +58,30 @@ func TestWorkersSerialErrorsAndStats(t *testing.T) {
 	}
 }
 
-// Workers applies to the concurrent (work-item goroutine) executor too.
-func TestWorkersConcurrentExecutor(t *testing.T) {
-	var ref []float32
-	for _, workers := range []int{1, 3} {
-		ctx := NewContext(testDevice())
-		q := NewQueue(ctx)
-		q.Workers = workers
-		k := &idKernel{out: make([]float32, 32)}
-		nd := NDRange{Global: [2]int{8, 4}, Local: [2]int{4, 2}}
-		if err := q.Run(k, nd); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = k.out
-			continue
-		}
-		for i, v := range k.out {
-			if v != ref[i] {
-				t.Fatalf("workers=%d: out[%d] = %v, want %v", workers, i, v, ref[i])
-			}
-		}
+type groupError struct{ id int }
+
+func (e *groupError) Error() string { return fmt.Sprintf("group %d failed", e.id) }
+
+// mixedFaults fails every group, with errors of different types.
+type mixedFaults struct{}
+
+func (mixedFaults) Name() string { return "mixed-faults" }
+func (mixedFaults) RunGroup(g *Group) {
+	if g.ID(0)%2 == 0 {
+		panic(ErrLocalMemExceeded)
+	}
+	panic(&groupError{g.ID(0)})
+}
+
+// Groups failing concurrently with errors of different types must
+// surface one of them as the launch error.
+func TestWorkersMixedGroupErrors(t *testing.T) {
+	q := NewQueue(NewContext(testDevice()))
+	q.Workers = 4
+	nd := NDRange{Global: [2]int{64, 1}, Local: [2]int{1, 1}}
+	var ge *groupError
+	if err := q.Run(mixedFaults{}, nd); !errors.Is(err, ErrLocalMemExceeded) && !errors.As(err, &ge) {
+		t.Errorf("want a group's error, got %v", err)
 	}
 }
 

@@ -224,7 +224,7 @@ func TestWarmPlanOverheadUnderFivePercent(t *testing.T) {
 }
 
 // The warm kernel phase must perform zero allocations: work-group state
-// and local-memory slabs are pooled in the kernel, GroupRun frames in
+// and local-memory slabs are pooled in the kernel, Group frames in
 // the queue, and the serial lockstep loop is closure-free. This is the
 // allocation regression gate for the micro-kernel, held on the
 // unit-stride test point and on two strided paper Table II kernels:
@@ -279,7 +279,7 @@ func checkWarmKernelZeroAllocs[T matrix.Scalar](t *testing.T, im *Impl) {
 		return x
 	}
 	a, b, c := mat(m, k), mat(k, n), mat(m, n)
-	// Warm: packs done, state and GroupRun pools populated.
+	// Warm: packs done, state and Group pools populated.
 	if err := pl.RunCtx(context.Background(), blas.NoTrans, blas.NoTrans, 1, a, b, 0, c); err != nil {
 		t.Fatal(err)
 	}

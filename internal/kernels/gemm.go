@@ -100,7 +100,7 @@ type state[T matrix.Scalar] struct {
 // each panel row, and the pack blocking makes that run contiguous in
 // every layout, so each row is one copy. One PhaseBarrier stands for the
 // barrier that ends the load phase.
-func (g *GEMM[T]) loadPanelA(s *state[T], run *clsim.GroupRun, gx, pwg, k0, kLen int) {
+func (g *GEMM[T]) loadPanelA(s *state[T], run *clsim.Group, gx, pwg, k0, kLen int) {
 	mwg := g.P.Mwg
 	for k := k0; k < k0+kLen; k++ {
 		src := g.geoA.rowStart(pwg+k, gx)
@@ -110,7 +110,7 @@ func (g *GEMM[T]) loadPanelA(s *state[T], run *clsim.GroupRun, gx, pwg, k0, kLen
 }
 
 // loadPanelB is the B counterpart of loadPanelA (NdimB × KdimB grid).
-func (g *GEMM[T]) loadPanelB(s *state[T], run *clsim.GroupRun, gy, pwg, k0, kLen int) {
+func (g *GEMM[T]) loadPanelB(s *state[T], run *clsim.Group, gy, pwg, k0, kLen int) {
 	nwg := g.P.Nwg
 	for k := k0; k < k0+kLen; k++ {
 		src := g.geoB.rowStart(pwg+k, gy)
@@ -155,7 +155,7 @@ func (g *GEMM[T]) panelRows(s *state[T], gx, gy, pwg, kk int) (arow, brow []T) {
 // which work-item owns an element, never the order of its products, so
 // this one loop serves every stride mode bit-identically. One
 // PhaseBarrier stands for the barrier that ends the compute phase.
-func (g *GEMM[T]) compute(s *state[T], run *clsim.GroupRun, gx, gy, pwg, k0, kLen int) {
+func (g *GEMM[T]) compute(s *state[T], run *clsim.Group, gx, gy, pwg, k0, kLen int) {
 	nwg := g.P.Nwg
 	kk, end := k0, k0+kLen
 	for ; kk+4 <= end; kk += 4 {
@@ -227,7 +227,7 @@ func axpy[T matrix.Scalar](acc []T, a T, b []T) {
 // semantics C is not read when β == 0, so NaN/Inf-poisoned or
 // uninitialized output buffers cannot corrupt the result (0·NaN = NaN
 // would otherwise leak through).
-func (g *GEMM[T]) merge(s *state[T], run *clsim.GroupRun, gx, gy int) {
+func (g *GEMM[T]) merge(s *state[T], run *clsim.Group, gx, gy int) {
 	p := &g.P
 	alpha, beta := g.Alpha, g.Beta
 	for r := 0; r < p.Mwg; r++ {
@@ -250,7 +250,7 @@ func (g *GEMM[T]) merge(s *state[T], run *clsim.GroupRun, gx, gy int) {
 // RunGroup implements clsim.GroupKernel, dispatching on the schedule.
 // Work-group state comes from the kernel's free list and goes back when
 // the group finishes, so warm launches allocate nothing.
-func (g *GEMM[T]) RunGroup(run *clsim.GroupRun) {
+func (g *GEMM[T]) RunGroup(run *clsim.Group) {
 	g.groups.Inc()
 	s := g.getState(run)
 	defer g.putState(s)
@@ -266,7 +266,7 @@ func (g *GEMM[T]) RunGroup(run *clsim.GroupRun) {
 
 // runBA is the basic algorithm (Fig. 4): stage panel, barrier, compute,
 // barrier, next panel.
-func (g *GEMM[T]) runBA(s *state[T], run *clsim.GroupRun) {
+func (g *GEMM[T]) runBA(s *state[T], run *clsim.Group) {
 	p := &g.P
 	gx, gy := run.ID(0), run.ID(1)
 	for pwg := 0; pwg < g.K; pwg += p.Kwg {
@@ -291,7 +291,7 @@ func (g *GEMM[T]) runBA(s *state[T], run *clsim.GroupRun) {
 // barrier schedule (prologue, pipelined body, epilogue) matches the
 // generated source. Operands not staged through local memory are read
 // directly, as in BA.
-func (g *GEMM[T]) runPL(s *state[T], run *clsim.GroupRun) {
+func (g *GEMM[T]) runPL(s *state[T], run *clsim.Group) {
 	p := &g.P
 	gx, gy := run.ID(0), run.ID(1)
 	// Prologue (Fig. 5 lines 2-4): first panel into local memory.
@@ -331,7 +331,7 @@ func (g *GEMM[T]) runPL(s *state[T], run *clsim.GroupRun) {
 // buffers, so loads of one half overlap compute on the other. The two
 // halves live in the same local allocation (first and second Kwg/2
 // rows), matching the total local-memory budget of BA.
-func (g *GEMM[T]) runDB(s *state[T], run *clsim.GroupRun) {
+func (g *GEMM[T]) runDB(s *state[T], run *clsim.Group) {
 	p := &g.P
 	gx, gy := run.ID(0), run.ID(1)
 	half := p.Kwg / 2

@@ -71,7 +71,7 @@ func (g *GEMM[T]) StateAllocs() int64 {
 // charged against the device budget (so ErrLocalMemExceeded fires as on
 // a real device), the accumulator is zeroed, and backing slabs are
 // reused when the pool has them.
-func (g *GEMM[T]) getState(run *clsim.GroupRun) *state[T] {
+func (g *GEMM[T]) getState(run *clsim.Group) *state[T] {
 	p := &g.P
 	if p.SharedA {
 		run.TakeLocal(g.esize * p.Kwg * p.Mwg)

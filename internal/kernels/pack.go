@@ -86,10 +86,10 @@ func (k *Pack[T]) NDRange() clsim.NDRange {
 // segments reduce to copy(); the transposed read is a column gather
 // (LD-strided). Out-of-source elements are zero-filled with clear().
 // One PhaseBarrier stands for the barrier that ends the pack phase.
-func (k *Pack[T]) RunGroup(run *clsim.GroupRun) {
+func (k *Pack[T]) RunGroup(run *clsim.Group) {
 	k.groups.Inc()
-	c0 := run.GlobalID0(0)
-	r0 := run.GlobalID1(0)
+	c0 := run.GlobalID(0, 0)
+	r0 := run.GlobalID(1, 0)
 	c1 := min(c0+run.LocalSize(0), k.C)
 	r1 := min(r0+run.LocalSize(1), k.R)
 	cb := k.P.Cb

@@ -94,9 +94,17 @@ type Server struct {
 	draining atomic.Bool
 	inflight sync.WaitGroup
 
-	requests *obs.Counter
-	pathEng  *obs.Counter
-	pathPool *obs.Counter
+	requests  *obs.Counter
+	pathEng   *obs.Counter
+	pathPool  *obs.Counter
+	responses map[int]*obs.Counter // serve.responses{code=…} by status
+}
+
+// responseCodes are the statuses the server writes.
+var responseCodes = [...]int{
+	http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+	http.StatusTooManyRequests, http.StatusInternalServerError,
+	http.StatusServiceUnavailable, http.StatusGatewayTimeout,
 }
 
 // New builds a server: the shared engines resolve their tuned kernels
@@ -183,6 +191,10 @@ func New(cfg Config) (*Server, error) {
 	s.requests = cfg.Metrics.Counter("serve.requests")
 	s.pathEng = cfg.Metrics.Counter("serve.path.engine")
 	s.pathPool = cfg.Metrics.Counter("serve.path.pool")
+	s.responses = make(map[int]*obs.Counter, len(responseCodes))
+	for _, code := range responseCodes {
+		s.responses[code] = cfg.Metrics.Counter(obs.Label("serve.responses", "code", strconv.Itoa(code)))
+	}
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/gemm", s.handleGEMM)
@@ -234,10 +246,9 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-// countResponse tallies serve.responses{code=...}.
-func (s *Server) countResponse(code int) {
-	s.reg.Counter(obs.Label("serve.responses", "code", strconv.Itoa(code))).Inc()
-}
+// countResponse tallies serve.responses{code=...}; code is one of
+// responseCodes.
+func (s *Server) countResponse(code int) { s.responses[code].Inc() }
 
 // fail writes a plain-JSON error response (no binary frame; clients
 // detect it by the HTTP status).

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"oclgemm/internal/blas"
 	"oclgemm/internal/codegen"
 	"oclgemm/internal/matrix"
+	"oclgemm/internal/obs"
 	"oclgemm/internal/tunedb"
 )
 
@@ -348,6 +350,26 @@ func TestServeCoalescing(t *testing.T) {
 	// One shape: exactly one plan build, the rest hits.
 	if hits, misses := snap.Counters["gemm.plan.hit"], snap.Counters["gemm.plan.miss"]; misses != 1 || hits < int64(clients-1) {
 		t.Fatalf("plan cache hit/miss = %d/%d, want %d+/1", hits, misses, clients-1)
+	}
+}
+
+// Each status the server writes bumps its own serve.responses series,
+// resolved once in New.
+func TestResponseCountersPerCode(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	codes := []int{200, 400, 413, 429, 500, 503, 504}
+	for i, code := range codes {
+		s.countResponse(code)
+		for j, other := range codes {
+			want := int64(0)
+			if j <= i {
+				want = 1
+			}
+			c := s.reg.Counter(obs.Label("serve.responses", "code", strconv.Itoa(other)))
+			if got := c.Value(); got != want {
+				t.Fatalf("after counting %d: serve.responses{code=%d} = %d, want %d", code, other, got, want)
+			}
+		}
 	}
 }
 
