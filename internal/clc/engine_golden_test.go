@@ -92,6 +92,13 @@ func TestEngineGolden(t *testing.T) {
 			add("barrier/"+tc.name+"/hits", strconv.FormatInt(hits, 10))
 		}
 	}
+	for _, tc := range laneCases {
+		buf, hits, err := runBothHits(t, tc.src, 8, laneND)
+		add("lane/"+tc.name, verdict64(buf, err))
+		if err == nil {
+			add("lane/"+tc.name+"/hits", strconv.FormatInt(hits, 10))
+		}
+	}
 	for _, tc := range errorParityCases {
 		add("error/"+tc.name, verdict64(runBoth(t, tinyKernel(tc.body), 8, oneByFour())))
 	}
