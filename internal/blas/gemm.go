@@ -86,17 +86,38 @@ func checkDims[T matrix.Scalar](ta, tb Transpose, a, b, c *matrix.Matrix[T]) (m,
 
 // GEMM computes C ← alpha·op(A)·op(B) + beta·C with the naive triple
 // loop, accumulating in float64 regardless of T for a tight oracle.
+// It walks op(A) along a row and op(B) down a column by fixed Data
+// steps instead of indexing each element.
 func GEMM[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
 	m, n, k := checkDims(ta, tb, a, b, c)
+	aRow, aCol := opSteps(a, ta)
+	bRow, bCol := opSteps(b, tb)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var acc float64
+			ap, bp := i*aRow, j*bCol
 			for p := 0; p < k; p++ {
-				acc += float64(float64(opAt(a, ta, i, p)) * float64(opAt(b, tb, p, j)))
+				acc += float64(float64(a.Data[ap]) * float64(b.Data[bp]))
+				ap += aCol
+				bp += bRow
 			}
-			c.Set(i, j, T(float64(float64(alpha)*acc)+float64(float64(beta)*float64(c.At(i, j)))))
+			ci := c.Index(i, j)
+			c.Data[ci] = T(float64(float64(alpha)*acc) + float64(float64(beta)*float64(c.Data[ci])))
 		}
 	}
+}
+
+// opSteps returns the Data offsets between consecutive rows and between
+// consecutive columns of op(x).
+func opSteps[T matrix.Scalar](x *matrix.Matrix[T], t Transpose) (row, col int) {
+	row, col = x.Stride, 1
+	if x.Order == matrix.ColMajor {
+		row, col = 1, x.Stride
+	}
+	if t == Trans {
+		row, col = col, row
+	}
+	return row, col
 }
 
 // blockDim is the cache-block edge used by GEMMBlocked.

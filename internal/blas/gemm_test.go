@@ -197,3 +197,68 @@ func TestGEMMAlphaLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// indexedGEMM is GEMM's element-indexed triple loop, kept as the
+// oracle for the stepped walk.
+func indexedGEMM[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
+	m, n, k := checkDims(ta, tb, a, b, c)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc float64
+			for p := 0; p < k; p++ {
+				acc += float64(float64(opAt(a, ta, i, p)) * float64(opAt(b, tb, p, j)))
+			}
+			c.Set(i, j, T(float64(float64(alpha)*acc)+float64(float64(beta)*float64(c.At(i, j)))))
+		}
+	}
+}
+
+// stridedView returns a rows×cols view at (1, 2) of a larger random
+// matrix, so its stride is not minimal and its Data starts mid-slice.
+func stridedView[T matrix.Scalar](rows, cols int, order matrix.Order, seed int64) *matrix.Matrix[T] {
+	parent := matrix.New[T](rows+3, cols+5, order)
+	parent.FillRandom(rand.New(rand.NewSource(seed)))
+	return parent.View(1, 2, rows, cols)
+}
+
+func checkSteppedGEMM[T matrix.Scalar](t *testing.T) {
+	const m, n, k = 7, 5, 9
+	orders := []matrix.Order{matrix.RowMajor, matrix.ColMajor}
+	for _, g := range GEMMTypes {
+		for _, oa := range orders {
+			for _, ob := range orders {
+				for _, oc := range orders {
+					ar, ac := m, k
+					if g.TransA == Trans {
+						ar, ac = k, m
+					}
+					br, bc := k, n
+					if g.TransB == Trans {
+						br, bc = n, k
+					}
+					a := stridedView[T](ar, ac, oa, 1)
+					b := stridedView[T](br, bc, ob, 2)
+					c := stridedView[T](m, n, oc, 3)
+					want := c.Clone()
+					indexedGEMM(g.TransA, g.TransB, 1.25, a, b, -0.75, want)
+					GEMM(g.TransA, g.TransB, 1.25, a, b, -0.75, c)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							if got, w := c.At(i, j), want.At(i, j); got != w {
+								t.Fatalf("%s orders %v/%v/%v: C(%d,%d) = %v, want %v", g, oa, ob, oc, i, j, got, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMSteppedMatchesIndexed: GEMM's stepped walk is bit-identical
+// to indexing every element, over both orders of each operand, every
+// transpose pair, both precisions and strided views.
+func TestGEMMSteppedMatchesIndexed(t *testing.T) {
+	checkSteppedGEMM[float32](t)
+	checkSteppedGEMM[float64](t)
+}
