@@ -1,5 +1,7 @@
 package clc
 
+import "fmt"
+
 // value is a runtime scalar or vector.
 type value struct {
 	t Type
@@ -45,136 +47,6 @@ func round32(base BaseType, x float64) float64 {
 	return x
 }
 
-// arrayStore backs an array variable: a __local or __private array, or
-// a __global kernel buffer. Exactly one of f32/f64 is set.
-type arrayStore struct {
-	t   Type // element type
-	f32 []float32
-	f64 []float64
-}
-
-func (a *arrayStore) length() int {
-	if a.f64 != nil {
-		return len(a.f64) / a.t.Lanes
-	}
-	return len(a.f32) / a.t.Lanes
-}
-
-// loadInto reads element idx into dst (which must not alias the store).
-func (a *arrayStore) loadInto(dst *value, idx int64, e Expr) {
-	n := int64(a.length())
-	if idx < 0 || idx >= n {
-		panic(errAt(e, "index %d out of range [0,%d)", idx, n))
-	}
-	base := idx * int64(a.t.Lanes)
-	if a.t.Lanes == 1 {
-		dst.t = a.t
-		if a.f64 != nil {
-			dst.f[0] = a.f64[base]
-		} else {
-			dst.f[0] = float64(a.f32[base])
-		}
-		return
-	}
-	for l := 0; l < a.t.Lanes; l++ {
-		if a.f64 != nil {
-			dst.f[l] = a.f64[base+int64(l)]
-		} else {
-			dst.f[l] = float64(a.f32[base+int64(l)])
-		}
-	}
-	dst.t = a.t
-}
-
-func (a *arrayStore) store(idx int64, v *value, e Expr) {
-	n := int64(a.length())
-	if idx < 0 || idx >= n {
-		panic(errAt(e, "index %d out of range [0,%d)", idx, n))
-	}
-	base := idx * int64(a.t.Lanes)
-	for l := 0; l < a.t.Lanes; l++ {
-		x := v.lane(l)
-		if a.f64 != nil {
-			a.f64[base+int64(l)] = x
-		} else {
-			a.f32[base+int64(l)] = float32(x)
-		}
-	}
-}
-
-// loadFast is loadInto without the bounds check, for accesses the
-// optimizer proved in range (opLoadK). Same lane/conversion semantics.
-func (a *arrayStore) loadFast(dst *value, idx int64) {
-	base := idx * int64(a.t.Lanes)
-	if a.t.Lanes == 1 {
-		dst.t = a.t
-		if a.f64 != nil {
-			dst.f[0] = a.f64[base]
-		} else {
-			dst.f[0] = float64(a.f32[base])
-		}
-		return
-	}
-	for l := 0; l < a.t.Lanes; l++ {
-		if a.f64 != nil {
-			dst.f[l] = a.f64[base+int64(l)]
-		} else {
-			dst.f[l] = float64(a.f32[base+int64(l)])
-		}
-	}
-	dst.t = a.t
-}
-
-// storeFast is store without the bounds check (opStoreK).
-func (a *arrayStore) storeFast(idx int64, v *value) {
-	base := idx * int64(a.t.Lanes)
-	for l := 0; l < a.t.Lanes; l++ {
-		x := v.lane(l)
-		if a.f64 != nil {
-			a.f64[base+int64(l)] = x
-		} else {
-			a.f32[base+int64(l)] = float32(x)
-		}
-	}
-}
-
-// vloadInto reads w consecutive elements starting at elementOffset*w
-// into dst (which must not alias the store).
-func (a *arrayStore) vloadInto(dst *value, w int, off int64, e Expr) {
-	if a.t.Lanes != 1 {
-		panic(errAt(e, "vload from a vector array"))
-	}
-	start := off * int64(w)
-	if start < 0 || start+int64(w) > int64(a.length()) {
-		panic(errAt(e, "vload%d offset %d out of range", w, off))
-	}
-	for l := 0; l < w; l++ {
-		if a.f64 != nil {
-			dst.f[l] = a.f64[start+int64(l)]
-		} else {
-			dst.f[l] = float64(a.f32[start+int64(l)])
-		}
-	}
-	dst.t = Type{Base: a.t.Base, Lanes: w}
-}
-
-func (a *arrayStore) vstore(w int, v *value, off int64, e Expr) {
-	if a.t.Lanes != 1 {
-		panic(errAt(e, "vstore to a vector array"))
-	}
-	start := off * int64(w)
-	if start < 0 || start+int64(w) > int64(a.length()) {
-		panic(errAt(e, "vstore%d offset %d out of range", w, off))
-	}
-	for l := 0; l < w; l++ {
-		if a.f64 != nil {
-			a.f64[start+int64(l)] = v.lane(l)
-		} else {
-			a.f32[start+int64(l)] = float32(v.lane(l))
-		}
-	}
-}
-
 var (
 	intType          = Type{Base: BaseInt, Lanes: 1}
 	typeDoubleScalar = Type{Base: BaseDouble, Lanes: 1}
@@ -211,19 +83,36 @@ func copyVal(dst, src *value) {
 	}
 }
 
+// convertFault is convertInto's type check: the fault message for
+// converting a from-typed value to to, or "". It is the single
+// conversion rule of the lane executor and the constant folder.
+func convertFault(from, to Type) string {
+	switch {
+	case from == to:
+		return ""
+	case to.IsInt():
+		if to.Lanes != 1 {
+			return "integer vectors are not supported"
+		}
+	case from.Lanes != 1 && from.Lanes != to.Lanes:
+		return fmt.Sprintf("cannot convert %s to %s", from, to)
+	}
+	return ""
+}
+
 // convertInto coerces v to a declared type (scalar conversions and
-// scalar→vector broadcast) into dst; dst may alias v. It is the single
-// conversion semantics of the VM and the compiler's constant folder
-// (convertVal is its value wrapper).
+// scalar→vector broadcast) into dst; dst may alias v. It is the
+// constant folder's conversion; the lane executor applies the same
+// convertFault check and asInt/round32 steps lane by lane.
 func convertInto(dst, v *value, to Type, at Expr) {
+	if msg := convertFault(v.t, to); msg != "" {
+		panic(errAt(at, "%s", msg))
+	}
 	if v.t == to {
 		copyVal(dst, v)
 		return
 	}
 	if to.IsInt() {
-		if to.Lanes != 1 {
-			panic(errAt(at, "integer vectors are not supported"))
-		}
 		setInt(dst, v.asInt())
 		return
 	}
@@ -234,9 +123,6 @@ func convertInto(dst, v *value, to Type, at Expr) {
 		}
 		dst.t = to
 		return
-	}
-	if v.t.Lanes != to.Lanes {
-		panic(errAt(at, "cannot convert %s to %s", v.t, to))
 	}
 	for l := 0; l < to.Lanes; l++ {
 		dst.f[l] = round32(to.Base, v.f[l])
@@ -257,127 +143,142 @@ func boolVal(b bool) value {
 	return intVal(0)
 }
 
-// binopInto evaluates l op r into dst (dst may alias l or r) with C
-// numeric promotion and lane broadcasting; float results round per the
-// wider base's precision. op is an arithOps index. It is the single
-// arithmetic semantics of the VM and the compiler's constant folder
-// (binopVal is its string-keyed value wrapper).
-func binopInto(dst *value, op int64, l, r *value, at Expr) {
-	if l.t.IsInt() && r.t.IsInt() {
-		a, b := l.i, r.i
-		switch op {
-		case aAdd:
-			setInt(dst, a+b)
-		case aSub:
-			setInt(dst, a-b)
-		case aMul:
-			setInt(dst, a*b)
-		case aDiv:
-			if b == 0 {
-				panic(errAt(at, "integer division by zero"))
-			}
-			setInt(dst, a/b)
-		case aMod:
-			if b == 0 {
-				panic(errAt(at, "integer modulo by zero"))
-			}
-			setInt(dst, a%b)
-		case aShl:
-			setInt(dst, a<<uint(b))
-		case aShr:
-			setInt(dst, a>>uint(b))
-		case aAnd:
-			setInt(dst, a&b)
-		case aOr:
-			setInt(dst, a|b)
-		case aXor:
-			setInt(dst, a^b)
-		case aLt:
-			setBool(dst, a < b)
-		case aLe:
-			setBool(dst, a <= b)
-		case aGt:
-			setBool(dst, a > b)
-		case aGe:
-			setBool(dst, a >= b)
-		case aEq:
-			setBool(dst, a == b)
-		case aNe:
-			setBool(dst, a != b)
-		default:
-			panic(errAt(at, "unsupported integer operator %q", arithOps[op]))
+// intArith is the integer semantics of every arithOps operator:
+// comparisons yield 0 or 1. A non-empty msg is the fault.
+func intArith(op int64, a, b int64) (x int64, msg string) {
+	switch op {
+	case aAdd:
+		return a + b, ""
+	case aSub:
+		return a - b, ""
+	case aMul:
+		return a * b, ""
+	case aDiv:
+		if b == 0 {
+			return 0, "integer division by zero"
 		}
-		return
+		return a / b, ""
+	case aMod:
+		if b == 0 {
+			return 0, "integer modulo by zero"
+		}
+		return a % b, ""
+	case aShl:
+		return a << uint(b), ""
+	case aShr:
+		return a >> uint(b), ""
+	case aAnd:
+		return a & b, ""
+	case aOr:
+		return a | b, ""
+	case aXor:
+		return a ^ b, ""
 	}
-	// Float path with promotion.
+	if op >= aLt && op <= aNe {
+		return b2i(compare(op, a, b)), ""
+	}
+	return 0, fmt.Sprintf("unsupported integer operator %q", arithOps[op])
+}
+
+// compare evaluates comparison operator op (aLt..aNe).
+func compare[T int64 | float64](op int64, a, b T) bool {
+	switch op {
+	case aLt:
+		return a < b
+	case aLe:
+		return a <= b
+	case aGt:
+		return a > b
+	case aGe:
+		return a >= b
+	case aEq:
+		return a == b
+	}
+	return a != b
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// floatBinType is the promotion rule of a binary operation with at
+// least one non-integer operand: the result type, or the fault message.
+// An int operand adopts the float side's base; when one side is double
+// the result is double. Comparisons yield an int.
+func floatBinType(op int64, l, r Type) (Type, string) {
 	base := BaseFloat
-	if l.t.Base == BaseDouble || r.t.Base == BaseDouble || l.t.IsInt() || r.t.IsInt() {
-		// int op float promotes to the float operand's base; when one
-		// side is double the result is double. An int operand adopts
-		// the float side's base.
+	if l.Base == BaseDouble || r.Base == BaseDouble || l.IsInt() || r.IsInt() {
 		base = BaseDouble
-		if l.t.Base == BaseFloat || r.t.Base == BaseFloat {
-			if l.t.Base != BaseDouble && r.t.Base != BaseDouble {
+		if l.Base == BaseFloat || r.Base == BaseFloat {
+			if l.Base != BaseDouble && r.Base != BaseDouble {
 				base = BaseFloat
 			}
 		}
 	}
-	lanes := l.t.Lanes
-	if r.t.Lanes > lanes {
-		lanes = r.t.Lanes
-	}
-	if l.t.Lanes > 1 && r.t.Lanes > 1 && l.t.Lanes != r.t.Lanes {
-		panic(errAt(at, "vector width mismatch %s vs %s", l.t, r.t))
+	lanes := max(l.Lanes, r.Lanes)
+	if l.Lanes > 1 && r.Lanes > 1 && l.Lanes != r.Lanes {
+		return Type{}, fmt.Sprintf("vector width mismatch %s vs %s", l, r)
 	}
 	if op >= aLt {
 		if lanes != 1 {
-			panic(errAt(at, "vector comparisons are not supported"))
+			return Type{}, "vector comparisons are not supported"
 		}
-		a, b := l.lane(0), r.lane(0)
-		switch op {
-		case aLt:
-			setBool(dst, a < b)
-		case aLe:
-			setBool(dst, a <= b)
-		case aGt:
-			setBool(dst, a > b)
-		case aGe:
-			setBool(dst, a >= b)
-		case aEq:
-			setBool(dst, a == b)
-		default:
-			setBool(dst, a != b)
+		return intType, ""
+	}
+	if op > aDiv {
+		return Type{}, fmt.Sprintf("unsupported float operator %q", arithOps[op])
+	}
+	return Type{Base: base, Lanes: lanes}, ""
+}
+
+// binopInto evaluates l op r into dst (dst may alias l or r) with C
+// numeric promotion and lane broadcasting; float results round per the
+// wider base's precision. op is an arithOps index. It is the constant
+// folder's arithmetic (binopVal is its string-keyed value wrapper); the
+// lane executor runs the same intArith, floatBinType, floatArith and
+// round32 steps over its lanes.
+func binopInto(dst *value, op int64, l, r *value, at Expr) {
+	if l.t.IsInt() && r.t.IsInt() {
+		x, msg := intArith(op, l.i, r.i)
+		if msg != "" {
+			panic(errAt(at, "%s", msg))
 		}
+		setInt(dst, x)
 		return
 	}
-	if lanes == 1 {
-		a, b := l.lane(0), r.lane(0)
-		dst.f[0] = round32(base, floatArith(op, a, b, at))
-		dst.t = Type{Base: base, Lanes: 1}
+	t, msg := floatBinType(op, l.t, r.t)
+	if msg != "" {
+		panic(errAt(at, "%s", msg))
+	}
+	if op >= aLt {
+		setBool(dst, compare(op, l.lane(0), r.lane(0)))
 		return
 	}
 	// A broadcast operand's lane(i) rereads lane 0, so when dst aliases
 	// an operand the result must be staged before writing.
 	var f [16]float64
-	for i := 0; i < lanes; i++ {
-		f[i] = round32(base, floatArith(op, l.lane(i), r.lane(i), at))
+	for i := 0; i < t.Lanes; i++ {
+		f[i] = round32(t.Base, floatArith(op, l.lane(i), r.lane(i)))
 	}
-	dst.t = Type{Base: base, Lanes: lanes}
-	dst.f = f
+	dst.t = t
+	copy(dst.f[:t.Lanes], f[:t.Lanes])
 }
 
-func floatArith(op int64, a, b float64, at Expr) float64 {
+// floatArith applies a float arithmetic operator (aAdd..aDiv, checked
+// by floatBinType) in float64; callers round with round32.
+func floatArith(op int64, a, b float64) float64 {
 	switch op {
 	case aAdd:
 		return a + b
 	case aSub:
 		return a - b
 	case aMul:
-		return a * b
-	case aDiv:
-		return a / b
+		return float64(a * b)
 	}
-	panic(errAt(at, "unsupported float operator %q", arithOps[op]))
+	return a / b
 }
 
 func binopVal(op string, l, r value, at Expr) value {

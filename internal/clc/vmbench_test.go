@@ -1,6 +1,7 @@
 package clc
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -116,5 +117,47 @@ func TestVMSpeedupOverRawBytecode(t *testing.T) {
 	t.Logf("median of %d interleaved samples of %d runs: %.1fx over noopt", samples, iters, raw)
 	if raw < 2 {
 		t.Errorf("optimized VM speedup %.2fx over unoptimized bytecode, want >= 2x", raw)
+	}
+}
+
+// laneBytes is one group's lane storage for n items of p: the integer
+// and float register payloads (scratch registers included), the
+// per-register type slots, the per-item state and the __private array
+// slabs.
+func laneBytes(p *compiledKernel, n int) int {
+	regs := p.nreg + 2
+	b := 8*n*(regs+p.rows) + regs*(16+1+24) + n*(4+1+8+4+2*8+8)
+	for _, d := range p.defs {
+		b += 8 * n * d.total
+	}
+	return b
+}
+
+// TestLaneStorageAllocs bounds what one warm launch of the benchKernel
+// workload allocates: one group's lane storage per worker plus a fixed
+// slack, however many items and groups run. Two GC cycles first empty
+// any sync.Pool, as the garbage of a tuning run does between launches,
+// so a pooled cache cannot hide per-item register files (a 152-byte
+// value per register per parked item allocated 257 KB here).
+func TestLaneStorageAllocs(t *testing.T) {
+	bound, q, nd := benchKernel(t, true)
+	if err := q.Run(bound, nd); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := q.Run(bound, nd); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	workers := min(runtime.GOMAXPROCS(0), nd.TotalGroups())
+	const slack = 16 << 10
+	limit := uint64(workers*laneBytes(bound.progOpt, nd.GroupSize()) + slack)
+	t.Logf("warm launch allocated %d bytes; bound %d (%d workers)", got, limit, workers)
+	if got > limit {
+		t.Errorf("warm launch allocated %d bytes, want <= %d: one group's lane storage per worker plus %d", got, limit, slack)
 	}
 }

@@ -22,6 +22,18 @@ type Group struct {
 
 	localUsed int
 	barriers  int64
+	scratch   any
+}
+
+// Scratch returns a slot that persists across the groups one worker
+// runs in one launch, starting nil: a kernel keeps per-worker state
+// there (register storage sized for the group) instead of rebuilding
+// it for every group.
+func (g *Group) Scratch() *any { return &g.scratch }
+
+// reset readies g to run group id, keeping the worker's scratch.
+func (g *Group) reset(id [2]int, nd NDRange, dev *Device) {
+	*g = Group{id: id, nd: nd, dev: dev, scratch: g.scratch}
 }
 
 // ID returns the group index in dimension d.
@@ -107,11 +119,11 @@ func (q *Queue) Run(k GroupKernel, nd NDRange) error { return q.RunLockstep(k, n
 // independent groups over the queue's worker pool (bounded by the
 // Workers option). Kernel panics become errors.
 //
-// The single-worker path is allocation-free in the steady state:
-// Group frames are recycled through a queue-owned free list (a
-// mutex-guarded stack, not sync.Pool, whose GC-droppable items would
-// defeat the warm-launch zero-allocation guarantee) and the group loop
-// runs without closures.
+// The single-worker path is allocation-free in the steady state: each
+// worker runs its groups on one Group frame, recycled through a
+// queue-owned free list (a mutex-guarded stack, not sync.Pool, whose
+// GC-droppable items would defeat the warm-launch zero-allocation
+// guarantee), and the group loop runs without closures.
 func (q *Queue) RunLockstep(k GroupKernel, nd NDRange) error {
 	if err := nd.Validate(q.Ctx.Device); err != nil {
 		return fmt.Errorf("kernel %s: %w", k.Name(), err)
@@ -140,18 +152,18 @@ func (q *Queue) runLockstepSerial(k GroupKernel, nd NDRange) (int64, error) {
 	groups := nd.NumGroups()
 	var barriers int64
 	var firstErr error
+	g := q.getGroup()
 	for gy := 0; gy < groups[1]; gy++ {
 		for gx := 0; gx < groups[0]; gx++ {
-			g := q.getGroup()
-			*g = Group{id: [2]int{gx, gy}, nd: nd, dev: q.Ctx.Device}
+			g.reset([2]int{gx, gy}, nd, q.Ctx.Device)
 			err := runLockstepGroup(k, g)
 			barriers += g.barriers
-			q.putGroup(g)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
+	q.putGroup(g)
 	return barriers, firstErr
 }
 
@@ -173,9 +185,9 @@ func (q *Queue) runLockstepParallel(k GroupKernel, nd NDRange) (int64, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			g := q.getGroup()
 			for i := int(s.next.Add(1) - 1); i < total; i = int(s.next.Add(1) - 1) {
-				g := q.getGroup()
-				*g = Group{id: [2]int{i % groups[0], i / groups[0]}, nd: nd, dev: q.Ctx.Device}
+				g.reset([2]int{i % groups[0], i / groups[0]}, nd, q.Ctx.Device)
 				err := runLockstepGroup(k, g)
 				s.mu.Lock()
 				s.barriers += g.barriers
@@ -183,8 +195,8 @@ func (q *Queue) runLockstepParallel(k GroupKernel, nd NDRange) (int64, error) {
 					s.err = err
 				}
 				s.mu.Unlock()
-				q.putGroup(g)
 			}
+			q.putGroup(g)
 		}()
 	}
 	wg.Wait()
@@ -217,7 +229,10 @@ func (q *Queue) getGroup() *Group {
 	return g
 }
 
+// putGroup returns a worker's Group frame, dropping its scratch so the
+// free list retains nothing of the launch.
 func (q *Queue) putGroup(g *Group) {
+	g.scratch = nil
 	q.grMu.Lock()
 	q.grFree = append(q.grFree, g)
 	q.grMu.Unlock()
