@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// BaseType is a value type's scalar base. Runtime type tests compare
-// these small integers; String renders the OpenCL C names.
+// BaseType is a value type's scalar base. Type tests compare these
+// small integers; String renders the OpenCL C names.
 type BaseType uint8
 
 const (
@@ -17,19 +17,15 @@ const (
 	BaseFloat
 	BaseDouble
 	BaseVoid
-	// baseUnknown marks a register whose writers disagree on its type
-	// (optimizer type inference only).
-	baseUnknown
 )
 
 var baseNames = [...]string{
-	baseNone:    "",
-	BaseInt:     "int",
-	BaseUint:    "uint",
-	BaseFloat:   "float",
-	BaseDouble:  "double",
-	BaseVoid:    "void",
-	baseUnknown: "?",
+	baseNone:   "",
+	BaseInt:    "int",
+	BaseUint:   "uint",
+	BaseFloat:  "float",
+	BaseDouble: "double",
+	BaseVoid:   "void",
 }
 
 func (b BaseType) String() string { return baseNames[b] }
@@ -96,21 +92,33 @@ const (
 type Expr interface {
 	exprNode()
 	Pos() (line, col int)
+	staticType() *Type
 }
 
 type pos struct{ line, col int }
 
 func (p pos) Pos() (int, int) { return p.line, p.col }
 
+// typed holds the static type the checker gives an expression (see
+// check.go): the type of the register the compiler evaluates it into.
+type typed struct{ t Type }
+
+func (x *typed) staticType() *Type { return &x.t }
+
+// typeOf returns e's static type.
+func typeOf(e Expr) Type { return *e.staticType() }
+
 // IntLit is an integer literal.
 type IntLit struct {
 	pos
+	typed
 	Value int64
 }
 
 // FloatLit is a floating literal; Single marks an 'f' suffix.
 type FloatLit struct {
 	pos
+	typed
 	Value  float64
 	Single bool
 }
@@ -118,12 +126,14 @@ type FloatLit struct {
 // Ident is a name reference.
 type Ident struct {
 	pos
+	typed
 	Name string
 }
 
 // Binary is a binary operation.
 type Binary struct {
 	pos
+	typed
 	Op   string
 	L, R Expr
 }
@@ -131,6 +141,7 @@ type Binary struct {
 // Unary is a prefix operation (-, !, ~).
 type Unary struct {
 	pos
+	typed
 	Op string
 	X  Expr
 }
@@ -138,12 +149,14 @@ type Unary struct {
 // Cond is the ternary operator.
 type Cond struct {
 	pos
+	typed
 	C, T, F Expr
 }
 
 // Call is a function invocation.
 type Call struct {
 	pos
+	typed
 	Fun  string
 	Args []Expr
 }
@@ -151,6 +164,7 @@ type Call struct {
 // Index is arr[i].
 type Index struct {
 	pos
+	typed
 	X   Expr
 	Idx Expr
 }
@@ -159,6 +173,7 @@ type Index struct {
 // (one argument), or a vector constructor (Lanes arguments).
 type Cast struct {
 	pos
+	typed
 	To   Type
 	Args []Expr
 }

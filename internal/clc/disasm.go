@@ -12,45 +12,38 @@ import (
 
 // opNames mirrors the opcode const block in compile.go.
 var opNames = [...]string{
-	opConst:      "const",
-	opMov:        "mov",
-	opBool:       "bool",
-	opBin:        "bin",
-	opNeg:        "neg",
-	opNot:        "not",
-	opBitNot:     "bitnot",
-	opConvert:    "convert",
-	opConvertDyn: "convertdyn",
-	opVecCtor:    "vecctor",
-	opJump:       "jump",
-	opJumpF:      "jumpf",
-	opJumpT:      "jumpt",
-	opWI:         "wi",
-	opBarrier:    "barrier",
-	opMad:        "mad",
-	opMin:        "min",
-	opMax:        "max",
-	opLoad:       "load",
-	opCheckIdx:   "checkidx",
-	opStore:      "store",
-	opVload:      "vload",
-	opVstore:     "vstore",
-	opAllocArr:   "allocarr",
-	opErr:        "err",
-	opHalt:       "halt",
-	opLoadK:      "loadk",
-	opStoreK:     "storek",
-	opLoadBin:    "loadbin",
-	opBinStore:   "binstore",
-	opLoadStore:  "loadstore",
-	opLoadMad:    "loadmad",
-	opMadAcc:     "madacc",
-	opMadAccD:    "madacc.d",
-	opMadAccF:    "madacc.f",
-	opLoadD:      "load.d",
-	opLoadF:      "load.f",
-	opStoreD:     "store.d",
-	opStoreF:     "store.f",
+	opConst:     "const",
+	opMov:       "mov",
+	opBool:      "bool",
+	opBin:       "bin",
+	opNeg:       "neg",
+	opNot:       "not",
+	opBitNot:    "bitnot",
+	opConvert:   "convert",
+	opVecCtor:   "vecctor",
+	opJump:      "jump",
+	opJumpF:     "jumpf",
+	opJumpT:     "jumpt",
+	opWI:        "wi",
+	opBarrier:   "barrier",
+	opMad:       "mad",
+	opMin:       "min",
+	opMax:       "max",
+	opLoad:      "load",
+	opCheckIdx:  "checkidx",
+	opStore:     "store",
+	opVload:     "vload",
+	opVstore:    "vstore",
+	opAllocArr:  "allocarr",
+	opErr:       "err",
+	opHalt:      "halt",
+	opLoadK:     "loadk",
+	opStoreK:    "storek",
+	opLoadBin:   "loadbin",
+	opBinStore:  "binstore",
+	opLoadStore: "loadstore",
+	opLoadMad:   "loadmad",
+	opMadAcc:    "madacc",
 }
 
 func (op opcode) String() string {
@@ -137,8 +130,6 @@ func (p *compiledKernel) operands(pc int, in *instr) string {
 		return fmt.Sprintf("r%d = ^r%d", in.dst, in.a)
 	case opConvert:
 		return fmt.Sprintf("r%d = (%s) r%d", in.dst, p.types[in.imm], in.a)
-	case opConvertDyn:
-		return fmt.Sprintf("r%d = (elem of arr%d) r%d", in.dst, in.b, in.a)
 	case opVecCtor:
 		return fmt.Sprintf("r%d = (%s)(r%d..r%d)", in.dst, p.types[in.imm], in.a, int(in.a)+int(in.c)-1)
 	case opJump:
@@ -196,12 +187,8 @@ func (p *compiledKernel) operands(pc int, in *instr) string {
 		return fmt.Sprintf("arr%d[r%d] = arr%d[r%d]", dst, in.c, src, in.b)
 	case opLoadMad:
 		return fmt.Sprintf("r%d = r%d*r%d + arr%d[r%d]", in.dst, in.a, in.b, in.imm, in.c)
-	case opMadAcc, opMadAccD, opMadAccF:
+	case opMadAcc:
 		return fmt.Sprintf("arr%d[r%d] += r%d*r%d", in.imm, in.c, in.a, in.b)
-	case opLoadD, opLoadF:
-		return fmt.Sprintf("r%d = arr%d[r%d]", in.dst, in.a, in.b)
-	case opStoreD, opStoreF:
-		return fmt.Sprintf("arr%d[r%d] = r%d", in.a, in.b, in.c)
 	}
 	return fmt.Sprintf("dst=%d a=%d b=%d c=%d imm=%d", in.dst, in.a, in.b, in.c, in.imm)
 }

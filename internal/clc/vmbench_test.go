@@ -121,12 +121,10 @@ func TestVMSpeedupOverRawBytecode(t *testing.T) {
 }
 
 // laneBytes is one group's lane storage for n items of p: the integer
-// and float register payloads (scratch registers included), the
-// per-register type slots, the per-item state and the __private array
-// slabs.
+// and float register rows (scratch registers included), the per-item
+// state and the __private array slabs.
 func laneBytes(p *compiledKernel, n int) int {
-	regs := p.nreg + 2
-	b := 8*n*(regs+p.rows) + regs*(16+1+24) + n*(4+1+8+4+2*8+8)
+	b := 8*n*(p.irows+p.frows) + n*(4+1+8+4+2*8)
 	for _, d := range p.defs {
 		b += 8 * n * d.total
 	}
