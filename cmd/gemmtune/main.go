@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -143,7 +144,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			// Only a genuinely missing file starts fresh; a corrupt or
 			// version-mismatched database must not be clobbered.
-			if !os.IsNotExist(err) {
+			if !errors.Is(err, os.ErrNotExist) {
 				return err
 			}
 			db = &tunedb.DB{}
