@@ -68,7 +68,7 @@ func fuzzCorpus(t *testing.T) (names, bodies []string) {
 // seed and corpus entry, the sha256 of C for every generated-sweep
 // kernel, and the minimal fuel of the fuel-parity kernel. Each run
 // verdict comes from a run on which the optimized and the raw bytecode
-// agree (TestOptimizerFuelParity checks that they agree on the fuel).
+// match (TestOptimizerFuelParity checks that they match on the fuel).
 //
 // On a mismatch the log carries the complete regenerated golden; commit
 // it only when a change is meant to alter what kernels compute.

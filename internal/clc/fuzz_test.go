@@ -102,7 +102,7 @@ func runTinyKernel(t *testing.T, body string) ([]float64, error) {
 // FuzzRunTinyKernel mutates the body of a small kernel and checks the
 // whole pipeline (compile → bind → run) never panics outside the
 // executor's error channel, and that the optimized and the raw bytecode
-// agree bit-for-bit on every surviving input, including on whether the
+// match bit-for-bit on every surviving input, including on whether the
 // run faults: every fuzz input is an optimizer differential test.
 func FuzzRunTinyKernel(f *testing.F) {
 	for _, b := range fuzzBodies {

@@ -1,6 +1,6 @@
 package clc
 
-// Differential tests: the optimized and the raw bytecode must agree
+// Differential tests: the optimized and the raw bytecode must match
 // bit-for-bit, on results and on faults, across a feature-coverage
 // corpus of hand-written kernels and the generated-kernel space.
 // TestEngineGolden pins what both compute.
@@ -30,7 +30,7 @@ func bitsOf[T float32 | float64](x T) uint64 {
 }
 
 // sameResult fails t unless the optimized run (opt, optErr) and the
-// raw-bytecode run (raw, rawErr) agree: the same error string, or
+// raw-bytecode run (raw, rawErr) match: the same error string, or
 // bit-identical buffers.
 func sameResult[T float32 | float64](t *testing.T, what string, opt []T, optErr error, raw []T, rawErr error) {
 	t.Helper()
@@ -135,7 +135,7 @@ var featureCases = []struct {
 
 // TestVMFeatureCoverage sweeps the language subset feature by feature;
 // each body runs on the optimized and the raw bytecode, which must
-// agree bit-for-bit.
+// match bit-for-bit.
 func TestVMFeatureCoverage(t *testing.T) {
 	for _, tc := range featureCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,7 +304,7 @@ var laneCases = []struct{ name, src, want string }{
 }
 
 // TestLaneDivergence runs the laneCases on the optimized and the raw
-// bytecode, which must agree, and checks each outcome.
+// bytecode, which must match, and checks each outcome.
 func TestLaneDivergence(t *testing.T) {
 	for _, tc := range laneCases {
 		t.Run(tc.name, func(t *testing.T) {
