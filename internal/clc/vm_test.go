@@ -131,6 +131,8 @@ var featureCases = []struct {
 	{"float_literal_single", "o[gid] = (double)(0.1f) + 0.1;"},
 	{"work_item_funcs", "o[gid] = (double)(get_global_id(0) + get_local_id(0) * 10 + get_group_id(0) * 100 + get_local_size(0) * 1000 + get_global_size(0) * 10000 + get_num_groups(0) * 100000);"},
 	{"runtime_casts", "o[gid] = (double)((float)(o[gid] / 7.0)) + (double)((int)(o[gid] * 2.5));"},
+	// 0.0 and -0.0 compare equal but are different constants.
+	{"signed_zero_consts", "double a = 0.0; double b = -0.0; o[0] = 1.0 / a; o[1] = 1.0 / b;"},
 }
 
 // TestVMFeatureCoverage sweeps the language subset feature by feature;
