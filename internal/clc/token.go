@@ -228,9 +228,9 @@ func (l *lexer) next() (token, error) {
 // lexAll tokenizes the whole source.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	// Generated kernels run about 3.2 source bytes per token, so this
-	// capacity usually holds every token without regrowing.
-	out := make([]token, 0, len(src)/3+1)
+	// Generated kernels run 2.7 to 3.2 source bytes per token, so a
+	// token per two bytes holds all of one without regrowing.
+	out := make([]token, 0, len(src)/2+1)
 	for {
 		t, err := l.next()
 		if err != nil {
