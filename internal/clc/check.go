@@ -116,6 +116,10 @@ func (c *checker) block(b *Block) error {
 func (c *checker) stmt(s Stmt) error {
 	switch n := s.(type) {
 	case *Decl:
+		if n.Type.Base == BaseVoid {
+			line, col := n.Pos()
+			return &Error{Line: line, Col: col, Msg: fmt.Sprintf("%q declared void", n.Name)}
+		}
 		sym := symbol{t: canon(n.Type)}
 		if n.ArrayLen != nil {
 			if _, err := constFold(n.ArrayLen); err != nil {

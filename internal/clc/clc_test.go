@@ -221,6 +221,8 @@ func TestCompileErrors(t *testing.T) {
 		"unterminated":      `__kernel void k(__global double* o){ o[0] = 1.0;`,
 		"bad char":          `__kernel void k(__global double* o){ o[0] = $1; }`,
 		"assign to call":    `__kernel void k(__global double* o){ get_global_id(0) = 1; }`,
+		"void variable":     `__kernel void k(__global double* o){ void v = 0.1; o[0] = v; }`,
+		"void local array":  `__kernel void k(__global double* o){ __local void lm[4]; o[0] = 1.0; }`,
 	}
 	for name, src := range cases {
 		if _, err := Compile(src); err == nil {
@@ -361,5 +363,15 @@ func TestErrorPositions(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("error should carry position: %v", err)
+	}
+	// void is no value type: variables and arrays of it are refused
+	// where they are declared.
+	for src, want := range map[string]string{
+		"__kernel void k(__global double* o)\n{\n const int gid = get_global_id(0);\n void v = 0.1 + gid * 0;\n o[gid] = v;\n}": `kernel k: clc: line 4:2: "v" declared void`,
+		"__kernel void k(__global double* o)\n{\n __local void lm[4];\n o[0] = 1.0;\n}":                                         `kernel k: clc: line 3:2: "lm" declared void`,
+	} {
+		if _, err := Compile(src); err == nil || err.Error() != want {
+			t.Errorf("got %v, want %q", err, want)
+		}
 	}
 }
