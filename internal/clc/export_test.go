@@ -10,9 +10,10 @@ func SetOptDebugPanic(on bool) (restore func()) {
 	return func() { optDebugPanic = old }
 }
 
-// OptimizerRounds reruns the optimizer's pass rounds over the kernel's
-// raw bytecode and reports how many ran and whether they reached the
-// fixpoint (false: maxRounds cut optimization short).
-func OptimizerRounds(k *KernelDecl) (rounds int, converged bool) {
-	return newOptimizer(k, k.bytecode()).rounds()
+// OptimizerSweeps optimizes the kernel's raw bytecode again and
+// reports how many backward sweeps over its blocks liveness took.
+func OptimizerSweeps(k *KernelDecl) int {
+	o := newOptimizer(k, k.bytecode())
+	o.run()
+	return o.sweeps
 }

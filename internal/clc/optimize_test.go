@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -414,34 +415,59 @@ func TestOptimizerDifferentialRandomConfigs(t *testing.T) {
 	}
 }
 
-// walkReachingDef is the reference for reachingDef: a backward walk
-// from pc that gives up at a jump target or a live opJump/opHalt/opErr.
-func walkReachingDef(o *optimizer, pc int, r int32) int {
-	for j := pc - 1; j >= 0; j-- {
-		if o.jt[j+1] {
-			return -1
-		}
-		oi := &o.code[j]
-		if oi.dead {
-			continue
-		}
-		switch oi.in.op {
-		case opJump, opHalt, opErr:
-			return -1
-		}
-		if d, ok := writesReg(&oi.in); ok && d == r {
-			return j
+// walkLiveness is the reference for the optimizer's block liveness:
+// per-instruction live-out sets iterated to their fixpoint over single
+// instructions, as the optimizer computed them before it had blocks.
+func walkLiveness(o *optimizer) [][]uint64 {
+	n, words := len(o.code), (o.nreg+63)/64
+	in, out := make([][]uint64, n+1), make([][]uint64, n)
+	for pc := range in {
+		in[pc] = make([]uint64, words)
+	}
+	for changed := true; changed; {
+		changed = false
+		for pc := n - 1; pc >= 0; pc-- {
+			oi := &o.code[pc]
+			succ := []int{pc + 1}
+			if !oi.dead {
+				switch oi.in.op {
+				case opJump:
+					succ = []int{int(oi.in.imm)}
+				case opJumpF, opJumpT:
+					succ = append(succ, int(oi.in.imm))
+				case opHalt, opErr:
+					succ = nil
+				}
+			}
+			o := make([]uint64, words)
+			for _, s := range succ {
+				for w := range o {
+					o[w] |= in[s][w]
+				}
+			}
+			out[pc] = o
+			live := slices.Clone(o)
+			if !oi.dead {
+				if d, ok := writesReg(&oi.in); ok {
+					live[d/64] &^= 1 << (uint(d) % 64)
+				}
+				instReads(&oi.in, func(r int32) { live[r/64] |= 1 << (uint(r) % 64) })
+			}
+			if !slices.Equal(live, in[pc]) {
+				in[pc], changed = live, true
+			}
 		}
 	}
-	return -1
+	return out
 }
 
-// TestReachingDefIndex checks the reaching-definition index against
-// walks over the code (reachingDef and writtenBetween) for every pc and
-// register, after analysis and after
-// each pass that kills instructions, until the passes stop changing
-// the benchmark kernel.
-func TestReachingDefIndex(t *testing.T) {
+// TestBlockLiveness holds the block liveness that DCE, fusion and
+// renumbering read to walkLiveness on the benchmark kernel, through the
+// pipeline's own passes: after DCE, every pc's live-out set, walked
+// backward from its block's live-out set, must equal the reference;
+// after fusion and the bounds lowering, which renumbering reads the
+// same sets for, it must still cover the reference.
+func TestBlockLiveness(t *testing.T) {
 	withOptDebugPanic(t)
 	p := benchParams()
 	src, err := p.GenerateSource()
@@ -460,93 +486,113 @@ func TestReachingDefIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := newOptimizer(kern, kern.bytecode())
-	queries := 0
-	check := func(stage string) {
+	o.analyze()
+	o.convertElim()
+	o.propagate()
+	o.checkElim()
+	if !o.licm() {
+		t.Fatal("licm hoisted nothing out of the benchmark kernel")
+	}
+	o.analyze()
+	o.propagate()
+	o.liveness()
+	o.dce()
+	check := func(stage string, exact bool) {
 		t.Helper()
-		for pc := range o.code {
-			for r := int32(0); r < int32(len(o.writers)); r++ {
-				want := walkReachingDef(o, pc, r)
-				if got := o.reachingDef(pc, r); got != want {
-					t.Fatalf("%s: reachingDef(%d, r%d) = %d, walk finds %d", stage, pc, r, got, want)
-				}
-				for _, from := range []int{-1, pc - 8} {
-					want := false
-					for j := max(from+1, 0); j < pc; j++ {
-						if d, ok := writesReg(&o.code[j].in); ok && d == r && !o.code[j].dead {
-							want = true
-						}
-					}
-					if got := o.writtenBetween(from, pc, r); got != want {
-						t.Fatalf("%s: writtenBetween(%d, %d, r%d) = %v, walk finds %v", stage, from, pc, r, got, want)
+		want := walkLiveness(o)
+		cur := make([]uint64, o.words)
+		for b := 0; b < len(o.starts)-1; b++ {
+			o.liveOut(b, cur)
+			for pc := int(o.starts[b+1]) - 1; pc >= int(o.starts[b]); pc-- {
+				for w := range cur {
+					if exact && cur[w] != want[pc][w] || cur[w]&want[pc][w] != want[pc][w] {
+						t.Fatalf("%s: pc %d: live-out word %d is %#x, reference %#x", stage, pc, w, cur[w], want[pc][w])
 					}
 				}
-				queries++
+				if o.back(pc, cur) {
+					t.Fatalf("%s: pc %d is a dead write DCE left", stage, pc)
+				}
 			}
 		}
 	}
-	for round := 0; ; round++ {
-		if round == maxRounds {
-			t.Fatal("no fixpoint")
-		}
-		o.analyze()
-		check(fmt.Sprintf("round %d analyze", round))
-		changed := o.convertElim()
-		changed = o.copyProp() || changed
-		changed = o.checkElim() || changed
-		check(fmt.Sprintf("round %d checkElim", round))
-		changed = o.dce() || changed
-		check(fmt.Sprintf("round %d dce", round))
-		changed = o.fuse() || changed
-		check(fmt.Sprintf("round %d fuse", round))
-		if !changed {
-			break
-		}
-		o.rebuild()
-	}
-	t.Logf("%d queries match", queries)
+	check("dce", true)
+	o.fuse()
+	o.elideBounds()
+	check("fuse", false)
+	t.Logf("%d instructions in %d blocks, %d liveness sweeps", len(o.code), len(o.starts)-1, o.sweeps)
 }
 
-// BenchmarkOptimizeKernel times the optimizer alone on three generated
-// kernels of about 1.1k, 1.8k and 5.0k raw instructions and reports raw
-// instructions optimized per second, so how the pass pipeline scales
-// with kernel size is visible on its own layer.
+// optimizeBenchParams are BenchmarkOptimizeKernel's generated kernels,
+// of about 1.1k, 1.8k and 5.0k raw instructions.
+var optimizeBenchParams = []codegen.Params{
+	{Precision: matrix.Single, Algorithm: codegen.PL,
+		Mwg: 64, Nwg: 64, Kwg: 16, MdimC: 16, NdimC: 16, MdimA: 32, NdimB: 16,
+		Kwi: 4, VectorWidth: 4, SharedA: true,
+		LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutRBL},
+	{Precision: matrix.Single, Algorithm: codegen.DB,
+		Mwg: 64, Nwg: 32, Kwg: 32, MdimC: 8, NdimC: 8, MdimA: 4, NdimB: 4,
+		Kwi: 2, VectorWidth: 4, StrideM: true, StrideN: true, SharedA: true, SharedB: true,
+		LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutRBL},
+	{Precision: matrix.Single, Algorithm: codegen.DB,
+		Mwg: 32, Nwg: 64, Kwg: 32, MdimC: 8, NdimC: 8, MdimA: 16, NdimB: 8,
+		Kwi: 8, VectorWidth: 4, SharedA: true, SharedB: true,
+		LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutRBL},
+}
+
+// rawKernel compiles p's generated kernel to raw bytecode.
+func rawKernel(tb testing.TB, p codegen.Params) (*KernelDecl, *compiledKernel) {
+	tb.Helper()
+	src, err := p.GenerateSource()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := Compile(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kern, err := prog.Kernel(codegen.KernelName)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := kern.CompileBytecode(); err != nil {
+		tb.Fatal(err)
+	}
+	return kern, kern.bytecode()
+}
+
+// BenchmarkOptimizeKernel times the optimizer alone on the
+// optimizeBenchParams kernels and reports raw instructions optimized
+// per second, so how the pass pipeline scales with kernel size is
+// visible on its own layer.
 func BenchmarkOptimizeKernel(b *testing.B) {
 	withOptDebugPanic(b)
-	for _, p := range []codegen.Params{
-		{Precision: matrix.Single, Algorithm: codegen.PL,
-			Mwg: 64, Nwg: 64, Kwg: 16, MdimC: 16, NdimC: 16, MdimA: 32, NdimB: 16,
-			Kwi: 4, VectorWidth: 4, SharedA: true,
-			LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutRBL},
-		{Precision: matrix.Single, Algorithm: codegen.DB,
-			Mwg: 64, Nwg: 32, Kwg: 32, MdimC: 8, NdimC: 8, MdimA: 4, NdimB: 4,
-			Kwi: 2, VectorWidth: 4, StrideM: true, StrideN: true, SharedA: true, SharedB: true,
-			LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutRBL},
-		{Precision: matrix.Single, Algorithm: codegen.DB,
-			Mwg: 32, Nwg: 64, Kwg: 32, MdimC: 8, NdimC: 8, MdimA: 16, NdimB: 8,
-			Kwi: 8, VectorWidth: 4, SharedA: true, SharedB: true,
-			LayoutA: matrix.LayoutRBL, LayoutB: matrix.LayoutRBL},
-	} {
-		src, err := p.GenerateSource()
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, err := Compile(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kern, err := prog.Kernel(codegen.KernelName)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := kern.CompileBytecode(); err != nil {
-			b.Fatal(err)
-		}
-		raw := kern.bytecode()
+	for _, p := range optimizeBenchParams {
+		kern, raw := rawKernel(b, p)
 		b.Run(fmt.Sprintf("raw%d", len(raw.code)), func(b *testing.B) {
 			for b.Loop() {
 				optimizeKernel(kern, raw)
 			}
 			b.ReportMetric(float64(len(raw.code))*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 		})
+	}
+}
+
+// TestOptimizeKernelAllocs bounds the bytes one optimizeKernel call
+// allocates on the 5.0k-instruction optimizeBenchParams kernel: the
+// working code and the tables, each sized once per kernel, and the
+// optimized program. The bound may only tighten.
+func TestOptimizeKernelAllocs(t *testing.T) {
+	withOptDebugPanic(t)
+	kern, raw := rawKernel(t, optimizeBenchParams[2])
+	optimizeKernel(kern, raw)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	optimizeKernel(kern, raw)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	const limit = 750_000
+	t.Logf("optimizing %d raw instructions allocated %d bytes; bound %d", len(raw.code), got, limit)
+	if got > limit {
+		t.Errorf("optimizeKernel allocated %d bytes, want <= %d", got, limit)
 	}
 }
