@@ -153,6 +153,45 @@ func TestOpenCLCTypeRules(t *testing.T) {
 			},
 		},
 		{
+			// uint arithmetic wraps modulo 2^32.
+			name: "uint_wraps",
+			src:  tinyKernel("uint u = 0 + gid * 0;\n o[gid] = u - 1;"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					u := uint32(0)
+					o[gid] = float64(u - 1)
+				}
+			},
+		},
+		{
+			// int arithmetic wraps to 32-bit two's complement.
+			name: "int_wraps",
+			src:  tinyKernel("int x = 2147483647 + gid * 0;\n o[gid] = x + 1;"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					x := int32(2147483647)
+					o[gid] = float64(x + 1)
+				}
+			},
+		},
+		{
+			// An int meeting a uint converts to uint, so the comparison
+			// is unsigned: gid - 1 is 4294967295 at gid 0.
+			name: "uint_compares_unsigned",
+			src:  tinyKernel("uint u = 1 + gid * 0;\n o[gid] = (double)(u > gid - 1);"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					o[gid] = 0
+					if uint32(1) > uint32(int32(gid)-1) {
+						o[gid] = 1
+					}
+				}
+			},
+		},
+		{
 			name: "dead_type_fault",
 			src: tinyKernel("if (gid < 0) {\n float4 a = (float4)(1.0f);\n float2 b = (float2)(2.0f);\n" +
 				" o[gid] = a + b;\n }\n o[gid] = 2.0;"),

@@ -50,7 +50,7 @@ func (k *KernelDecl) Bind(args ...any) (*BoundKernel, error) {
 			if p.Pointer || !p.Type.IsInt() {
 				return nil, fmt.Errorf("clc: argument %d: int given for parameter %q (%s)", i, p.Name, p.Type)
 			}
-			v.val = intVal(int64(a))
+			v.val = convertVal(intVal(int64(a)), canon(Type{Base: p.Type.Base, Lanes: 1}), nil)
 		case float32:
 			if p.Pointer || p.Type.Base != BaseFloat {
 				return nil, fmt.Errorf("clc: argument %d: float32 given for parameter %q (%s)", i, p.Name, p.Type)
@@ -540,7 +540,7 @@ func (l *lanes) step(g *clsim.Group, pc int, in *instr, act []int32) int {
 		if t.IsInt() {
 			x, d := l.ints(in.a), l.ints(in.dst)
 			for _, i := range act {
-				d[i] = -x[i]
+				d[i] = wrapInt(t, -x[i])
 			}
 			return n
 		}
@@ -598,9 +598,9 @@ func (l *lanes) step(g *clsim.Group, pc int, in *instr, act []int32) int {
 		x, y, z := l.reg(in.a), l.reg(in.b), l.reg(in.c)
 		if x.t.IsInt() {
 			// Fused address arithmetic cannot fault.
-			xs, ys, zs, d := l.ints(in.a), l.ints(in.b), l.ints(in.c), l.ints(in.dst)
+			xs, ys, zs, d, t := l.ints(in.a), l.ints(in.b), l.ints(in.c), l.ints(in.dst), p.regT[in.dst]
 			for _, i := range act {
-				d[i] = xs[i]*ys[i] + zs[i]
+				d[i] = wrapInt(t, xs[i]*ys[i]+zs[i])
 			}
 			return n
 		}
@@ -754,23 +754,24 @@ func (l *lanes) move(dst, a int32, act []int32) {
 	}
 }
 
-// bin runs d = x op y for the items of act. The operands are both ints
-// (intArith) or both floating, a scalar broadcasting against a vector
-// (floatArith rounded to d's base). It returns how many items completed,
-// like step: only an integer division or modulo by zero faults.
+// bin runs d = x op y for the items of act. The operands are both of
+// one integer type (intArith) or both floating, a scalar broadcasting
+// against a vector (floatArith rounded to d's base). It returns how many
+// items completed, like step: only an integer division or modulo by
+// zero faults.
 func (l *lanes) bin(op int64, d, x, y opnd, act []int32, at Expr) int {
 	if x.t.IsInt() {
 		xs, ys, ds := l.ints(x.r), l.ints(y.r), l.ints(d.r)
-		// The add, multiply and less-than of address arithmetic and
+		// The int add, multiply and less-than of address arithmetic and
 		// loop tests cannot fault and run inline.
 		switch {
-		case op == aAdd:
+		case op == aAdd && x.t == intType:
 			for _, i := range act {
-				ds[i] = xs[i] + ys[i]
+				ds[i] = int64(int32(xs[i] + ys[i]))
 			}
-		case op == aMul:
+		case op == aMul && x.t == intType:
 			for _, i := range act {
-				ds[i] = xs[i] * ys[i]
+				ds[i] = int64(int32(xs[i] * ys[i]))
 			}
 		case op == aLt:
 			for _, i := range act {
@@ -778,7 +779,7 @@ func (l *lanes) bin(op int64, d, x, y opnd, act []int32, at Expr) int {
 			}
 		default:
 			for k, i := range act {
-				v, msg := intArith(op, xs[i], ys[i])
+				v, msg := intArith(op, x.t, xs[i], ys[i])
 				if msg != "" {
 					l.fail(i, errAt(at, "%s", msg))
 					return k
@@ -849,17 +850,23 @@ func laneArith(op int64, base BaseType, d, x, y []float64, act []int32) {
 	}
 }
 
-// convert runs d = (d.t) x for the items of act, with value.asInt and
-// round32 per lane as the constant folder's convertVal: an int takes a
-// floating value's lane 0, and a scalar broadcasts to a vector.
+// convert runs d = (d.t) x for the items of act, with value.asInt,
+// wrapInt and round32 per lane as the constant folder's convertVal: an
+// integer takes another integer wrapped to its type, or a floating
+// value's lane 0, and a scalar broadcasts to a vector.
 func (l *lanes) convert(d, x opnd, act []int32) {
 	switch {
 	case x.t == d.t:
 		l.move(d.r, x.r, act)
+	case d.t.IsInt() && x.t.IsInt():
+		xs, ds := l.ints(x.r), l.ints(d.r)
+		for _, i := range act {
+			ds[i] = wrapInt(d.t, xs[i])
+		}
 	case d.t.IsInt():
 		xs, ds := l.flt(x.r, 0), l.ints(d.r)
 		for _, i := range act {
-			ds[i] = int64(xs[i])
+			ds[i] = wrapInt(d.t, int64(xs[i]))
 		}
 	case x.t.IsInt():
 		xs := l.ints(x.r)
