@@ -14,14 +14,6 @@
 //	gemmbench -metrics                 per-phase pack/kernel/copy table
 //	gemmbench -pool -metrics           same, partitioned across the pool
 //	gemmbench -trace out.jsonl         span dump, one JSON object per line
-//	gemmbench -bench-out BENCH_gemm.json   machine-readable report
-//
-// The micro-kernel sweep times a warm functional GEMM with each of the
-// paper's 12 Table II kernels, verifies each against the internal/blas
-// reference, and prints its GFlop/s and stride mode:
-//
-//	gemmbench -micro
-//	gemmbench -micro -microsize 512
 //
 // The chaos mode smoke-tests the resilient serve path: a pool run under
 // a deterministic fault injector (transient launch failures, timeouts,
@@ -32,43 +24,26 @@
 //	gemmbench -chaos
 //	gemmbench -chaos -chaosseed 7 -chaosruns 8
 //
-// The batched mode times one strided batch three ways — the warm
-// GEMMStridedBatched path, the loop-of-single-GEMMs baseline it
-// amortizes, and the full serve wire path (loopback HTTP to
-// /v1/gemm/batched) — verifies all three produce bit-identical slabs,
-// and appends the per-leg throughputs to the BENCH_gemm.json report:
-//
-//	gemmbench -batched 64x64x32x128
-//	gemmbench -batched 8x8x4x256 -bench-out BENCH_gemm.json
+// Wall-clock throughput with repeated samples and dispersion is
+// perfbench's job (perfbench/run.py); gemmbench prints one run.
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"oclgemm"
-	"oclgemm/internal/blas"
-	"oclgemm/internal/clc"
-	"oclgemm/internal/clsim"
-	"oclgemm/internal/codegen"
 	"oclgemm/internal/core"
-	"oclgemm/internal/device"
 	"oclgemm/internal/experiments"
 	"oclgemm/internal/faultinject"
 	"oclgemm/internal/matrix"
-	"oclgemm/internal/serve"
-	"oclgemm/internal/tunedb"
 )
 
 // renderable is anything the harness can print.
@@ -95,31 +70,19 @@ func run(args []string, stdout io.Writer) error {
 	pool := fs.Bool("pool", false, "partition one GEMM across the whole device pool and compare against the best single device")
 	metrics := fs.Bool("metrics", false, "run the instrumented functional benchmark and print the metrics registry and per-phase breakdown")
 	tracePath := fs.String("trace", "", "run the instrumented functional benchmark and dump its spans to this JSON-lines file")
-	benchOut := fs.String("bench-out", "", "run the instrumented functional benchmark and write a BENCH_gemm.json report to this file")
-	micro := fs.Bool("micro", false, "time a warm functional GEMM with each of the 12 paper Table II kernels, verify each against internal/blas and print GFlop/s per stride mode")
-	microSize := fs.Int("microsize", 256, "square problem size for -micro")
 	chaos := fs.Bool("chaos", false, "run the serve-path chaos smoke: pool DGEMMs under injected launch faults, a scripted device death and a later revival")
 	chaosSeed := fs.Int64("chaosseed", 1, "fault-injection seed for -chaos")
 	chaosRuns := fs.Int("chaosruns", 6, "number of pool runs for -chaos")
-	batched := fs.String("batched", "", "time a strided batch MxNxKxCOUNT on the batched, loop and serve paths (e.g. 64x64x32x128)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *batched != "" {
-		return runBatched(stdout, *batched, *benchOut)
 	}
 
 	if *chaos {
 		return runChaos(stdout, *chaosSeed, *chaosRuns)
 	}
 
-	if *micro {
-		return runMicro(stdout, *microSize)
-	}
-
-	if *metrics || *tracePath != "" || *benchOut != "" {
-		return runInstrumented(stdout, *pool, *metrics, *tracePath, *benchOut)
+	if *metrics || *tracePath != "" {
+		return runInstrumented(stdout, *pool, *metrics, *tracePath)
 	}
 
 	if *pool {
@@ -189,9 +152,8 @@ func run(args []string, stdout io.Writer) error {
 // registry and span trace attached: a warm-path DGEMM loop on one
 // device (tahiti's published Table II kernel), or the same call
 // partitioned across the whole pool. It then renders where the time
-// went and optionally persists the spans and the BENCH_gemm.json
-// report.
-func runInstrumented(stdout io.Writer, pool, showMetrics bool, tracePath, benchOut string) error {
+// went and optionally persists the spans.
+func runInstrumented(stdout io.Writer, pool, showMetrics bool, tracePath string) error {
 	reg := oclgemm.NewMetrics()
 	tr := oclgemm.NewTrace(0)
 
@@ -205,7 +167,7 @@ func runInstrumented(stdout io.Writer, pool, showMetrics bool, tracePath, benchO
 	b.FillRandom(rng)
 	c.FillRandom(rng)
 
-	mode, device := "single", "tahiti"
+	mode := "single"
 	var runOnce func() error
 	var closer func()
 	if pool {
@@ -215,7 +177,6 @@ func runInstrumented(stdout io.Writer, pool, showMetrics bool, tracePath, benchO
 		}
 		closer = pg.Close
 		mode = "pool"
-		device = fmt.Sprintf("%d-device pool", pg.Alive())
 		runOnce = func() error { return pg.Run(oclgemm.NoTrans, oclgemm.NoTrans, 1.0, a, b, 0.0, c) }
 	} else {
 		p, ok, err := oclgemm.ParamsFor(oclgemm.PaperKernels(), "tahiti", oclgemm.Double)
@@ -270,187 +231,7 @@ func runInstrumented(stdout io.Writer, pool, showMetrics bool, tracePath, benchO
 		fmt.Fprintf(stdout, "\n%d spans written to %s (%d dropped by the ring)\n", len(spans), tracePath, tr.Dropped())
 	}
 
-	if benchOut != "" {
-		rep := oclgemm.NewBenchReport(mode)
-		rep.Device = device
-		rep.M, rep.N, rep.K, rep.Iters = m, n, k, iters
-		rep.WallSeconds = wall.Seconds()
-		rep.GFlops = gflops
-		rep.Phases = phases
-		rep.Metrics = reg.Snapshot()
-		entries, err := vmPhaseEntries()
-		if err != nil {
-			return fmt.Errorf("vm phase: %w", err)
-		}
-		rep.Entries = entries
-		fmt.Fprintf(stdout, "\nclc VM kernel phase (generated GEMM source on the simulated runtime):\n")
-		for _, e := range entries {
-			fmt.Fprintf(stdout, "  %-12s %10.6fs %10.3f MFlop/s simulated\n", e.Name, e.WallSeconds, e.GFlops*1e3)
-		}
-		f, err := os.Create(benchOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\nbenchmark report written to %s\n", benchOut)
-	}
 	return nil
-}
-
-// vmPhaseEntries times the clc engine on the committed BenchmarkVM
-// kernel phase — the optimized and the raw (unoptimized) bytecode — so
-// the BENCH_gemm.json report tracks the source-execution engine's
-// throughput alongside the native phases.
-func vmPhaseEntries() ([]oclgemm.BenchEntry, error) {
-	p := codegen.Params{
-		Precision: matrix.Double, Algorithm: codegen.BA,
-		Mwg: 16, Nwg: 16, Kwg: 8, MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
-		Kwi: 2, VectorWidth: 1, SharedA: true, SharedB: true,
-		LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutCBL,
-	}
-	src, err := p.GenerateSource()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := clc.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	kern, err := prog.Kernel(codegen.KernelName)
-	if err != nil {
-		return nil, err
-	}
-	m, n, k := 32, 32, 16
-	a := make([]float64, k*m)
-	b := make([]float64, k*n)
-	c := make([]float64, m*n)
-	rng := rand.New(rand.NewSource(5))
-	for i := range a {
-		a[i] = rng.Float64()*2 - 1
-	}
-	for i := range b {
-		b[i] = rng.Float64()*2 - 1
-	}
-	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: device.Tahiti()}))
-	nd := clsim.NDRange{
-		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
-		Local:  [2]int{p.MdimC, p.NdimC},
-	}
-	const iters = 10
-	flops := 2 * float64(m) * float64(n) * float64(k)
-	legs := []struct {
-		name     string
-		optimize bool
-	}{{"clcvm", true}, {"clcvm-noopt", false}}
-	out := make([]oclgemm.BenchEntry, 0, len(legs))
-	for _, leg := range legs {
-		bound, err := kern.Bind(m, n, k, 1.0, 0.0, a, b, c)
-		if err != nil {
-			return nil, err
-		}
-		bound.SetOptimize(leg.optimize)
-		if err := q.Run(bound, nd); err != nil { // warm-up
-			return nil, err
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := q.Run(bound, nd); err != nil {
-				return nil, err
-			}
-		}
-		wall := time.Since(start).Seconds()
-		out = append(out, oclgemm.BenchEntry{
-			Name: leg.name, Iters: iters, WallSeconds: wall,
-			GFlops: float64(iters) * flops / wall / 1e9,
-		})
-	}
-	return out, nil
-}
-
-// runMicro sweeps the micro-kernel over the paper's 12 Table II
-// kernels. Each runs a size³ functional GEMM on its own device model:
-// one warm-up call builds the plan and fills the pack caches, the timed
-// iterations exercise the warm path, and the result is verified against
-// the serial internal/blas reference within matrix.Tolerance. Each row
-// prints the simulated GFlop/s with the kernel's stride mode.
-func runMicro(stdout io.Writer, size int) error {
-	if size < 1 {
-		return fmt.Errorf("-microsize must be positive, got %d", size)
-	}
-	const iters = 2
-	fmt.Fprintf(stdout, "Micro-kernel sweep, paper Table II kernels, %dx%dx%d (%d timed iterations after warm-up):\n", size, size, size, iters)
-	fmt.Fprintf(stdout, "  %-12s %-5s %-3s %-6s %9s %10s\n", "device", "gemm", "alg", "stride", "GFlop/s", "max rel")
-	for _, rec := range tunedb.PaperTableII().Records {
-		p, err := rec.Params()
-		if err != nil {
-			return err
-		}
-		d, err := oclgemm.DeviceByID(rec.Device)
-		if err != nil {
-			return err
-		}
-		var gf, diff float64
-		if p.Precision == matrix.Single {
-			gf, diff, err = microLeg[float32](d, p, size, iters)
-		} else {
-			gf, diff, err = microLeg[float64](d, p, size, iters)
-		}
-		if err != nil {
-			return fmt.Errorf("%s %s: %w", rec.Device, p.Precision.GEMMName(), err)
-		}
-		stride := "unit"
-		if p.StrideM || p.StrideN {
-			stride = "s"
-			if p.StrideM {
-				stride += "M"
-			}
-			if p.StrideN {
-				stride += "N"
-			}
-		}
-		fmt.Fprintf(stdout, "  %-12s %-5s %-3s %-6s %9.3f %10.2e\n", rec.Device, p.Precision.GEMMName(), p.Algorithm, stride, gf, diff)
-	}
-	return nil
-}
-
-// microLeg times iters warm size³ GEMMs of one kernel and returns the
-// throughput and the result's max relative difference to internal/blas.
-func microLeg[T matrix.Scalar](d *oclgemm.Device, p oclgemm.Params, size, iters int) (gflops, diff float64, err error) {
-	g, err := oclgemm.NewGEMM(d, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer g.Close()
-	rng := rand.New(rand.NewSource(1))
-	a := matrix.New[T](size, size, matrix.RowMajor)
-	b := matrix.New[T](size, size, matrix.RowMajor)
-	c := matrix.New[T](size, size, matrix.RowMajor)
-	a.FillRandom(rng)
-	b.FillRandom(rng)
-	call := func() error { return oclgemm.Run(g, oclgemm.NoTrans, oclgemm.NoTrans, T(1), a, b, T(0), c) }
-	if err := call(); err != nil {
-		return 0, 0, err
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := call(); err != nil {
-			return 0, 0, err
-		}
-	}
-	wall := time.Since(start).Seconds()
-	want := matrix.New[T](size, size, matrix.RowMajor)
-	blas.GEMM(blas.NoTrans, blas.NoTrans, T(1), a, b, T(0), want)
-	diff = matrix.MaxRelDiff(c, want)
-	if tol := matrix.Tolerance(p.Precision, size); diff > tol {
-		return 0, diff, fmt.Errorf("max rel diff %.3g vs internal/blas exceeds %.3g", diff, tol)
-	}
-	return float64(iters) * blas.FlopCount(size, size, size) / wall / 1e9, diff, nil
 }
 
 // runChaos smoke-tests the resilient serve path: pool DGEMMs under a
@@ -567,222 +348,6 @@ func runChaos(stdout io.Writer, seed int64, runs int) error {
 	}
 	if okRuns == 0 {
 		return fmt.Errorf("no run completed bit-identically under chaos")
-	}
-	return nil
-}
-
-// parseBatchSpec parses the -batched argument "MxNxKxCOUNT".
-func parseBatchSpec(spec string) (m, n, k, count int, err error) {
-	parts := strings.Split(strings.ToLower(spec), "x")
-	if len(parts) != 4 {
-		return 0, 0, 0, 0, fmt.Errorf("-batched wants MxNxKxCOUNT, got %q", spec)
-	}
-	vals := make([]int, 4)
-	for i, p := range parts {
-		v, convErr := strconv.Atoi(strings.TrimSpace(p))
-		if convErr != nil || v < 1 {
-			return 0, 0, 0, 0, fmt.Errorf("-batched wants four positive integers MxNxKxCOUNT, got %q", spec)
-		}
-		vals[i] = v
-	}
-	return vals[0], vals[1], vals[2], vals[3], nil
-}
-
-// runBatched times one strided batch (tahiti's Table II DGEMM kernel)
-// on the three execution paths the batched subsystem offers: the warm
-// GEMMStridedBatched call that amortizes one plan across every item,
-// the loop-of-single-GEMMs baseline it replaces, and the serve wire
-// path — framed slabs over loopback HTTP to /v1/gemm/batched. The
-// three C slabs must be bit-identical; the per-leg throughputs are
-// printed and, with -bench-out, appended to the BENCH_gemm.json report
-// as entries.
-func runBatched(stdout io.Writer, spec, benchOut string) error {
-	m, n, k, count, err := parseBatchSpec(spec)
-	if err != nil {
-		return err
-	}
-	p, ok, err := oclgemm.ParamsFor(oclgemm.PaperKernels(), "tahiti", oclgemm.Double)
-	if err != nil || !ok {
-		return fmt.Errorf("tahiti Table II kernel: ok=%v err=%v", ok, err)
-	}
-	d, err := oclgemm.DeviceByID("tahiti")
-	if err != nil {
-		return err
-	}
-	g, err := oclgemm.NewGEMM(d, p)
-	if err != nil {
-		return err
-	}
-	defer g.Close()
-	reg := oclgemm.NewMetrics()
-	tr := oclgemm.NewTrace(0)
-	g.Observe(reg, tr)
-
-	rng := rand.New(rand.NewSource(1))
-	na, nb, nc := m*k, k*n, m*n
-	fill := func(sz int) []float64 {
-		out := make([]float64, sz)
-		for i := range out {
-			out[i] = rng.Float64()*2 - 1
-		}
-		return out
-	}
-	aSlab, bSlab := fill(na*count), fill(nb*count)
-	cBatched := make([]float64, nc*count)
-	sb := &oclgemm.StridedBatch[float64]{
-		M: m, N: n, K: k, Count: count, Alpha: 1,
-		Order: oclgemm.RowMajor,
-		A:     aSlab, StrideA: na,
-		B: bSlab, StrideB: nb,
-		C: cBatched, StrideC: nc,
-	}
-
-	const iters = 3
-	legFlops := 2 * float64(m) * float64(n) * float64(k) * float64(count)
-
-	// Leg 1: warm batched. The cold call builds the one shared plan;
-	// the timed iterations ride the free-listed kernel state.
-	if err := oclgemm.GEMMStridedBatched(g, sb); err != nil {
-		return fmt.Errorf("batched: %w", err)
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := oclgemm.GEMMStridedBatched(g, sb); err != nil {
-			return fmt.Errorf("batched: %w", err)
-		}
-	}
-	batchedWall := time.Since(start).Seconds()
-
-	// Leg 2: the loop-of-single-GEMMs baseline on the same engine —
-	// also the correctness oracle the batched slab must match bit for
-	// bit. Beta is zero, so the loop is idempotent and the item views
-	// can alias the slabs across iterations.
-	cLoop := make([]float64, nc*count)
-	type item struct{ a, b, c *matrix.Matrix[float64] }
-	items := make([]item, count)
-	for i := range items {
-		items[i] = item{
-			a: matrix.FromSlice(m, k, matrix.RowMajor, aSlab[i*na:(i+1)*na]),
-			b: matrix.FromSlice(k, n, matrix.RowMajor, bSlab[i*nb:(i+1)*nb]),
-			c: matrix.FromSlice(m, n, matrix.RowMajor, cLoop[i*nc:(i+1)*nc]),
-		}
-	}
-	runLoop := func() error {
-		for _, it := range items {
-			if err := oclgemm.Run(g, oclgemm.NoTrans, oclgemm.NoTrans, 1.0, it.a, it.b, 0.0, it.c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := runLoop(); err != nil {
-		return fmt.Errorf("loop: %w", err)
-	}
-	for i, v := range cLoop {
-		if v != cBatched[i] {
-			return fmt.Errorf("slab element %d: loop %v, batched %v — not bit-identical", i, v, cBatched[i])
-		}
-	}
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if err := runLoop(); err != nil {
-			return fmt.Errorf("loop: %w", err)
-		}
-	}
-	loopWall := time.Since(start).Seconds()
-
-	// Leg 3: the serve wire path — one framed request per batch over
-	// loopback HTTP, every response decoded and bit-checked against the
-	// engine result.
-	srv, err := serve.New(serve.Config{Device: "tahiti", QuotaMflopRate: -1})
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-	url := "http://" + ln.Addr().String() + "/v1/gemm/batched"
-	h := &serve.Header{Precision: "double", M: m, N: n, K: k, Alpha: 1, Count: count}
-	post := func() error {
-		var body bytes.Buffer
-		if err := serve.EncodeBatchedRequest(&body, h, aSlab, bSlab, nil); err != nil {
-			return err
-		}
-		resp, err := http.Post(url, "application/octet-stream", &body)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			return fmt.Errorf("serve status %d: %s", resp.StatusCode, msg)
-		}
-		rh, got, err := serve.DecodeBatchedResponse[float64](resp.Body, m, n, count)
-		if err != nil {
-			return err
-		}
-		if !rh.OK {
-			return fmt.Errorf("serve: %s", rh.Error)
-		}
-		for i, v := range got {
-			if v != cBatched[i] {
-				return fmt.Errorf("serve slab element %d: %v, engine %v — not bit-identical", i, v, cBatched[i])
-			}
-		}
-		return nil
-	}
-	if err := post(); err != nil { // cold call builds the server's plan
-		return err
-	}
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if err := post(); err != nil {
-			return err
-		}
-	}
-	serveWall := time.Since(start).Seconds()
-
-	gf := func(wall float64) float64 { return float64(iters) * legFlops / wall / 1e9 }
-	entries := []oclgemm.BenchEntry{
-		{Name: "batched", Iters: iters, WallSeconds: batchedWall, GFlops: gf(batchedWall)},
-		{Name: "loop", Iters: iters, WallSeconds: loopWall, GFlops: gf(loopWall)},
-		{Name: "serve", Iters: iters, WallSeconds: serveWall, GFlops: gf(serveWall)},
-	}
-
-	fmt.Fprintf(stdout, "Strided batch of %d DGEMMs %dx%dx%d, tahiti Table II kernel (%d timed iterations per leg, all three slabs bit-identical):\n",
-		count, m, n, k, iters)
-	for _, e := range entries {
-		fmt.Fprintf(stdout, "  %-8s %10.6fs %10.3f GFlop/s simulated\n", e.Name, e.WallSeconds, e.GFlops)
-	}
-	fmt.Fprintf(stdout, "  batched/loop speedup %.2fx\n", loopWall/batchedWall)
-
-	if benchOut != "" {
-		rep := oclgemm.NewBenchReport("batched")
-		rep.Device = "tahiti"
-		rep.M, rep.N, rep.K, rep.Iters = m, n, k, iters
-		rep.Count = count
-		rep.WallSeconds = batchedWall
-		rep.GFlops = gf(batchedWall)
-		rep.Entries = entries
-		rep.Phases = oclgemm.PhaseBreakdown(tr.Snapshot())
-		rep.Metrics = reg.Snapshot()
-		f, err := os.Create(benchOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\nbenchmark report written to %s\n", benchOut)
 	}
 	return nil
 }

@@ -220,25 +220,3 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Errorf("render missing counter:\n%s", out)
 	}
 }
-
-func TestBenchReportJSON(t *testing.T) {
-	rep := NewBenchReport("single")
-	rep.Device = "tahiti"
-	rep.M, rep.N, rep.K, rep.Iters = 192, 160, 128, 4
-	rep.WallSeconds = 0.25
-	rep.Phases = []Phase{{Name: "gemm.kernel", Calls: 4, Seconds: 0.2}}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got BenchReport
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("report JSON invalid: %v", err)
-	}
-	if got.Schema != "oclgemm-bench/v1" || got.Mode != "single" || len(got.Phases) != 1 {
-		t.Errorf("round trip = %+v", got)
-	}
-	if _, err := time.Parse(time.RFC3339, got.Timestamp); err != nil {
-		t.Errorf("timestamp %q not RFC3339: %v", got.Timestamp, err)
-	}
-}

@@ -1,15 +1,11 @@
-// Reporting: per-phase breakdowns aggregated from trace spans, an
-// aligned table renderer, and the BENCH_gemm.json emitter that records
-// the repository's performance trajectory across commits.
+// Reporting: per-phase breakdowns aggregated from trace spans and an
+// aligned table renderer.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Phase is the aggregate of every span sharing one name: where a
@@ -68,58 +64,4 @@ func RenderPhases(phases []Phase) string {
 	}
 	fmt.Fprintf(&b, "%-24s %8s %12.6f %6.1f%%\n", "total", "", total, 100.0)
 	return b.String()
-}
-
-// BenchReport is the BENCH_gemm.json schema: one instrumented
-// benchmark run, self-describing enough to diff across commits.
-type BenchReport struct {
-	Schema      string  `json:"schema"` // "oclgemm-bench/v1"
-	Timestamp   string  `json:"timestamp"`
-	Mode        string  `json:"mode"` // "single" or "pool"
-	Device      string  `json:"device,omitempty"`
-	M           int     `json:"m"`
-	N           int     `json:"n"`
-	K           int     `json:"k"`
-	Iters       int     `json:"iters"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// GFlops is wall-clock throughput of the simulated run — a
-	// regression canary for the engine's hot path, not a claim about
-	// hardware.
-	GFlops  float64  `json:"gflops"`
-	Phases  []Phase  `json:"phases"`
-	Metrics Snapshot `json:"metrics"`
-
-	// Count and Entries extend the schema additively for batched runs:
-	// Count is the strided-batch size and Entries holds one throughput
-	// row per execution leg (warm batched, loop of single GEMMs, serve
-	// path). Absent on single/pool reports, so v1 readers are unaffected.
-	Count   int          `json:"count,omitempty"`
-	Entries []BenchEntry `json:"entries,omitempty"`
-}
-
-// BenchEntry is one named throughput measurement inside a BenchReport:
-// a leg of a comparative run, e.g. the batched path versus the
-// loop-of-GEMMs baseline it must beat.
-type BenchEntry struct {
-	Name        string  `json:"name"`
-	Iters       int     `json:"iters"`
-	WallSeconds float64 `json:"wall_seconds"`
-	GFlops      float64 `json:"gflops"`
-}
-
-// NewBenchReport stamps a report with the schema version and the
-// current time.
-func NewBenchReport(mode string) *BenchReport {
-	return &BenchReport{
-		Schema:    "oclgemm-bench/v1",
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Mode:      mode,
-	}
-}
-
-// WriteJSON writes the report as one indented JSON object.
-func (r *BenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"testing"
 
+	"oclgemm/internal/batch"
 	"oclgemm/internal/blas"
 	"oclgemm/internal/device"
+	"oclgemm/internal/gemmimpl"
 	"oclgemm/internal/matrix"
 	"oclgemm/internal/obs"
 )
@@ -36,8 +40,10 @@ func postBatched[T matrix.Scalar](t *testing.T, url, tenant string, h *Header, a
 }
 
 // batchedRoundTrip posts one batch and verifies every item against the
-// pure-Go oracle, returning the response header.
-func batchedRoundTrip[T matrix.Scalar](t *testing.T, url string, h *Header, rng *rand.Rand) *RespHeader {
+// pure-Go oracle, returning the response header. With a non-nil eng
+// the response slab must also be bit-identical to the same slabs run
+// through eng's strided path.
+func batchedRoundTrip[T matrix.Scalar](t *testing.T, url string, eng *gemmimpl.Engine, h *Header, rng *rand.Rand) *RespHeader {
 	t.Helper()
 	na, nb, nc := payloadSizes(h)
 	a := randSlice[T](na*h.Count, rng)
@@ -73,18 +79,36 @@ func batchedRoundTrip[T matrix.Scalar](t *testing.T, url string, h *Header, rng 
 			t.Fatalf("item %d of %d did not verify", i, h.Count)
 		}
 	}
+	if eng != nil {
+		want := make([]T, h.M*h.N*h.Count)
+		copy(want, c)
+		sb := &batch.Strided[T]{
+			Alpha: T(h.Alpha), Beta: T(h.Beta),
+			M: h.M, N: h.N, K: h.K, Order: matrix.RowMajor,
+			A: a, StrideA: na, B: b, StrideB: nb, C: want, StrideC: h.M * h.N,
+			Count: h.Count,
+		}
+		if err := gemmimpl.EngineRunStridedCtx(context.Background(), eng, sb); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if math.Float64bits(float64(v)) != math.Float64bits(float64(want[i])) {
+				t.Fatalf("slab element %d: served %v, engine %v — not bit-identical", i, v, want[i])
+			}
+		}
+	}
 	return rh
 }
 
 func TestBatchedEndpointVerifies(t *testing.T) {
-	_, ts := newTestServer(t, Config{QuotaMflopRate: -1})
+	s, ts := newTestServer(t, Config{QuotaMflopRate: -1})
 	rng := rand.New(rand.NewSource(42))
 	// Double with beta (C slab on the wire), single without.
-	rh := batchedRoundTrip[float64](t, ts.URL, &Header{Precision: "double", M: 8, N: 8, K: 4, Alpha: 1.25, Beta: 0.5, Count: 6}, rng)
+	rh := batchedRoundTrip[float64](t, ts.URL, s.e64, &Header{Precision: "double", M: 8, N: 8, K: 4, Alpha: 1.25, Beta: 0.5, Count: 6}, rng)
 	if rh.Path != "engine" {
 		t.Errorf("path %q, want engine", rh.Path)
 	}
-	batchedRoundTrip[float32](t, ts.URL, &Header{Precision: "single", M: 5, N: 7, K: 3, Alpha: 2, Count: 9}, rng)
+	batchedRoundTrip[float32](t, ts.URL, s.e32, &Header{Precision: "single", M: 5, N: 7, K: 3, Alpha: 2, Count: 9}, rng)
 }
 
 func TestBatchedPoolRouting(t *testing.T) {
@@ -95,7 +119,7 @@ func TestBatchedPoolRouting(t *testing.T) {
 		LargeFlops: 1, QuotaMflopRate: -1,
 	})
 	rng := rand.New(rand.NewSource(7))
-	rh := batchedRoundTrip[float64](t, ts.URL, &Header{Precision: "double", M: 8, N: 8, K: 4, Alpha: 1, Beta: 0.25, Count: 8}, rng)
+	rh := batchedRoundTrip[float64](t, ts.URL, nil, &Header{Precision: "double", M: 8, N: 8, K: 4, Alpha: 1, Beta: 0.25, Count: 8}, rng)
 	if rh.Path != "pool" {
 		t.Errorf("path %q, want pool", rh.Path)
 	}

@@ -28,16 +28,6 @@ type TraceSpan = obs.SpanRecord
 // seconds, bytes and flops.
 type PhaseStat = obs.Phase
 
-// BenchReport is the machine-readable benchmark artifact gemmbench
-// emits (schema "oclgemm-bench/v1"): the run's configuration, wall
-// time, throughput, per-phase breakdown and a metrics snapshot.
-type BenchReport = obs.BenchReport
-
-// BenchEntry is one named throughput row inside a BenchReport: a leg of
-// a comparative run, e.g. the batched path versus its loop-of-GEMMs
-// baseline.
-type BenchEntry = obs.BenchEntry
-
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
@@ -52,10 +42,6 @@ func PhaseBreakdown(spans []TraceSpan) []PhaseStat { return obs.PhaseBreakdown(s
 // RenderPhases formats a phase breakdown as an aligned table with each
 // phase's share of the total.
 func RenderPhases(phases []PhaseStat) string { return obs.RenderPhases(phases) }
-
-// NewBenchReport returns a report skeleton for the given mode
-// ("single" or "pool") stamped with the current time.
-func NewBenchReport(mode string) *BenchReport { return obs.NewBenchReport(mode) }
 
 // Observe attaches a metrics registry and/or span trace to the routine
 // (either may be nil). Plans the engine builds afterwards record

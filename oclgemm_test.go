@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"oclgemm/internal/blas"
+	"oclgemm/internal/matrix"
 )
 
 func TestDevicesCatalog(t *testing.T) {
@@ -199,5 +202,60 @@ func TestTuneOrFallbackPassesThroughSuccess(t *testing.T) {
 	}
 	if res.GFlops <= 0 {
 		t.Error("successful search must carry a measured performance")
+	}
+}
+
+// TestPaperTableIIRoutineMatchesBLAS runs each of the paper's 12 Table
+// II kernels through the public routine at 192³, cold (plan build and
+// pack) and then warm, and holds every C element to the serial
+// internal/blas reference within matrix.Tolerance.
+func TestPaperTableIIRoutineMatchesBLAS(t *testing.T) {
+	const size = 192
+	recs := PaperKernels().Records
+	if len(recs) != 12 {
+		t.Fatalf("paper Table II has %d kernels, want 12", len(recs))
+	}
+	for _, rec := range recs {
+		p, err := rec.Params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DeviceByID(rec.Device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(rec.Device+"/"+p.Precision.GEMMName(), func(t *testing.T) {
+			if p.Precision == Single {
+				checkRoutineAgainstBLAS[float32](t, d, p, size)
+			} else {
+				checkRoutineAgainstBLAS[float64](t, d, p, size)
+			}
+		})
+	}
+}
+
+func checkRoutineAgainstBLAS[T Scalar](t *testing.T, d *Device, p Params, size int) {
+	t.Helper()
+	g, err := NewGEMM(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	rng := rand.New(rand.NewSource(1))
+	a := NewMatrix[T](size, size, RowMajor)
+	b := NewMatrix[T](size, size, RowMajor)
+	a.FillRandom(rng)
+	b.FillRandom(rng)
+	want := NewMatrix[T](size, size, RowMajor)
+	blas.GEMM(blas.NoTrans, blas.NoTrans, T(1), a, b, T(0), want)
+	tol := matrix.Tolerance(p.Precision, size)
+	for _, call := range []string{"cold", "warm"} {
+		c := NewMatrix[T](size, size, RowMajor)
+		if err := Run(g, NoTrans, NoTrans, T(1), a, b, T(0), c); err != nil {
+			t.Fatalf("%s call: %v", call, err)
+		}
+		if diff := matrix.MaxRelDiff(c, want); diff > tol {
+			t.Errorf("%s call: max rel diff %.3g vs internal/blas exceeds %.3g", call, diff, tol)
+		}
 	}
 }
