@@ -108,11 +108,12 @@ func (x *typed) staticType() *Type { return &x.t }
 // typeOf returns e's static type.
 func typeOf(e Expr) Type { return *e.staticType() }
 
-// IntLit is an integer literal.
+// IntLit is an integer literal; Unsigned marks a 'u' suffix.
 type IntLit struct {
 	pos
 	typed
-	Value int64
+	Value    int64
+	Unsigned bool
 }
 
 // FloatLit is a floating literal; Single marks an 'f' suffix.

@@ -201,6 +201,9 @@ func (c *checker) expr(e Expr) (Type, error) {
 func (c *checker) exprType(e Expr) (Type, error) {
 	switch n := e.(type) {
 	case *IntLit:
+		if n.Unsigned {
+			return typeUintScalar, nil
+		}
 		return intType, nil
 	case *FloatLit:
 		if n.Single {

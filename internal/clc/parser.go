@@ -560,12 +560,12 @@ func (p *parser) primary() (Expr, error) {
 	switch t.kind {
 	case tokIntLit:
 		p.advance()
-		text := strings.TrimSuffix(strings.TrimSuffix(t.text, "u"), "U")
+		text := strings.TrimRight(t.text, "uU")
 		v, err := strconv.ParseInt(text, 0, 64)
 		if err != nil {
 			return nil, p.errf(t, "bad integer literal %q", t.text)
 		}
-		return &IntLit{pos: pos{t.line, t.col}, Value: v}, nil
+		return &IntLit{pos: pos{t.line, t.col}, Value: v, Unsigned: len(text) < len(t.text)}, nil
 	case tokFloatLit:
 		p.advance()
 		single := false

@@ -194,6 +194,10 @@ func (l *lexer) next() (token, error) {
 			case c == 'f' || c == 'F':
 				isFloat = true
 				l.nextByte()
+			case c == 'u' || c == 'U':
+				// a suffix ends the literal
+				l.nextByte()
+				goto done
 			default:
 				goto done
 			}

@@ -192,6 +192,57 @@ func TestOpenCLCTypeRules(t *testing.T) {
 			},
 		},
 		{
+			// A 'u' suffix makes the literal a uint, so the folded
+			// difference wraps modulo 2^32.
+			name: "uint_literal_folds",
+			src:  tinyKernel("o[gid] = 0u - 1u;"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					zero := uint32(0)
+					o[gid] = float64(zero - 1)
+				}
+			},
+		},
+		{
+			name: "uint_literal_at_run_time",
+			src:  tinyKernel("uint u = 1u + gid * 0;\n o[gid] = u - 2u + gid;"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					u := uint32(1)
+					o[gid] = float64(u - 2 + uint32(gid))
+				}
+			},
+		},
+		{
+			// The int meeting 1u converts to uint: gid - 2 is above 1u
+			// at gid 0 and 1.
+			name: "uint_literal_compares_unsigned",
+			src:  tinyKernel("o[gid] = (double)(1u > gid - 2);"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					o[gid] = 0
+					if uint32(1) > uint32(int32(gid)-2) {
+						o[gid] = 1
+					}
+				}
+			},
+		},
+		{
+			// The division is unsigned: (1U - 2) / 2 is 2147483647, not 0.
+			name: "uint_literal_divides_unsigned",
+			src:  tinyKernel("o[gid] = (1U - 2) / 2;"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					one := uint32(1)
+					o[gid] = float64((one - 2) / 2)
+				}
+			},
+		},
+		{
 			name: "dead_type_fault",
 			src: tinyKernel("if (gid < 0) {\n float4 a = (float4)(1.0f);\n float2 b = (float2)(2.0f);\n" +
 				" o[gid] = a + b;\n }\n o[gid] = 2.0;"),

@@ -71,6 +71,7 @@ func round32(base BaseType, x float64) float64 {
 
 var (
 	intType          = Type{Base: BaseInt, Lanes: 1}
+	typeUintScalar   = Type{Base: BaseUint, Lanes: 1}
 	typeDoubleScalar = Type{Base: BaseDouble, Lanes: 1}
 	typeFloatScalar  = Type{Base: BaseFloat, Lanes: 1}
 )
