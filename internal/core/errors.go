@@ -38,6 +38,10 @@ var (
 	// completed stage-1 work is preserved in the journal (if enabled)
 	// so a re-run resumes instead of restarting.
 	ErrInterrupted = errors.New("core: search interrupted")
+	// ErrInvalidJournal is the sentinel every checkpoint-journal load
+	// error wraps: a journal that cannot be opened or read, a malformed
+	// complete line, or a line over 1 MiB.
+	ErrInvalidJournal = errors.New("core: cannot load tuning journal")
 )
 
 // RejectCause classifies why a candidate was excluded from the tested

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -46,49 +47,85 @@ func searchKey(o *Options) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// maxJournalLine bounds one journal line, far above any line the
+// writer makes.
+const maxJournalLine = 1 << 20
+
 // openJournal opens (creating if needed) the journal at path and
 // returns it along with the already-completed entries for key. A
 // truncated final line — the signature of a killed process — is
-// discarded; any other malformed line fails the load so corruption is
-// surfaced rather than silently resumed over.
+// discarded and cut from the file, so appends start on a fresh line;
+// any other malformed line fails the load so corruption is surfaced
+// rather than silently resumed over. Every error wraps
+// ErrInvalidJournal.
 func openJournal(path, key string) (*journal, map[string]journalEntry, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidJournal, err)
+	}
+	done, end, err := readJournal(f, path, key)
+	if err == nil {
+		// Cut a partial tail so appends start on a fresh line.
+		if err = f.Truncate(end); err == nil {
+			_, err = f.Seek(end, io.SeekStart)
+		}
+		if err != nil {
+			err = fmt.Errorf("%w: %s: %w", ErrInvalidJournal, path, err)
+		}
+	}
+	if err != nil {
+		f.Close()
 		return nil, nil, err
 	}
-	done := make(map[string]journalEntry)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	return &journal{f: f, w: bufio.NewWriter(f), key: key}, done, nil
+}
+
+// readJournal reads a journal named path from r. It returns the
+// entries recorded for key and end, the length of the complete lines.
+// The writer ends every line it finishes with a newline, so an
+// unterminated final line is a partial write and is left out even
+// when it parses (a number cut short still parses). Every error wraps
+// ErrInvalidJournal.
+func readJournal(r io.Reader, path, key string) (done map[string]journalEntry, end int64, err error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s: %w", ErrInvalidJournal, path, fmt.Errorf(format, args...))
+	}
+	var read int64
+	terminated := false
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), maxJournalLine)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if tok != nil {
+			read += int64(adv)
+			terminated = data[adv-1] == '\n'
+		}
+		return adv, tok, err
+	})
+	done = make(map[string]journalEntry)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
+		if !terminated {
+			break
+		}
+		end = read
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var e journalEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			// Peek: is this the final line? A partial trailing write is
-			// expected after a kill; anything earlier is corruption.
-			if sc.Scan() {
-				f.Close()
-				return nil, nil, fmt.Errorf("core: journal %s: malformed line %d: %w", path, lineno, err)
-			}
-			break
+			return nil, 0, bad("malformed line %d: %w", lineno, err)
 		}
 		if e.Key == key {
 			done[e.Name] = e
 		}
 	}
 	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("core: journal %s: %w", path, err)
+		return nil, 0, bad("line %d: %w", lineno+1, err)
 	}
-	if _, err := f.Seek(0, 2); err != nil { // append after what we read
-		f.Close()
-		return nil, nil, err
-	}
-	return &journal{f: f, w: bufio.NewWriter(f), key: key}, done, nil
+	return done, end, nil
 }
 
 // append records one completed evaluation and flushes it, so a kill
