@@ -145,67 +145,3 @@ func (sb *Strided[T]) Items() ([]Item[T], error) {
 func (sb *Strided[T]) FlopCount() float64 {
 	return blas.FlopCount(sb.M, sb.N, sb.K) * float64(sb.Count)
 }
-
-// Span is a contiguous range [Lo, Hi) of batch indices assigned to one
-// executor.
-type Span struct{ Lo, Hi int }
-
-// Len returns the number of items in the span.
-func (s Span) Len() int { return s.Hi - s.Lo }
-
-// Partition splits [0, count) into contiguous spans proportional to
-// weights (higher weight → more items), one span per weight, by
-// largest-remainder apportionment. Non-finite or non-positive weights
-// count as equal shares. Spans may be empty; they always cover every
-// index exactly once, in order — the contiguity is what keeps a
-// partitioned batch bit-identical to the loop-of-GEMMs oracle (each
-// item is computed whole by one executor, never split).
-func Partition(count int, weights []float64) []Span {
-	n := len(weights)
-	if n == 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	var total float64
-	for i, x := range weights {
-		if x > 0 && x < 1e300 {
-			w[i] = x
-		}
-	}
-	for _, x := range w {
-		total += x
-	}
-	if total <= 0 {
-		for i := range w {
-			w[i] = 1
-		}
-		total = float64(n)
-	}
-	sizes := make([]int, n)
-	rem := make([]float64, n)
-	assigned := 0
-	for i, x := range w {
-		exact := float64(count) * x / total
-		sizes[i] = int(exact)
-		rem[i] = exact - float64(sizes[i])
-		assigned += sizes[i]
-	}
-	for assigned < count {
-		best := 0
-		for i := 1; i < n; i++ {
-			if rem[i] > rem[best] {
-				best = i
-			}
-		}
-		sizes[best]++
-		rem[best] = -1
-		assigned++
-	}
-	out := make([]Span, n)
-	lo := 0
-	for i, sz := range sizes {
-		out[i] = Span{Lo: lo, Hi: lo + sz}
-		lo += sz
-	}
-	return out
-}

@@ -1,9 +1,7 @@
 package batch
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"oclgemm/internal/blas"
 	"oclgemm/internal/matrix"
@@ -109,58 +107,5 @@ func TestFlopCount(t *testing.T) {
 	want := blas.FlopCount(sb.M, sb.N, sb.K) * 6
 	if got := sb.FlopCount(); got != want {
 		t.Errorf("FlopCount = %g, want %g", got, want)
-	}
-}
-
-// TestPartitionCoversExactly property-checks the apportionment: spans
-// are contiguous, in order, and cover [0, count) exactly once for any
-// weights (including non-finite and non-positive ones).
-func TestPartitionCoversExactly(t *testing.T) {
-	f := func(countRaw uint16, weightsRaw []int8) bool {
-		count := int(countRaw % 500)
-		n := len(weightsRaw)
-		if n == 0 {
-			return Partition(count, nil) == nil
-		}
-		weights := make([]float64, n)
-		for i, w := range weightsRaw {
-			switch {
-			case w%7 == 0:
-				weights[i] = math.NaN()
-			case w%5 == 0:
-				weights[i] = math.Inf(1)
-			default:
-				weights[i] = float64(w)
-			}
-		}
-		spans := Partition(count, weights)
-		if len(spans) != n {
-			return false
-		}
-		lo := 0
-		for _, sp := range spans {
-			if sp.Lo != lo || sp.Hi < sp.Lo {
-				return false
-			}
-			lo = sp.Hi
-		}
-		return lo == count
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPartitionProportional(t *testing.T) {
-	spans := Partition(100, []float64{3, 1})
-	if spans[0].Len() != 75 || spans[1].Len() != 25 {
-		t.Errorf("3:1 split of 100 = %d/%d, want 75/25", spans[0].Len(), spans[1].Len())
-	}
-	// All-invalid weights fall back to equal shares.
-	eq := Partition(9, []float64{0, -1, math.NaN()})
-	for i, sp := range eq {
-		if sp.Len() != 3 {
-			t.Errorf("equal-share span %d has %d items, want 3", i, sp.Len())
-		}
 	}
 }

@@ -171,11 +171,25 @@ func (l *lexer) next() (token, error) {
 	if unicode.IsDigit(rune(c)) || (c == '.' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))) {
 		start := l.pos
 		isFloat := false
+		hex := strings.HasPrefix(l.src[l.pos:], "0x") || strings.HasPrefix(l.src[l.pos:], "0X")
+		if hex {
+			l.nextByte()
+			l.nextByte()
+		}
 		for l.pos < len(l.src) {
 			c := l.peekByte()
 			switch {
 			case unicode.IsDigit(rune(c)):
 				l.nextByte()
+			case hex && (c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'):
+				// a hex digit, not an exponent or a float suffix
+				l.nextByte()
+			case c == 'u' || c == 'U':
+				// a suffix ends the literal
+				l.nextByte()
+				goto done
+			case hex:
+				goto done
 			case c == '.':
 				isFloat = true
 				l.nextByte()
@@ -185,19 +199,9 @@ func (l *lexer) next() (token, error) {
 				if l.pos < len(l.src) && (l.peekByte() == '+' || l.peekByte() == '-') {
 					l.nextByte()
 				}
-			case c == 'x' || c == 'X':
-				l.nextByte()
-			case c >= 'a' && c <= 'd' || c >= 'A' && c <= 'D':
-				// hex digits (only valid after 0x; the parser's number
-				// conversion rejects garbage)
-				l.nextByte()
 			case c == 'f' || c == 'F':
 				isFloat = true
 				l.nextByte()
-			case c == 'u' || c == 'U':
-				// a suffix ends the literal
-				l.nextByte()
-				goto done
 			default:
 				goto done
 			}

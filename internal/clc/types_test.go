@@ -103,6 +103,29 @@ func TestOpenCLCTypeRules(t *testing.T) {
 			},
 		},
 		{
+			// After 0x, e and f are hex digits, not an exponent or a
+			// float suffix: the literals are ints.
+			name: "hex_literals",
+			src:  tinyKernel("o[gid] = 0xE + 0xF * gid + 0x1e / 4;"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					o[gid] = float64(0xE + 0xF*gid + 0x1e/4)
+				}
+			},
+		},
+		{
+			// Without 0x, e is an exponent and f a float suffix.
+			name: "float_exponent_suffix",
+			src:  tinyKernel("o[gid] = 1e3f / 3 + gid;"),
+			n:    8, nd: oneByFour(),
+			want: func(o []float64) {
+				for gid := range 4 {
+					o[gid] = float64(float32(float32(1e3)/3) + float32(gid))
+				}
+			},
+		},
+		{
 			// Comparisons yield an int, so the division truncates.
 			name: "comparison_is_int",
 			src:  tinyKernel("int c = (gid > 1) + (0.5f < gid);\n o[gid] = c * 10 / 4;"),

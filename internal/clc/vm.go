@@ -143,13 +143,16 @@ var errLoopBudget = &Error{Msg: "loop iteration budget exhausted"}
 // linear order, would meet first.
 //
 // Lane storage is kept in the worker's clsim scratch slot, so the
-// groups one worker runs in a launch share it.
+// groups one worker frame runs share it, across launches on the same
+// queue. The argument arrays are detached when the group returns, so a
+// kept frame holds sized storage but none of the caller's buffers.
 func (b *BoundKernel) RunGroup(g *clsim.Group) {
 	p := b.progOpt
 	if b.noOpt {
 		p = b.prog
 	}
 	l := lanesFor(g, p)
+	defer l.detach()
 	l.start(b, g)
 	for {
 		l.segment(g)
@@ -239,7 +242,8 @@ func (l *lanes) s1(t Type) opnd { return opnd{int32(l.p.nreg), t} }
 func (l *lanes) s2(t Type) opnd { return opnd{int32(l.p.nreg + 1), t} }
 
 // lanesFor returns the worker's lane storage for p at g's group shape,
-// allocating it on the worker's first group.
+// allocating it when the frame's slot holds none for that program and
+// shape.
 func lanesFor(g *clsim.Group, p *compiledKernel) *lanes {
 	slot := g.Scratch()
 	n, nx := g.Size(), g.LocalSize(0)
@@ -305,6 +309,15 @@ func (l *lanes) start(b *BoundKernel, g *clsim.Group) {
 	}
 	l.fuelOn = b.fuel > 0
 	l.faultID, l.fault = int32(l.n), nil
+}
+
+// detach drops the argument buffers start attached.
+func (l *lanes) detach() {
+	for _, slot := range l.p.paramArrs {
+		if slot >= 0 {
+			l.arrs[slot] = laneArr{}
+		}
+	}
 }
 
 func fill[T any](s []T, v T) {

@@ -131,9 +131,12 @@ func laneBytes(p *compiledKernel, n int) int {
 	return b
 }
 
-// TestLaneStorageAllocs bounds what one warm launch of the benchKernel
-// workload allocates: one group's lane storage per worker plus a fixed
-// slack, however many items and groups run. Two GC cycles first empty
+// TestLaneStorageAllocs bounds what warm launches of the benchKernel
+// workload allocate on one queue. Each worker frame keeps its lane
+// storage in its Scratch slot, so over a run of launches a frame builds
+// it at most once (on the first group it runs: a frame that ran none in
+// the warm-up launch is still cold), and every launch otherwise costs
+// only its goroutines, under a fixed slack. Two GC cycles first empty
 // any sync.Pool, as the garbage of a tuning run does between launches,
 // so a pooled cache cannot hide per-item register files (a 152-byte
 // value per register per parked item allocated 257 KB here).
@@ -144,18 +147,23 @@ func TestLaneStorageAllocs(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.GC()
+	const launches = 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := q.Run(bound, nd); err != nil {
-		t.Fatal(err)
+	for i := 0; i < launches; i++ {
+		if err := q.Run(bound, nd); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	workers := min(runtime.GOMAXPROCS(0), nd.TotalGroups())
-	const slack = 16 << 10
-	limit := uint64(workers*laneBytes(bound.progOpt, nd.GroupSize()) + slack)
-	t.Logf("warm launch allocated %d bytes; bound %d (%d workers)", got, limit, workers)
+	// A warm launch measured 288 B on 2 workers and 512 B on 4.
+	const slack = 1 << 10
+	limit := uint64(workers*laneBytes(bound.progOpt, nd.GroupSize()) + launches*slack)
+	t.Logf("%d warm launches allocated %d bytes; bound %d (%d workers)", launches, got, limit, workers)
 	if got > limit {
-		t.Errorf("warm launch allocated %d bytes, want <= %d: one group's lane storage per worker plus %d", got, limit, slack)
+		t.Errorf("%d warm launches allocated %d bytes, want <= %d: one group's lane storage per worker plus %d per launch",
+			launches, got, limit, slack)
 	}
 }

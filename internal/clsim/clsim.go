@@ -180,8 +180,8 @@ type Queue struct {
 	mu    sync.Mutex
 	stats QueueStats
 
-	// grFree recycles Group frames across launches so a warm launch
-	// performs no per-group allocations.
+	// grFree recycles Group frames, with their Scratch state, across
+	// launches so a warm launch performs no per-group allocations.
 	grMu   sync.Mutex
 	grFree []*Group
 }

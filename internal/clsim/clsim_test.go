@@ -142,7 +142,8 @@ type reverseKernel struct {
 func (k *reverseKernel) Name() string { return "reverse" }
 func (k *reverseKernel) RunGroup(g *Group) {
 	n := g.LocalSize(0)
-	lm := g.AllocLocalFloat32(n)
+	g.TakeLocal(4 * n)
+	lm := make([]float32, n)
 	for lx := 0; lx < n; lx++ {
 		lm[lx] = k.data[g.GlobalID(0, lx)]
 	}
@@ -227,7 +228,8 @@ type lockstepSum struct {
 
 func (k *lockstepSum) Name() string { return "lockstep-sum" }
 func (k *lockstepSum) RunGroup(g *Group) {
-	partial := g.AllocLocalFloat64(g.Size())
+	g.TakeLocal(8 * g.Size())
+	partial := make([]float64, g.Size())
 	for lx := range partial {
 		partial[lx] = k.in[g.GlobalID(0, lx)]
 	}
@@ -260,23 +262,6 @@ func TestLockstepExecutor(t *testing.T) {
 	}
 	if st := q.Stats(); st.BarriersHit != 8 { // 4 groups × 2 phases
 		t.Errorf("lockstep barriers = %d, want 8", st.BarriersHit)
-	}
-}
-
-type lockstepPanic struct{}
-
-func (lockstepPanic) Name() string { return "lockstep-panic" }
-func (lockstepPanic) RunGroup(g *Group) {
-	g.AllocLocalFloat64(1 << 22) // exceeds every device
-}
-
-func TestLockstepLocalLimit(t *testing.T) {
-	ctx := NewContext(testDevice())
-	q := NewQueue(ctx)
-	nd := NDRange{Global: [2]int{8, 1}, Local: [2]int{8, 1}}
-	err := q.RunLockstep(lockstepPanic{}, nd)
-	if !errors.Is(err, ErrLocalMemExceeded) {
-		t.Errorf("want ErrLocalMemExceeded, got %v", err)
 	}
 }
 
@@ -314,8 +299,8 @@ func TestLaunchHookVetoesLaunches(t *testing.T) {
 }
 
 // fastSum is lockstepSum the micro-kernel way: local memory charged
-// with TakeLocal against a pooled slab, so a warm launch allocates
-// nothing.
+// with TakeLocal against a slab kept across launches, so a warm launch
+// allocates nothing.
 type fastSum struct {
 	in, out []float64
 	partial []float64
@@ -343,12 +328,41 @@ func (takeLocalPanic) RunGroup(g *Group) {
 	g.TakeLocal(8 << 22) // exceeds every device
 }
 
-// TakeLocal must enforce the same capacity limit as the allocating
-// local-memory calls: pooled slabs cannot bypass ErrLocalMemExceeded.
+// TakeLocal is the one local-memory charge: past the device capacity
+// the launch fails with ErrLocalMemExceeded, though the kernel
+// allocates no storage. TestWorkersSerialErrorsAndStats holds the
+// serial path to the same limit.
 func TestTakeLocalEnforcesLimit(t *testing.T) {
 	q := NewQueue(NewContext(testDevice()))
 	nd := NDRange{Global: [2]int{8, 1}, Local: [2]int{8, 1}}
 	err := q.RunLockstep(takeLocalPanic{}, nd)
+	if !errors.Is(err, ErrLocalMemExceeded) {
+		t.Errorf("want ErrLocalMemExceeded, got %v", err)
+	}
+}
+
+// splitLocal charges local memory in two parts, as the GEMM kernel
+// charges its A and B tiles: each part alone fits the device.
+type splitLocal struct{ parts [2]int }
+
+func (splitLocal) Name() string { return "split-local" }
+func (k splitLocal) RunGroup(g *Group) {
+	g.TakeLocal(k.parts[0])
+	g.PhaseBarrier()
+	g.TakeLocal(k.parts[1])
+}
+
+// A lockstep group is held to the device's local memory by the sum of
+// its charges, and every group to it afresh: two halves of the capacity
+// run in each of several groups, one byte more fails the launch.
+func TestLockstepLocalLimit(t *testing.T) {
+	q := NewQueue(NewContext(testDevice()))
+	half := testDevice().Spec.LocalMemBytes() / 2
+	nd := NDRange{Global: [2]int{32, 1}, Local: [2]int{8, 1}}
+	if err := q.RunLockstep(splitLocal{parts: [2]int{half, half}}, nd); err != nil {
+		t.Fatalf("charges summing to the capacity must run: %v", err)
+	}
+	err := q.RunLockstep(splitLocal{parts: [2]int{half, half + 1}}, nd)
 	if !errors.Is(err, ErrLocalMemExceeded) {
 		t.Errorf("want ErrLocalMemExceeded, got %v", err)
 	}

@@ -25,10 +25,12 @@ type Group struct {
 	scratch   any
 }
 
-// Scratch returns a slot that persists across the groups one worker
-// runs in one launch, starting nil: a kernel keeps per-worker state
-// there (register storage sized for the group) instead of rebuilding
-// it for every group.
+// Scratch returns the worker frame's state slot, starting nil on a new
+// frame: a kernel keeps per-worker state there (register storage,
+// local slabs) instead of rebuilding it for every group. The slot
+// lasts across the groups and launches the frame runs on its queue,
+// and any kernel launched on the queue may find it, so a kernel checks
+// that the state is its own before reusing it.
 func (g *Group) Scratch() *any { return &g.scratch }
 
 // reset readies g to run group id, keeping the worker's scratch.
@@ -52,36 +54,17 @@ func (g *Group) NumGroups(d int) int { return g.nd.NumGroups()[d] }
 // id l in that dimension.
 func (g *Group) GlobalID(d, l int) int { return g.id[d]*g.nd.Local[d] + l }
 
-// AllocLocalFloat32 allocates n float32 elements of local memory.
-// It panics with ErrLocalMemExceeded when the device capacity is
-// exceeded; the executor converts the panic into an error result.
-func (g *Group) AllocLocalFloat32(n int) []float32 {
-	g.takeLocal(4 * n)
-	return make([]float32, n)
-}
-
-// AllocLocalFloat64 allocates n float64 elements of local memory.
-func (g *Group) AllocLocalFloat64(n int) []float64 {
-	g.takeLocal(8 * n)
-	return make([]float64, n)
-}
-
-// TakeLocal charges bytes of local memory against the device capacity
-// without allocating backing storage. Kernels that pool their local
-// slabs across launches use it so the per-group capacity accounting —
-// and its ErrLocalMemExceeded panic — stays exactly as strict as
-// AllocLocalFloat32/64.
-func (g *Group) TakeLocal(bytes int) { g.takeLocal(bytes) }
-
-func (g *Group) takeLocal(bytes int) {
+// TakeLocal charges bytes of local memory against the device capacity.
+// Kernels keep the backing storage themselves (in Scratch) and call it
+// for every group, so each group is held to the device's capacity. It
+// panics with ErrLocalMemExceeded when the capacity is exceeded; the
+// executor converts the panic into an error result.
+func (g *Group) TakeLocal(bytes int) {
 	g.localUsed += bytes
 	if g.localUsed > g.dev.Spec.LocalMemBytes() {
 		panic(ErrLocalMemExceeded)
 	}
 }
-
-// LocalBytesUsed returns the local memory the kernel has allocated so far.
-func (g *Group) LocalBytesUsed() int { return g.localUsed }
 
 // PhaseBarrier records one barrier for a kernel that runs a whole
 // barrier phase of the group as bulk operations (panel-row copies,
@@ -123,7 +106,9 @@ func (q *Queue) Run(k GroupKernel, nd NDRange) error { return q.RunLockstep(k, n
 // worker runs its groups on one Group frame, recycled through a
 // queue-owned free list (a mutex-guarded stack, not sync.Pool, whose
 // GC-droppable items would defeat the warm-launch zero-allocation
-// guarantee), and the group loop runs without closures.
+// guarantee), and the group loop runs without closures. The free list
+// holds at most one frame per worker the queue has run at once; a
+// frame keeps its Scratch state until the queue is dropped.
 func (q *Queue) RunLockstep(k GroupKernel, nd NDRange) error {
 	if err := nd.Validate(q.Ctx.Device); err != nil {
 		return fmt.Errorf("kernel %s: %w", k.Name(), err)
@@ -229,10 +214,9 @@ func (q *Queue) getGroup() *Group {
 	return g
 }
 
-// putGroup returns a worker's Group frame, dropping its scratch so the
-// free list retains nothing of the launch.
+// putGroup returns a worker's Group frame, scratch included, so the
+// next launch on the queue starts from the state it left.
 func (q *Queue) putGroup(g *Group) {
-	g.scratch = nil
 	q.grMu.Lock()
 	q.grFree = append(q.grFree, g)
 	q.grMu.Unlock()

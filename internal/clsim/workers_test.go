@@ -42,7 +42,7 @@ func TestWorkersSerialErrorsAndStats(t *testing.T) {
 	q := NewQueue(ctx)
 	q.Workers = 1
 	nd := NDRange{Global: [2]int{8, 1}, Local: [2]int{8, 1}}
-	if err := q.RunLockstep(lockstepPanic{}, nd); !errors.Is(err, ErrLocalMemExceeded) {
+	if err := q.RunLockstep(takeLocalPanic{}, nd); !errors.Is(err, ErrLocalMemExceeded) {
 		t.Errorf("serial path: want ErrLocalMemExceeded, got %v", err)
 	}
 

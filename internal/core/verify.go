@@ -50,8 +50,9 @@ func VerifyParams(d *device.Spec, p *codegen.Params) error {
 // run: the historical 2×2 work-groups with two full k-blocks, plus a
 // non-square 3×2 grid with three k-blocks that catches bugs the square
 // shape aliases away (group-id mixups, k-loop trip-count errors). Both
-// grids bind the one compiled kernel, so the source is generated,
-// compiled and optimized once. A loop-fuel bound turns pathological
+// grids bind the one compiled kernel and run on one queue, so the source
+// is generated, compiled and optimized once and the second launch reuses
+// the first one's lane storage. A loop-fuel bound turns pathological
 // non-terminating kernels into ErrCompile faults instead of hangs.
 func VerifySource(d *device.Spec, p *codegen.Params) error {
 	src, err := p.GenerateSource()
@@ -66,11 +67,12 @@ func VerifySource(d *device.Spec, p *codegen.Params) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCompile, err)
 	}
+	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: d}))
 	for _, g := range [][3]int{{2, 2, 2}, {3, 2, 3}} {
 		if p.Precision == matrix.Double {
-			err = verifySource[float64](d, p, kern, g)
+			err = verifySource[float64](q, p, kern, g)
 		} else {
-			err = verifySource[float32](d, p, kern, g)
+			err = verifySource[float32](q, p, kern, g)
 		}
 		if err != nil {
 			return err
@@ -79,9 +81,9 @@ func VerifySource(d *device.Spec, p *codegen.Params) error {
 	return nil
 }
 
-// verifySource binds kern on one work-group grid and checks the result
-// against the reference.
-func verifySource[T matrix.Scalar](d *device.Spec, p *codegen.Params, kern *clc.KernelDecl, grid [3]int) error {
+// verifySource binds kern on one work-group grid, runs it on q and
+// checks the result against the reference.
+func verifySource[T matrix.Scalar](q *clsim.Queue, p *codegen.Params, kern *clc.KernelDecl, grid [3]int) error {
 	m, n, k := grid[0]*p.Mwg, grid[1]*p.Nwg, grid[2]*p.Kwg
 	// A distinct seed from verifyImpl so the two stages never mask the
 	// same data-dependent bug.
@@ -102,7 +104,6 @@ func verifySource[T matrix.Scalar](d *device.Spec, p *codegen.Params, kern *clc.
 		return fmt.Errorf("%w: bind: %v", ErrCompile, err)
 	}
 	bound.SetFuel(1 << 26)
-	q := clsim.NewQueue(clsim.NewContext(&clsim.Device{Spec: d}))
 	nd := clsim.NDRange{
 		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
 		Local:  [2]int{p.MdimC, p.NdimC},

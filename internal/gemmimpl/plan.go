@@ -303,11 +303,6 @@ func (pl *Plan[T]) Stats() PlanStats {
 	return pl.stats
 }
 
-// KernelStateAllocs returns how many work-group states the plan's GEMM
-// kernel has allocated (kernels.GEMM.StateAllocs): flat across warm
-// calls, which the batched zero-alloc tests assert.
-func (pl *Plan[T]) KernelStateAllocs() int64 { return pl.kern.StateAllocs() }
-
 // Close releases every device buffer the plan owns (the persistent
 // operand buffers and the staging pool). A closed plan rejects Run.
 func (pl *Plan[T]) Close() {

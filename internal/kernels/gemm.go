@@ -33,7 +33,6 @@ type GEMM[T matrix.Scalar] struct {
 
 	geoA, geoB panelGeom
 	esize      int
-	pool       statePool[T]
 	groups     *obs.Counter
 }
 
@@ -62,7 +61,7 @@ func NewGEMM[T matrix.Scalar](p codegen.Params, m, n, k int, alpha T, a []T, b [
 }
 
 // SetObserver resolves the kernel's work-group counter from the
-// registry (kernels.gemm.groups{micro=unit}, one increment per executed
+// registry (kernels.gemm.groups{micro=unit}, counting every executed
 // work-group). A nil registry detaches.
 func (g *GEMM[T]) SetObserver(r *obs.Registry) { g.groups = groupCounter(r, "gemm") }
 
@@ -87,11 +86,12 @@ func (g *GEMM[T]) NDRange() clsim.NDRange {
 
 // state is the per-work-group execution state shared by the three
 // schedules: the local memory panels and the work-group's C tile
-// accumulator. Instances are recycled through the kernel's statePool
-// (micro.go), so a warm launch allocates nothing.
+// accumulator. It is kept in the worker's Group scratch slot
+// (getState, micro.go), so a warm launch allocates nothing.
 type state[T matrix.Scalar] struct {
-	alm, blm []T // local panels (Kwg×Mwg / Kwg×Nwg), nil if not shared
-	acc      []T // row-major Mwg×Nwg accumulator of the group's C tile
+	k        *GEMM[T] // owner: a slot reached by another kernel is rebuilt
+	alm, blm []T      // local panels (Kwg×Mwg / Kwg×Nwg), nil if not shared
+	acc      []T      // row-major Mwg×Nwg accumulator of the group's C tile
 }
 
 // loadPanelA stages rows [pwg+k0, pwg+k0+kLen) of the A panel into alm
@@ -248,12 +248,15 @@ func (g *GEMM[T]) merge(s *state[T], run *clsim.Group, gx, gy int) {
 }
 
 // RunGroup implements clsim.GroupKernel, dispatching on the schedule.
-// Work-group state comes from the kernel's free list and goes back when
-// the group finishes, so warm launches allocate nothing.
+// Work-group state comes from the worker's Group frame, so warm
+// launches allocate nothing. The executor runs every group of a launch,
+// so the first group counts the whole grid: one atomic add per launch
+// instead of one per group.
 func (g *GEMM[T]) RunGroup(run *clsim.Group) {
-	g.groups.Inc()
+	if run.ID(0) == 0 && run.ID(1) == 0 {
+		g.groups.Add(int64(run.NumGroups(0) * run.NumGroups(1)))
+	}
 	s := g.getState(run)
-	defer g.putState(s)
 	switch g.P.Algorithm {
 	case codegen.PL:
 		g.runPL(s, run)

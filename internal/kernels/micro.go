@@ -1,4 +1,4 @@
-// Micro-kernel support: panel geometry, the work-group state free list
+// Micro-kernel support: panel geometry, the per-worker work-group state
 // and the work-group counter.
 //
 // The paper's generated OpenCL sources bake the blocking into the
@@ -6,15 +6,13 @@
 // Panel geometry is precomputed into panelGeom offsets so panel loads
 // are whole-row copy() calls, the inner product is a sequence of rank-1
 // updates of a row-major work-group C tile over reslice-narrowed panel
-// rows, and per-group state is recycled through a free list so a warm
-// launch allocates nothing. One micro-kernel serves every parameter
+// rows, and per-group state is kept in the worker's clsim.Group frame so
+// a warm launch allocates nothing. One micro-kernel serves every parameter
 // point: the stride modes of §III-B change which work-item owns a C
 // element, not the order in which the element accumulates.
 package kernels
 
 import (
-	"sync"
-
 	"oclgemm/internal/clsim"
 	"oclgemm/internal/matrix"
 	"oclgemm/internal/obs"
@@ -44,33 +42,12 @@ func (pg *panelGeom) rowStart(r, blk int) int {
 	}
 }
 
-// statePool recycles per-work-group state across groups and launches.
-// It is a mutex-guarded stack rather than a sync.Pool: the GC may drop
-// sync.Pool items at any point, which would break the warm-launch
-// zero-allocation guarantee the execution engine tests enforce.
-type statePool[T matrix.Scalar] struct {
-	mu   sync.Mutex
-	free []*state[T]
-	// allocs counts states built fresh (free list empty); a warm launch
-	// must not move it — the batched zero-alloc tests assert on it.
-	allocs int64
-}
-
-// StateAllocs returns how many work-group states the kernel has
-// allocated across its lifetime. Warm launches recycle states through
-// the free list, so the count stays flat once the kernel has run at
-// its steady-state parallelism — the observable half of the
-// zero-allocation warm-path guarantee.
-func (g *GEMM[T]) StateAllocs() int64 {
-	g.pool.mu.Lock()
-	defer g.pool.mu.Unlock()
-	return g.pool.allocs
-}
-
 // getState returns a ready work-group state: local-memory capacity is
 // charged against the device budget (so ErrLocalMemExceeded fires as on
-// a real device), the accumulator is zeroed, and backing slabs are
-// reused when the pool has them.
+// a real device) and the accumulator is zeroed. The state lives in the
+// worker's clsim.Group scratch slot and is reused by every later group
+// the worker runs for this kernel, across launches on the same queue;
+// a slot holding another kernel's state is replaced.
 func (g *GEMM[T]) getState(run *clsim.Group) *state[T] {
 	p := &g.P
 	if p.SharedA {
@@ -79,35 +56,22 @@ func (g *GEMM[T]) getState(run *clsim.Group) *state[T] {
 	if p.SharedB {
 		run.TakeLocal(g.esize * p.Kwg * p.Nwg)
 	}
-	g.pool.mu.Lock()
-	var s *state[T]
-	if n := len(g.pool.free); n > 0 {
-		s = g.pool.free[n-1]
-		g.pool.free = g.pool.free[:n-1]
-	} else {
-		g.pool.allocs++
-	}
-	g.pool.mu.Unlock()
-	if s == nil {
-		s = &state[T]{acc: make([]T, p.Mwg*p.Nwg)}
-		if p.SharedA {
-			s.alm = make([]T, p.Kwg*p.Mwg)
-		}
-		if p.SharedB {
-			s.blm = make([]T, p.Kwg*p.Nwg)
-		}
+	slot := run.Scratch()
+	if s, ok := (*slot).(*state[T]); ok && s.k == g {
+		// The local panels need no clearing: every schedule stages a
+		// panel row range before any compute phase reads it.
+		clear(s.acc)
 		return s
 	}
-	// The local panels need no clearing: every schedule stages a panel
-	// row range before any compute phase reads it.
-	clear(s.acc)
+	s := &state[T]{k: g, acc: make([]T, p.Mwg*p.Nwg)}
+	if p.SharedA {
+		s.alm = make([]T, p.Kwg*p.Mwg)
+	}
+	if p.SharedB {
+		s.blm = make([]T, p.Kwg*p.Nwg)
+	}
+	*slot = s
 	return s
-}
-
-func (g *GEMM[T]) putState(s *state[T]) {
-	g.pool.mu.Lock()
-	g.pool.free = append(g.pool.free, s)
-	g.pool.mu.Unlock()
 }
 
 // groupCounter resolves a kernel's work-group counter

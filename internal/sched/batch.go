@@ -17,9 +17,10 @@ import (
 
 // RunStridedBatchedCtx executes C_i ← alpha·op(A_i)·op(B_i) + beta·C_i
 // for every item of the batch across the pool, honoring the context.
-// Items are assigned whole, so results are bit-identical to looping
-// single GEMMs. Rung 2 of the ladder runs the whole batch on one warm
-// plan of the healthiest member; rung 3 loops the pure-Go BLAS.
+// Each item is one whole unit, dealt like a tile by assign, so results
+// are bit-identical to looping single GEMMs. Rung 2 of the ladder runs
+// the whole batch on one warm plan of the healthiest member; rung 3
+// loops the pure-Go BLAS.
 func RunStridedBatchedCtx[T matrix.Scalar](ctx context.Context, p *Pool, sb *batch.Strided[T]) error {
 	items, err := sb.Items()
 	if err != nil {
@@ -37,7 +38,11 @@ func RunStridedBatchedCtx[T matrix.Scalar](ctx context.Context, p *Pool, sb *bat
 			return "item", fmt.Sprintf("%d/%d", u.i0, sb.Count)
 		},
 		queues: func(live []*member, prec matrix.Precision) [][]*tile {
-			return assignBatch(sb, live, prec)
+			units := make([]*tile, len(items))
+			for idx := range units {
+				units[idx] = &tile{i0: idx, th: sb.M, tw: sb.N}
+			}
+			return assign(units, live, prec, sb.K)
 		},
 		operands: func(u *tile) (a, b, c *matrix.Matrix[T]) {
 			it := &items[u.i0]
@@ -53,28 +58,4 @@ func RunStridedBatchedCtx[T matrix.Scalar](ctx context.Context, p *Pool, sb *bat
 			}
 		},
 	})
-}
-
-// assignBatch deals contiguous index spans to the live members,
-// proportional to each member's modeled per-item throughput; an item
-// is a tile at (index, 0) of the item's full m×n shape, which also
-// prices its model time and failure accounting. Stealing rebalances
-// whatever the model got wrong.
-func assignBatch[T matrix.Scalar](sb *batch.Strided[T], live []*member, prec matrix.Precision) [][]*tile {
-	weights := make([]float64, len(live))
-	for i, mb := range live {
-		if bd, err := mb.impl(prec).Time(sb.M, sb.N, sb.K); err == nil && bd.TotalSeconds > 0 {
-			weights[i] = 1 / bd.TotalSeconds
-		}
-	}
-	spans := batch.Partition(sb.Count, weights)
-	queues := make([][]*tile, len(live))
-	for i, sp := range spans {
-		q := make([]*tile, 0, sp.Len())
-		for idx := sp.Lo; idx < sp.Hi; idx++ {
-			q = append(q, &tile{i0: idx, j0: 0, th: sb.M, tw: sb.N})
-		}
-		queues[i] = q
-	}
-	return queues
 }

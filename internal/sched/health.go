@@ -34,7 +34,7 @@ const (
 	// threshold. The next success clears it.
 	Suspect
 	// Probation: re-admitted by a successful probe; graduates to
-	// Healthy after ProbationTiles consecutive successes, drops back to
+	// Healthy after probationTiles consecutive successes, drops back to
 	// Quarantined on a single failure.
 	Probation
 	// Quarantined: drained out of the pool (threshold, ErrDeviceDead,
@@ -102,7 +102,7 @@ func (p *Pool) quarantineLocked(mb *member) {
 	}
 	mb.state = Quarantined
 	mb.stats.Dead = true
-	mb.probeWait = p.probeCooldown
+	mb.probeWait = probeCooldown
 	mb.nextProbe = p.runSeq.Load() + mb.probeWait
 	mb.o.deaths.Inc()
 }
@@ -120,7 +120,7 @@ func (p *Pool) noteFailure(mb *member, err error) bool {
 	case mb.state == Probation:
 		// One strike on probation sends the member straight back.
 		p.quarantineLocked(mb)
-	case mb.consecFails >= p.failThreshold:
+	case mb.consecFails >= failThreshold:
 		p.quarantineLocked(mb)
 	case mb.state == Healthy:
 		mb.state = Suspect
@@ -142,7 +142,7 @@ func (p *Pool) noteSuccessLocked(mb *member) {
 		mb.state = Healthy
 	case Probation:
 		mb.consecOK++
-		if mb.consecOK >= p.probationTiles {
+		if mb.consecOK >= probationTiles {
 			mb.state = Healthy
 		}
 	}
@@ -215,7 +215,7 @@ func (p *Pool) probeMember(ctx context.Context, mb *member) bool {
 	mb.probing = false
 	if err != nil {
 		mb.probeFails++
-		if mb.probeWait < 8*p.probeCooldown {
+		if mb.probeWait < 8*probeCooldown {
 			mb.probeWait *= 2
 		}
 		mb.nextProbe = p.runSeq.Load() + mb.probeWait
@@ -225,7 +225,7 @@ func (p *Pool) probeMember(ctx context.Context, mb *member) bool {
 	mb.state = Probation
 	mb.stats.Dead = false
 	mb.consecFails, mb.consecOK = 0, 0
-	mb.probeWait = p.probeCooldown
+	mb.probeWait = probeCooldown
 	mb.recoveries++
 	mb.o.recoveries.Inc()
 	return true

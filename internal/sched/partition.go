@@ -29,11 +29,7 @@ func (p *Pool) tileDims(m, n, live int) (tm, tn int) {
 	if tm > 0 && tn > 0 {
 		return min(tm, m), min(tn, n)
 	}
-	per := p.opts.TilesPerMember
-	if per <= 0 {
-		per = DefaultTilesPerMember
-	}
-	target := float64(per * live)
+	target := float64(tilesPerMember * live)
 	// Aspect-proportional grid: gm/gn ≈ m/n, gm·gn ≈ target.
 	gm := int(math.Ceil(math.Sqrt(target * float64(m) / float64(n))))
 	gm = max(1, min(gm, m))

@@ -435,12 +435,12 @@ func (p *Pool) backoff(ctx context.Context, deviceID string, t *tile) bool {
 // scaled by a deterministic jitter in [0.5, 1.5) keyed on (device,
 // tile, attempt) — reproducible runs, no synchronized retry herds.
 func (p *Pool) backoffDelay(deviceID string, t *tile) time.Duration {
-	d := p.retryBackoff
-	for a := 1; a < t.attempts && d < p.retryBackoffMax; a++ {
+	d := retryBackoff
+	for a := 1; a < t.attempts && d < retryBackoffMax; a++ {
 		d *= 2
 	}
-	if d > p.retryBackoffMax {
-		d = p.retryBackoffMax
+	if d > retryBackoffMax {
+		d = retryBackoffMax
 	}
 	return time.Duration(float64(d) * (0.5 + hashUnit(deviceID, t.i0, t.j0, t.attempts)))
 }

@@ -68,25 +68,30 @@ var ErrDeadlineExceeded = errors.New("sched: run deadline exceeded")
 // meaningless rather than merely pessimistic.
 var ErrUnpriceable = errors.New("sched: performance model cannot price the problem on any member")
 
-// DefaultFailThreshold is the number of consecutive tile failures after
-// which a member is quarantined and drained.
-const DefaultFailThreshold = 3
-
-// DefaultTilesPerMember sets the auto-partitioner's target tile count
-// per live member: enough grain for stealing to rebalance without
-// drowning the modeled time in per-tile copy overhead.
-const DefaultTilesPerMember = 4
-
-// Retry/backoff and recovery defaults (see Options).
+// Scheduling and recovery constants.
 const (
-	// DefaultRetryBackoff is the base delay before retrying a transient
-	// tile failure on the same member; the delay doubles per attempt.
-	DefaultRetryBackoff = time.Millisecond
-	// DefaultRetryBackoffMax caps the exponential growth.
-	DefaultRetryBackoffMax = 32 * time.Millisecond
-	// DefaultProbationTiles is how many consecutive tiles a re-admitted
-	// member must complete before it counts as fully healthy again.
-	DefaultProbationTiles = 3
+	// tilesPerMember is the auto-partitioner's target tile count per
+	// live member: enough grain for stealing to rebalance without
+	// drowning the modeled time in per-tile copy overhead.
+	tilesPerMember = 4
+	// failThreshold is the number of consecutive tile failures after
+	// which a member is quarantined and drained.
+	failThreshold = 3
+	// retryBackoff is the base delay of the jittered exponential
+	// backoff before retrying a transient tile failure on the same
+	// member; the delay doubles per attempt up to retryBackoffMax.
+	// Jitter is deterministic per (device, tile, attempt).
+	retryBackoff    = time.Millisecond
+	retryBackoffMax = 32 * time.Millisecond
+	// probeCooldown is how many Runs a quarantined member sits out
+	// before its first re-admission probe; every failed probe doubles
+	// the wait, capped at 8×. Members removed by Kill are exempt from
+	// auto-probing until Revive.
+	probeCooldown = 1
+	// probationTiles is how many consecutive tiles a re-admitted member
+	// must complete before it is fully healthy again. One failure on
+	// probation re-quarantines.
+	probationTiles = 3
 )
 
 // Options configures a pool.
@@ -99,31 +104,11 @@ type Options struct {
 	// tunedb nearest-device fallback.
 	DB *tunedb.DB
 	// TileM, TileN force the C tile size (0 = auto: a grid of about
-	// TilesPerMember tiles per live member, aspect-proportional).
+	// tilesPerMember tiles per live member, aspect-proportional).
 	TileM, TileN int
-	// TilesPerMember tunes the auto partitioner (0 = default).
-	TilesPerMember int
 	// MaxAttempts bounds how often one tile may fail across the whole
 	// pool before the call errors out (0 = 2·len(Devices)+2).
 	MaxAttempts int
-	// FailThreshold is the consecutive-failure count that quarantines a
-	// member (0 = DefaultFailThreshold).
-	FailThreshold int
-	// RetryBackoff is the base delay of the jittered exponential backoff
-	// applied before retrying a transient tile failure on the same
-	// member (0 = DefaultRetryBackoff); RetryBackoffMax caps the growth
-	// (0 = DefaultRetryBackoffMax). Jitter is deterministic per
-	// (device, tile, attempt).
-	RetryBackoff, RetryBackoffMax time.Duration
-	// ProbeCooldown is how many Runs a quarantined member sits out
-	// before its first re-admission probe (0 = 1); every failed probe
-	// doubles the wait, capped at 8×. Members removed by Kill are exempt
-	// from auto-probing until Revive.
-	ProbeCooldown int
-	// ProbationTiles is how many consecutive tiles a re-admitted member
-	// must complete before it is fully healthy again (0 =
-	// DefaultProbationTiles). One failure on probation re-quarantines.
-	ProbationTiles int
 	// Fallback enables the final rung of the degradation ladder: when
 	// the pool and the single-device retry both fail, compute the call
 	// with the pure-Go BLAS reference instead of returning the error.
@@ -255,12 +240,7 @@ type Pool struct {
 	opts    Options
 	members []*member
 
-	maxAttempts     int
-	failThreshold   int
-	retryBackoff    time.Duration
-	retryBackoffMax time.Duration
-	probeCooldown   int64
-	probationTiles  int
+	maxAttempts int
 
 	runSeq atomic.Int64 // Run calls issued; clocks the probe cooldowns
 
@@ -290,32 +270,9 @@ func New(opts Options) (*Pool, error) {
 	if db == nil {
 		db = tunedb.PaperTableII()
 	}
-	p := &Pool{
-		opts:          opts,
-		maxAttempts:   opts.MaxAttempts,
-		failThreshold: opts.FailThreshold,
-	}
+	p := &Pool{opts: opts, maxAttempts: opts.MaxAttempts}
 	if p.maxAttempts <= 0 {
 		p.maxAttempts = 2*len(opts.Devices) + 2
-	}
-	if p.failThreshold <= 0 {
-		p.failThreshold = DefaultFailThreshold
-	}
-	p.retryBackoff = opts.RetryBackoff
-	if p.retryBackoff <= 0 {
-		p.retryBackoff = DefaultRetryBackoff
-	}
-	p.retryBackoffMax = opts.RetryBackoffMax
-	if p.retryBackoffMax <= 0 {
-		p.retryBackoffMax = DefaultRetryBackoffMax
-	}
-	p.probeCooldown = int64(opts.ProbeCooldown)
-	if p.probeCooldown <= 0 {
-		p.probeCooldown = 1
-	}
-	p.probationTiles = opts.ProbationTiles
-	if p.probationTiles <= 0 {
-		p.probationTiles = DefaultProbationTiles
 	}
 	p.o = poolObs{
 		runs:          opts.Obs.Counter("sched.runs"),

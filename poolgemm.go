@@ -21,10 +21,6 @@ type PoolOptions struct {
 	// Workers bounds per-launch work-group parallelism on each member
 	// (0 = GOMAXPROCS); members always run concurrently with each other.
 	Workers int
-	// MaxAttempts bounds how often one tile may fail across the pool
-	// before the call errors (0 = 2·members+2); FailThreshold is the
-	// consecutive-failure count that quarantines a member (0 = 3).
-	MaxAttempts, FailThreshold int
 	// Fallback enables the last rung of the degradation ladder: when the
 	// pool and the single-device retry both fail, the call is computed
 	// with the pure-Go BLAS reference instead of returning the error
@@ -106,17 +102,15 @@ func NewPoolGEMM(opts PoolOptions) (*PoolGEMM, error) {
 		devs = Devices()
 	}
 	pool, err := sched.New(sched.Options{
-		Devices:       devs,
-		DB:            opts.DB,
-		TileM:         opts.TileM,
-		TileN:         opts.TileN,
-		Workers:       opts.Workers,
-		MaxAttempts:   opts.MaxAttempts,
-		FailThreshold: opts.FailThreshold,
-		Fallback:      opts.Fallback,
-		LaunchHook:    opts.LaunchHook,
-		Obs:           opts.Metrics,
-		Trace:         opts.Trace,
+		Devices:    devs,
+		DB:         opts.DB,
+		TileM:      opts.TileM,
+		TileN:      opts.TileN,
+		Workers:    opts.Workers,
+		Fallback:   opts.Fallback,
+		LaunchHook: opts.LaunchHook,
+		Obs:        opts.Metrics,
+		Trace:      opts.Trace,
 	})
 	if err != nil {
 		return nil, err
