@@ -45,9 +45,6 @@ func (t Type) String() string {
 	return t.Base.String()
 }
 
-// IsFloat reports float/double bases.
-func (t Type) IsFloat() bool { return t.Base == BaseFloat || t.Base == BaseDouble }
-
 // IsInt reports int/uint bases.
 func (t Type) IsInt() bool { return t.Base == BaseInt || t.Base == BaseUint }
 

@@ -70,37 +70,6 @@ func WithTimeout(ev CtxEvaluator, d time.Duration) CtxEvaluator {
 	}
 }
 
-// WithVerifyTimeout bounds each correctness-gate verification to d,
-// mirroring WithTimeout for the Verifier side of the pipeline. A
-// verification past the deadline yields ErrTimeout (tallied as
-// RejectTimeout for that finalist only); the underlying run keeps
-// executing in its goroutine until the simulated kernel's fuel budget
-// stops it. A panic inside the verifier is converted to ErrPanic here
-// because it escapes the caller's goroutine, out of reach of the
-// search's parallelFor recovery.
-func WithVerifyTimeout(v Verifier, d time.Duration) Verifier {
-	if d <= 0 {
-		return v
-	}
-	return func(dev *device.Spec, p *codegen.Params) error {
-		done := make(chan error, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					done <- fmt.Errorf("%w: %v", ErrPanic, r)
-				}
-			}()
-			done <- v(dev, p)
-		}()
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(d):
-			return fmt.Errorf("%w: verification exceeded %v", ErrTimeout, d)
-		}
-	}
-}
-
 // WithObserver times every evaluation into the registry — histogram
 // tune.eval.seconds, counters tune.evals and tune.eval.failures — the
 // per-candidate measurement record CLTune argues a tuner needs to be
@@ -126,14 +95,12 @@ func WithObserver(ev CtxEvaluator, r *obs.Registry) CtxEvaluator {
 
 // WithRetry re-attempts evaluations that fail with an error wrapping
 // ErrTransient, up to retries extra attempts with exponential backoff
-// starting at backoff. Non-transient errors and successes pass through
-// unchanged; exhausted retries return the last transient error.
+// starting at backoff (New uses 1ms). Non-transient errors and
+// successes pass through unchanged; exhausted retries return the last
+// transient error.
 func WithRetry(ev CtxEvaluator, retries int, backoff time.Duration) CtxEvaluator {
 	if retries <= 0 {
 		return ev
-	}
-	if backoff <= 0 {
-		backoff = time.Millisecond
 	}
 	return func(ctx context.Context, d *device.Spec, p *codegen.Params, n int) (float64, error) {
 		var gf float64

@@ -214,45 +214,3 @@ func TestStatsRejectBreakdown(t *testing.T) {
 		t.Errorf("per-cause sum %d != Rejected %d", total, sel.Stats.Rejected)
 	}
 }
-
-// TestWithVerifyTimeout mirrors the evaluator timeout tests for the
-// Verifier side of the pipeline: fast verifiers pass through, hung
-// verifiers classify as RejectTimeout, and a panic escaping into the
-// timeout goroutine converts to ErrPanic instead of crashing.
-func TestWithVerifyTimeout(t *testing.T) {
-	dev := device.Tahiti()
-	p := probeParams
-	fast := WithVerifyTimeout(func(d *device.Spec, p *codegen.Params) error { return nil }, 50*time.Millisecond)
-	if err := fast(dev, &p); err != nil {
-		t.Errorf("fast verifier: %v", err)
-	}
-	failing := WithVerifyTimeout(func(d *device.Spec, p *codegen.Params) error {
-		return fmt.Errorf("x: %w", ErrWrongResult)
-	}, 50*time.Millisecond)
-	if err := failing(dev, &p); CauseOf(err) != RejectWrongResult {
-		t.Errorf("failing verifier cause = %v, want wrong-result", CauseOf(err))
-	}
-	hung := WithVerifyTimeout(func(d *device.Spec, p *codegen.Params) error {
-		time.Sleep(5 * time.Second)
-		return nil
-	}, 20*time.Millisecond)
-	start := time.Now()
-	err := hung(dev, &p)
-	if !errors.Is(err, ErrTimeout) || CauseOf(err) != RejectTimeout {
-		t.Errorf("hung verifier: err=%v cause=%v, want timeout", err, CauseOf(err))
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("timeout wrap waited %v for a hung verifier", elapsed)
-	}
-	panicking := WithVerifyTimeout(func(d *device.Spec, p *codegen.Params) error {
-		panic("synthetic verifier crash")
-	}, 50*time.Millisecond)
-	if err := panicking(dev, &p); !errors.Is(err, ErrPanic) {
-		t.Errorf("panicking verifier: err=%v, want ErrPanic", err)
-	}
-	// Zero duration disables the wrap entirely.
-	base := func(d *device.Spec, p *codegen.Params) error { return nil }
-	if got := WithVerifyTimeout(base, 0); fmt.Sprintf("%p", got) != fmt.Sprintf("%p", base) {
-		t.Error("zero timeout must return the verifier unchanged")
-	}
-}

@@ -157,6 +157,51 @@ type StrategyResult struct {
 	Stats Stats
 }
 
+// recorder is the strategies' measurement record: every candidate is
+// measured through the tuner's evaluator stack under Options.Context,
+// tallied with Search's accounting, and extends the best-so-far trace.
+type recorder struct {
+	t      *Tuner
+	res    StrategyResult
+	tested []Result
+	best   float64
+}
+
+// measure evaluates p at its probe size. ok reports a measurement; a
+// failed evaluation is rejected per cause. Once the context is done,
+// err wraps ErrInterrupted.
+func (r *recorder) measure(p codegen.Params) (gf float64, ok bool, err error) {
+	gf, everr := r.probe(&p)
+	if cerr := r.t.opts.Context.Err(); cerr != nil {
+		return 0, false, fmt.Errorf("%w: %v", ErrInterrupted, cerr)
+	}
+	r.res.Evals++
+	r.res.Stats.Measured++
+	if everr == nil {
+		r.res.Stats.Tested++
+		r.tested = append(r.tested, Result{Params: p, Probe: gf})
+		if gf > r.best {
+			r.best = gf
+		}
+	} else {
+		r.res.Stats.addReject(CauseOf(everr), 1)
+	}
+	r.res.Trace = append(r.res.Trace, r.best)
+	return gf, everr == nil, nil
+}
+
+// probe runs one evaluation through the stack. Strategies run outside
+// parallelFor, so a panic is turned into an ErrPanic error here.
+func (r *recorder) probe(p *codegen.Params) (gf float64, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("%w: %v", ErrPanic, v)
+		}
+	}()
+	o := &r.t.opts
+	return r.t.eval(o.Context, o.Device, p, ProbeSize(o.Device, p))
+}
+
 // RandomSearch evaluates `budget` uniformly drawn candidates at the
 // probe size and returns the best gate-surviving one (with its stage-2
 // curve filled in). Errored evaluations are rejected per cause; if
@@ -167,33 +212,17 @@ func (t *Tuner) RandomSearch(budget int, seed int64) (*StrategyResult, error) {
 	}
 	o := t.opts
 	sm := NewSampler(o.Space, o.Device, o.Precision, seed)
-	res := &StrategyResult{}
-	var tested []Result
-	bestSoFar := 0.0
+	rec := &recorder{t: t}
 	for i := 0; i < budget; i++ {
 		p, ok := sm.Draw()
 		if !ok {
 			return nil, fmt.Errorf("core: random search found no valid candidates")
 		}
-		n := ProbeSize(o.Device, &p)
-		gf, err := o.Evaluator(o.Device, &p, n)
-		res.Evals++
-		res.Stats.Measured++
-		if err != nil {
-			res.Stats.addReject(CauseOf(err), 1)
-		} else {
-			res.Stats.Tested++
-			tested = append(tested, Result{Params: p, Probe: gf})
-			if gf > bestSoFar {
-				bestSoFar = gf
-			}
+		if _, _, err := rec.measure(p); err != nil {
+			return nil, err
 		}
-		res.Trace = append(res.Trace, bestSoFar)
 	}
-	if err := t.finishStrategy(res, tested); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return t.finishStrategy(rec)
 }
 
 // Anneal runs simulated annealing over the parameter lattice for
@@ -212,26 +241,11 @@ func (t *Tuner) Anneal(budget int, seed int64) (*StrategyResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: annealing found no valid starting point")
 	}
-	res := &StrategyResult{}
-	var tested []Result
-	bestSoFar := 0.0
-	evalOne := func(p codegen.Params) (float64, bool) {
-		gf, err := o.Evaluator(o.Device, &p, ProbeSize(o.Device, &p))
-		res.Evals++
-		res.Stats.Measured++
-		if err != nil {
-			res.Stats.addReject(CauseOf(err), 1)
-			return 0, false
-		}
-		res.Stats.Tested++
-		tested = append(tested, Result{Params: p, Probe: gf})
-		if gf > bestSoFar {
-			bestSoFar = gf
-		}
-		return gf, true
+	rec := &recorder{t: t}
+	curGF, curOK, err := rec.measure(cur)
+	if err != nil {
+		return nil, err
 	}
-	curGF, curOK := evalOne(cur)
-	res.Trace = append(res.Trace, bestSoFar)
 
 	peak := o.Device.PeakGFlops(o.Precision)
 	// Temperature in GFlop/s: start accepting ~10%-of-peak regressions,
@@ -241,26 +255,26 @@ func (t *Tuner) Anneal(budget int, seed int64) (*StrategyResult, error) {
 		frac := float64(i) / float64(budget)
 		temp := t0 * math.Pow(t1/t0, frac)
 		cand := sm.Mutate(cur)
-		gf, evalOK := evalOne(cand)
+		gf, evalOK, err := rec.measure(cand)
+		if err != nil {
+			return nil, err
+		}
 		if evalOK && (!curOK || gf >= curGF || sm.rng.Float64() < math.Exp((gf-curGF)/temp)) {
 			cur, curGF, curOK = cand, gf, true
 		}
-		res.Trace = append(res.Trace, bestSoFar)
 	}
-	if err := t.finishStrategy(res, tested); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return t.finishStrategy(rec)
 }
 
 // finishStrategy turns a strategy's raw measurements into a gated
 // selection: rank by probe performance, collapse repeated parameter
 // sets, run the correctness gate over the top candidates (when
-// Options.Verify is on — exactly the gate Search applies), and fill the
-// stage-2 curve of the surviving winner.
-func (t *Tuner) finishStrategy(res *StrategyResult, tested []Result) error {
+// Options.Verify is on — exactly the gate Search applies), and measure
+// the stage-2 curve of the surviving winner.
+func (t *Tuner) finishStrategy(rec *recorder) (*StrategyResult, error) {
+	res, tested, ctx := &rec.res, rec.tested, t.opts.Context
 	if len(tested) == 0 {
-		return fmt.Errorf("%w: all %d strategy evaluations failed (%s)",
+		return nil, fmt.Errorf("%w: all %d strategy evaluations failed (%s)",
 			ErrNoViableKernel, res.Evals, rejectSummary(res.Stats.RejectedBy))
 	}
 	sort.SliceStable(tested, func(i, j int) bool { return tested[i].Probe > tested[j].Probe })
@@ -273,30 +287,19 @@ func (t *Tuner) finishStrategy(res *StrategyResult, tested []Result) error {
 		seen[r.Params] = struct{}{}
 		ranked = append(ranked, r)
 	}
-	finalists, verified := t.gateFinalists(t.opts.Context, ranked, t.opts.Finalists, &res.Stats)
+	finalists, verified := t.gateFinalists(ctx, ranked, t.opts.Finalists, &res.Stats)
 	res.Stats.Verified = verified
+	if len(finalists) > 0 {
+		res.Finalists = finalists
+		res.Best = finalists[0]
+		t.curve(ctx, &res.Best)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInterrupted, err)
+	}
 	if len(finalists) == 0 {
-		return fmt.Errorf("%w: every strategy candidate failed the correctness gate",
+		return nil, fmt.Errorf("%w: every strategy candidate failed the correctness gate",
 			ErrNoViableKernel)
 	}
-	res.Finalists = finalists
-	res.Best = finalists[0]
-	t.fillCurve(&res.Best)
-	return nil
-}
-
-// fillCurve computes the stage-2 curve for a strategy's winner.
-func (t *Tuner) fillCurve(r *Result) {
-	o := t.opts
-	for _, n := range Sizes(r.Params.LCM(), o.MaxSize) {
-		gf, err := o.Evaluator(o.Device, &r.Params, n)
-		if err != nil {
-			continue
-		}
-		r.Curve = append(r.Curve, SizedPerf{N: n, GFlops: gf})
-		if gf > r.Best {
-			r.Best = gf
-			r.BestN = n
-		}
-	}
+	return res, nil
 }

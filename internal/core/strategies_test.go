@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"oclgemm/internal/codegen"
 	"oclgemm/internal/device"
 	"oclgemm/internal/matrix"
+	"oclgemm/internal/obs"
 )
 
 func strategyTuner(t *testing.T, devID string) *Tuner {
@@ -143,10 +146,7 @@ func TestStrategiesAllFailingEvaluatorReturnsTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() (*StrategyResult, error){
-		"random": func() (*StrategyResult, error) { return tn.RandomSearch(50, 1) },
-		"anneal": func() (*StrategyResult, error) { return tn.Anneal(50, 1) },
-	} {
+	for name, run := range runStrategies(tn, 50, 1) {
 		res, err := run()
 		if !errors.Is(err, ErrNoViableKernel) {
 			t.Errorf("%s: want ErrNoViableKernel, got %v", name, err)
@@ -197,10 +197,7 @@ func TestStrategyStatsRejectTally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() (*StrategyResult, error){
-		"random": func() (*StrategyResult, error) { return tn.RandomSearch(200, 9) },
-		"anneal": func() (*StrategyResult, error) { return tn.Anneal(200, 9) },
-	} {
+	for name, run := range runStrategies(tn, 200, 9) {
 		res, err := run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -282,5 +279,140 @@ func TestStrategiesRespectDeviceQuirks(t *testing.T) {
 	}
 	if res.Best.Params.Algorithm == codegen.PL {
 		t.Error("random search returned a PL DGEMM kernel on Bulldozer")
+	}
+}
+
+// runStrategies names the two budgeted strategies for table tests.
+func runStrategies(tn *Tuner, budget int, seed int64) map[string]func() (*StrategyResult, error) {
+	return map[string]func() (*StrategyResult, error){
+		"random": func() (*StrategyResult, error) { return tn.RandomSearch(budget, seed) },
+		"anneal": func() (*StrategyResult, error) { return tn.Anneal(budget, seed) },
+	}
+}
+
+// Both strategies measure through the tuner's evaluator stack: an
+// Evaluator or CtxEvaluator override is what they score, and the
+// observer counts every evaluation — the budget plus the winner's
+// stage-2 sizes.
+func TestStrategiesMeasureThroughEvaluatorStack(t *testing.T) {
+	score := func(p *codegen.Params, n int) float64 { return float64(p.Mwg*p.Nwg) + float64(n)/1e4 }
+	for _, kind := range []string{"plain", "ctx"} {
+		var calls atomic.Int64
+		reg := obs.NewRegistry()
+		opts := Options{Device: device.Tahiti(), Precision: matrix.Single, MaxSize: 4096, Obs: reg}
+		if kind == "plain" {
+			opts.Evaluator = func(d *device.Spec, p *codegen.Params, n int) (float64, error) {
+				calls.Add(1)
+				return score(p, n), nil
+			}
+		} else {
+			opts.CtxEvaluator = func(ctx context.Context, d *device.Spec, p *codegen.Params, n int) (float64, error) {
+				calls.Add(1)
+				return score(p, n), nil
+			}
+		}
+		tn, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range runStrategies(tn, 60, 4) {
+			before := calls.Load()
+			evalsBefore := reg.Counter("tune.evals").Value()
+			res, err := run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, name, err)
+			}
+			for _, f := range res.Finalists {
+				if want := score(&f.Params, ProbeSize(opts.Device, &f.Params)); f.Probe != want {
+					t.Errorf("%s/%s: %s probe %v, want the evaluator's %v", kind, name, f.Params.Name(), f.Probe, want)
+				}
+			}
+			sizes := Sizes(res.Best.Params.LCM(), opts.MaxSize)
+			if len(res.Best.Curve) != len(sizes) {
+				t.Errorf("%s/%s: curve has %d points, want %d", kind, name, len(res.Best.Curve), len(sizes))
+			}
+			want := int64(res.Evals + len(sizes))
+			if got := calls.Load() - before; got != want {
+				t.Errorf("%s/%s: evaluator called %d times, want %d evals + %d stage-2 sizes", kind, name, got, res.Evals, len(sizes))
+			}
+			if got := reg.Counter("tune.evals").Value() - evalsBefore; got != want {
+				t.Errorf("%s/%s: tune.evals = %d, want %d", kind, name, got, want)
+			}
+		}
+	}
+}
+
+// A done Options.Context stops both strategies with ErrInterrupted,
+// whether it was cancelled before the run or during it.
+func TestStrategiesInterruptedByContext(t *testing.T) {
+	var calls atomic.Int64
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tn, err := New(Options{Device: device.Tahiti(), Precision: matrix.Single, Context: ctx,
+		Evaluator: func(d *device.Spec, p *codegen.Params, n int) (float64, error) {
+			calls.Add(1)
+			return 1, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range runStrategies(tn, 2000, 1) {
+		if res, err := run(); !errors.Is(err, ErrInterrupted) || res != nil {
+			t.Errorf("%s: pre-cancelled context: want nil result and ErrInterrupted, got %v", name, err)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("pre-cancelled context still ran %d evaluations", n)
+	}
+
+	for _, name := range []string{"random", "anneal"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var n atomic.Int64
+		tn, err := New(Options{Device: device.Tahiti(), Precision: matrix.Single, Context: ctx,
+			CtxEvaluator: func(ctx context.Context, d *device.Spec, p *codegen.Params, _ int) (float64, error) {
+				if n.Add(1) == 10 {
+					cancel()
+					return 0, ctx.Err()
+				}
+				return 1, nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runStrategies(tn, 2000, 1)[name](); !errors.Is(err, ErrInterrupted) {
+			t.Errorf("%s: cancelled mid-run: want ErrInterrupted, got %v", name, err)
+		}
+		if got := n.Load(); got != 10 {
+			t.Errorf("%s: %d evaluations ran, want the run to stop at the cancelling 10th", name, got)
+		}
+		cancel()
+	}
+}
+
+// A panicking evaluation is rejected as RejectPanic, as in Search,
+// instead of crashing the strategy.
+func TestStrategiesIsolateEvaluatorPanics(t *testing.T) {
+	eval := func(d *device.Spec, p *codegen.Params, n int) (float64, error) {
+		if p.Kwi == 8 {
+			panic("boom")
+		}
+		return float64(p.Mwg), nil
+	}
+	tn, err := New(Options{Device: device.Tahiti(), Precision: matrix.Single, Evaluator: eval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range runStrategies(tn, 200, 3) {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		panics := res.Stats.RejectedBy[RejectPanic]
+		if panics == 0 || res.Stats.Tested+panics != res.Stats.Measured {
+			t.Errorf("%s: tested %d + panics %d != measured %d", name, res.Stats.Tested, panics, res.Stats.Measured)
+		}
+		if res.Best.Params.Kwi == 8 {
+			t.Errorf("%s: a panicking kernel won", name)
+		}
 	}
 }

@@ -54,16 +54,14 @@ type Options struct {
 	// reclaim hung evaluations.
 	CtxEvaluator CtxEvaluator
 
-	// EvalTimeout bounds each stage-1/2 evaluation; 0 disables the
-	// timeout middleware. Evaluations past the deadline count as
+	// EvalTimeout bounds each evaluation; 0 disables the timeout
+	// middleware. Evaluations past the deadline count as
 	// RejectTimeout (the paper's hung kernels).
 	EvalTimeout time.Duration
 	// MaxRetries re-attempts evaluations failing with ErrTransient up
-	// to this many extra times (0 disables the retry middleware).
+	// to this many extra times, 1ms apart and doubling (0 disables the
+	// retry middleware).
 	MaxRetries int
-	// RetryBackoff is the initial exponential backoff between retries
-	// (0 = 1ms).
-	RetryBackoff time.Duration
 
 	// Verify enables the correctness gate: each finalist's generated
 	// kernel runs on the simulated runtime and is compared against the
@@ -72,11 +70,6 @@ type Options struct {
 	Verify bool
 	// Verifier overrides the gate's check (nil = VerifyParams).
 	Verifier Verifier
-	// VerifyTimeout bounds each finalist verification; 0 disables the
-	// wrap. A hung or pathological verifier run counts as
-	// RejectTimeout for that finalist only — the next-ranked candidate
-	// takes its place.
-	VerifyTimeout time.Duration
 
 	// JournalPath enables stage-1 checkpointing: completed evaluations
 	// append to this JSON-lines file, and a re-run with the same path
@@ -84,14 +77,15 @@ type Options struct {
 	JournalPath string
 
 	// Obs, when set, receives the search's measurement record: a
-	// tune.eval.seconds histogram timing every stage-1/2 evaluation,
+	// tune.eval.seconds histogram timing every evaluation,
 	// tune.evals / tune.eval.failures counters, and — when the search
 	// returns — the Stats fold (tune.reject.<cause> per rejection
 	// cause, tested/resumed/verified/stage-2 counters).
 	Obs *obs.Registry
 
-	// Context cancels a running search; Search then returns an error
-	// wrapping ErrInterrupted. nil means Background.
+	// Context cancels a running search; Search, RandomSearch and
+	// Anneal then return an error wrapping ErrInterrupted. nil means
+	// Background.
 	Context context.Context
 }
 
@@ -216,7 +210,6 @@ func New(opts Options) (*Tuner, error) {
 	if opts.Verifier == nil {
 		opts.Verifier = VerifyParams
 	}
-	opts.Verifier = WithVerifyTimeout(opts.Verifier, opts.VerifyTimeout)
 	if opts.Context == nil {
 		opts.Context = context.Background()
 	}
@@ -225,7 +218,7 @@ func New(opts Options) (*Tuner, error) {
 		ev = AdaptEvaluator(opts.Evaluator)
 	}
 	ev = WithTimeout(ev, opts.EvalTimeout)
-	ev = WithRetry(ev, opts.MaxRetries, opts.RetryBackoff)
+	ev = WithRetry(ev, opts.MaxRetries, time.Millisecond)
 	ev = WithObserver(ev, opts.Obs)
 	return &Tuner{opts: opts, eval: ev}, nil
 }
@@ -398,19 +391,7 @@ func (t *Tuner) Search() (*Selection, error) {
 	// Stage 2: re-measure finalists across sizes.
 	stage2Evals := 0
 	t.parallelFor(ctx, len(finalists), func(i int) error {
-		r := &finalists[i]
-		sizes := Sizes(r.Params.LCM(), o.MaxSize)
-		for _, n := range sizes {
-			gf, err := t.eval(ctx, o.Device, &r.Params, n)
-			if err != nil {
-				continue
-			}
-			r.Curve = append(r.Curve, SizedPerf{N: n, GFlops: gf})
-			if gf > r.Best {
-				r.Best = gf
-				r.BestN = n
-			}
-		}
+		t.curve(ctx, &finalists[i])
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -498,19 +479,21 @@ func rejectSummary(by map[RejectCause]int) string {
 	return s
 }
 
-// Curve evaluates one kernel across the stage-2 sizes (used by the
-// figure harness to plot the selected kernel).
-func (t *Tuner) Curve(p codegen.Params, maxSize int) []SizedPerf {
-	sizes := Sizes(p.LCM(), maxSize)
-	out := make([]SizedPerf, 0, len(sizes))
-	for _, n := range sizes {
-		gf, err := t.opts.Evaluator(t.opts.Device, &p, n)
+// curve is stage 2 for one kernel: it measures r at every stage-2 size
+// up to MaxSize, appending the successful points to r.Curve and
+// keeping the fastest in r.Best/r.BestN. Failed sizes are skipped.
+func (t *Tuner) curve(ctx context.Context, r *Result) {
+	for _, n := range Sizes(r.Params.LCM(), t.opts.MaxSize) {
+		gf, err := t.eval(ctx, t.opts.Device, &r.Params, n)
 		if err != nil {
 			continue
 		}
-		out = append(out, SizedPerf{N: n, GFlops: gf})
+		r.Curve = append(r.Curve, SizedPerf{N: n, GFlops: gf})
+		if gf > r.Best {
+			r.Best = gf
+			r.BestN = n
+		}
 	}
-	return out
 }
 
 // parallelFor runs fn(0..n-1) over the tuner's worker pool and returns

@@ -38,11 +38,10 @@ func chaosSearch(t *testing.T, cfg Config, retries int) (*core.Selection, *Injec
 		// evaluations took at most 8 ms under the race detector on a
 		// loaded 2-vCPU host, so the margin keeps the per-cause
 		// counts independent of host speed.
-		EvalTimeout:  100 * time.Millisecond,
-		MaxRetries:   retries,
-		RetryBackoff: time.Microsecond,
-		Verify:       true,
-		Verifier:     in.Verifier(nil),
+		EvalTimeout: 100 * time.Millisecond,
+		MaxRetries:  retries,
+		Verify:      true,
+		Verifier:    in.Verifier(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,5 +144,46 @@ func TestChaosTransientsRejectedWithoutRetry(t *testing.T) {
 	}
 	if got := sel.Stats.RejectedBy[core.RejectTransient]; got != counts[Transient] {
 		t.Errorf("without retry, transient rejects %d != injected %d", got, counts[Transient])
+	}
+}
+
+// Random search measures through the same middleware as Search: the
+// injector's hangs are reclaimed by EvalTimeout and rejected as
+// timeouts, and every draw is either tested or rejected per cause.
+func TestStrategyRandomSearchUnderInjectedFaults(t *testing.T) {
+	in := mustNew(t, chaosConfig)
+	tn, err := core.New(core.Options{
+		Device:       device.Tahiti(),
+		Precision:    matrix.Single,
+		Finalists:    10,
+		MaxSize:      4096,
+		CtxEvaluator: in.Evaluator(core.AdaptEvaluator(core.ModelEvaluator)),
+		EvalTimeout:  100 * time.Millisecond,
+		MaxRetries:   2,
+		Verify:       true,
+		Verifier:     in.Verifier(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tn.RandomSearch(150, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := in.InjectedCounts()
+	by := res.Stats.RejectedBy
+	if counts[Hang] == 0 || by[core.RejectTimeout] < counts[Hang] {
+		t.Errorf("timeout rejects %d, want at least the %d distinct injected hangs", by[core.RejectTimeout], counts[Hang])
+	}
+	if counts[Panic] == 0 || by[core.RejectPanic] < counts[Panic] {
+		t.Errorf("panic rejects %d, want at least the %d distinct injected panics", by[core.RejectPanic], counts[Panic])
+	}
+	evalRejects := by[core.RejectCompile] + by[core.RejectTimeout] + by[core.RejectPanic] + by[core.RejectTransient]
+	if res.Stats.Tested+evalRejects != res.Stats.Measured || res.Stats.Measured != res.Evals {
+		t.Errorf("tested %d + eval rejects %d != measured %d (evals %d)",
+			res.Stats.Tested, evalRejects, res.Stats.Measured, res.Evals)
+	}
+	if c := in.ClassOf(res.Best.Params.Name()); c != None && c != Transient {
+		t.Errorf("selected a kernel with injected fault %s", c)
 	}
 }

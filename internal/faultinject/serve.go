@@ -124,14 +124,3 @@ func (si *ServeInjector) Counts() map[Class]int {
 	}
 	return out
 }
-
-// Launches returns the per-device launch totals the hook has seen.
-func (si *ServeInjector) Launches() map[string]int {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	out := make(map[string]int, len(si.launches))
-	for d, n := range si.launches {
-		out[d] = n
-	}
-	return out
-}

@@ -114,16 +114,10 @@ func (im *Impl) launchHookRef() func(string) error {
 	return im.launchHook
 }
 
-// Dims validates operand shapes against C and returns the problem
-// dimensions m, n, k — exported for layers that partition a GEMM before
-// running it (the multi-device scheduler).
-func Dims[T matrix.Scalar](ta, tb blas.Transpose, a, b, c *matrix.Matrix[T]) (m, n, k int, err error) {
-	return gemmDims(ta, tb, a, b, c)
-}
-
-// padded returns the kernel-ready problem dimensions for an m×n×k
-// multiplication.
-func (im *Impl) padded(m, n, k int) (mp, np, kp int) {
+// PaddedDims returns the kernel-ready padded shape for an m×n×k
+// problem — the plan-cache key. Layers that group traffic by the plan
+// it will execute on (the serve coalescer) key on this.
+func (im *Impl) PaddedDims(m, n, k int) (mp, np, kp int) {
 	mp = matrix.PadDim(m, im.Params.Mwg)
 	np = matrix.PadDim(n, im.Params.Nwg)
 	kp = matrix.PadDim(k, im.Params.Kwg)
@@ -132,11 +126,6 @@ func (im *Impl) padded(m, n, k int) (mp, np, kp int) {
 	}
 	return
 }
-
-// PaddedDims exposes the kernel-ready padded shape for an m×n×k
-// problem — the plan-cache key. Layers that group traffic by the plan
-// it will execute on (the serve coalescer) key on this.
-func (im *Impl) PaddedDims(m, n, k int) (mp, np, kp int) { return im.padded(m, n, k) }
 
 // Run computes C ← alpha·op(A)·op(B) + beta·C functionally on the
 // simulated device. A, B, C may be stored in either order (the paper's
@@ -147,7 +136,7 @@ func (im *Impl) PaddedDims(m, n, k int) (mp, np, kp int) { return im.padded(m, n
 // it once and releases it. Serving paths with repeated calls should
 // hold a Plan, PlanCache or Engine instead, which amortize the setup.
 func Run[T matrix.Scalar](im *Impl, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	m, n, k, err := gemmDims(ta, tb, a, b, c)
+	m, n, k, err := Dims(ta, tb, a, b, c)
 	if err != nil {
 		return err
 	}

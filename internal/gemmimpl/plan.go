@@ -25,9 +25,10 @@ import (
 	"oclgemm/internal/obs"
 )
 
-// gemmDims validates operand shapes against C and returns the problem
-// dimensions.
-func gemmDims[T matrix.Scalar](ta, tb blas.Transpose, a, b, c *matrix.Matrix[T]) (m, n, k int, err error) {
+// Dims validates operand shapes against C and returns the problem
+// dimensions m, n, k — exported for layers that partition a GEMM before
+// running it (the multi-device scheduler).
+func Dims[T matrix.Scalar](ta, tb blas.Transpose, a, b, c *matrix.Matrix[T]) (m, n, k int, err error) {
 	m, n = c.Rows, c.Cols
 	am, ak := a.Rows, a.Cols
 	if ta == blas.Trans {
@@ -234,7 +235,7 @@ func NewPlan[T matrix.Scalar](im *Impl, m, n, k int) (*Plan[T], error) {
 		return nil, fmt.Errorf("gemmimpl: non-positive plan dimensions %dx%dx%d", m, n, k)
 	}
 	p := im.Params
-	mp, np, kp := im.padded(m, n, k)
+	mp, np, kp := im.PaddedDims(m, n, k)
 	esz := p.Precision.Size()
 	dev := &clsim.Device{Spec: im.Dev}
 	ctx := clsim.NewContext(dev)
@@ -365,11 +366,11 @@ func ctxErr(err error, phase string) error {
 // simply re-packs whatever the abandoned call invalidated. The returned error wraps ctx.Err(), so errors.Is against
 // context.DeadlineExceeded/context.Canceled works.
 func (pl *Plan[T]) RunCtx(ctx context.Context, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	m, n, k, err := gemmDims(ta, tb, a, b, c)
+	m, n, k, err := Dims(ta, tb, a, b, c)
 	if err != nil {
 		return err
 	}
-	mp, np, kp := pl.im.padded(m, n, k)
+	mp, np, kp := pl.im.PaddedDims(m, n, k)
 	if mp != pl.Mp || np != pl.Np || kp != pl.Kp {
 		return fmt.Errorf("gemmimpl: problem %dx%dx%d pads to %dx%dx%d, plan holds %dx%dx%d",
 			m, n, k, mp, np, kp, pl.Mp, pl.Np, pl.Kp)
@@ -585,7 +586,7 @@ func (pc *PlanCache[T]) Stats() PlanStats {
 // one shape build exactly once — the losers wait for the winner's
 // build (or their context, whichever ends first).
 func (pc *PlanCache[T]) RunCtx(ctx context.Context, ta, tb blas.Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
-	m, n, k, err := gemmDims(ta, tb, a, b, c)
+	m, n, k, err := Dims(ta, tb, a, b, c)
 	if err != nil {
 		return err
 	}
@@ -605,7 +606,7 @@ func (pc *PlanCache[T]) RunCtx(ctx context.Context, ta, tb blas.Transpose, alpha
 // number of plan runs — the strided batch path claims once for a whole
 // batch.
 func (pc *PlanCache[T]) acquire(ctx context.Context, m, n, k int) (*cacheEntry[T], error) {
-	mp, np, kp := pc.im.padded(m, n, k)
+	mp, np, kp := pc.im.PaddedDims(m, n, k)
 	key := planKey{mp, np, kp}
 
 	pc.mu.Lock()

@@ -26,7 +26,7 @@ func (pl *Plan[T]) RunStridedCtx(ctx context.Context, sb *batch.Strided[T]) erro
 	if err != nil {
 		return err
 	}
-	mp, np, kp := pl.im.padded(sb.M, sb.N, sb.K)
+	mp, np, kp := pl.im.PaddedDims(sb.M, sb.N, sb.K)
 	if mp != pl.Mp || np != pl.Np || kp != pl.Kp {
 		return fmt.Errorf("gemmimpl: batch %dx%dx%d pads to %dx%dx%d, plan holds %dx%dx%d",
 			sb.M, sb.N, sb.K, mp, np, kp, pl.Mp, pl.Np, pl.Kp)

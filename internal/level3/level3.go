@@ -96,10 +96,6 @@ func NewWithPool(p *sched.Pool) *Engine {
 	return &Engine{pool: p, NB: p.BlockSize()}
 }
 
-// GEMMEngine exposes the underlying execution engine (plan-reuse stats
-// for tests and tools); nil for a pool-backed engine.
-func (e *Engine) GEMMEngine() *gemmimpl.Engine { return e.eng }
-
 // Pool exposes the scheduler pool of a pool-backed engine (nil for a
 // single-device engine).
 func (e *Engine) Pool() *sched.Pool { return e.pool }

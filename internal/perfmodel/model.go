@@ -249,16 +249,6 @@ func RoutineTime(d *device.Spec, p *codegen.Params, m, n, k int) (RoutineBreakdo
 	return out, nil
 }
 
-// RoutineGFlops returns the modeled full-routine performance for the
-// nominal problem size.
-func RoutineGFlops(d *device.Spec, p *codegen.Params, m, n, k int) (float64, error) {
-	bd, err := RoutineTime(d, p, m, n, k)
-	if err != nil {
-		return 0, err
-	}
-	return 2 * float64(m) * float64(n) * float64(k) / bd.TotalSeconds / 1e9, nil
-}
-
 // KernelGFlops returns the modeled performance in GFlop/s for the
 // nominal (unpadded) problem size, as the paper reports it.
 func KernelGFlops(d *device.Spec, p *codegen.Params, m, n, k int) (float64, error) {
