@@ -156,8 +156,10 @@ func GEMMBlocked[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix
 	}
 }
 
-// GEMMParallel computes C ← alpha·op(A)·op(B) + beta·C, parallelizing
-// GEMMBlocked's row panels across GOMAXPROCS goroutines.
+// GEMMParallel computes C ← alpha·op(A)·op(B) + beta·C with GEMM's
+// arithmetic, splitting the rows of C across up to GOMAXPROCS
+// goroutines, so its result does not depend on the worker count. With
+// one worker (GOMAXPROCS 1, or m 1) it is GEMM.
 func GEMMParallel[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
 	m, n, k := checkDims(ta, tb, a, b, c)
 	workers := runtime.GOMAXPROCS(0)
@@ -165,7 +167,7 @@ func GEMMParallel[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matri
 		workers = m
 	}
 	if workers <= 1 {
-		GEMMBlocked(ta, tb, alpha, a, b, beta, c)
+		GEMM(ta, tb, alpha, a, b, beta, c)
 		return
 	}
 	var wg sync.WaitGroup

@@ -149,6 +149,27 @@ func TestParallelMatchesNaive(t *testing.T) {
 	}
 }
 
+// GEMMParallel's one-worker path (m = 1 here) keeps GEMM's float64
+// accumulation: a float32 row product is bit-identical to GEMM's.
+func TestParallelOneRowMatchesGEMM(t *testing.T) {
+	m, n, k := 1, 40, 300
+	rng := rand.New(rand.NewSource(12))
+	a := matrix.New[float32](m, k, matrix.RowMajor)
+	b := matrix.New[float32](k, n, matrix.RowMajor)
+	c1 := matrix.New[float32](m, n, matrix.RowMajor)
+	a.FillRandom(rng)
+	b.FillRandom(rng)
+	c1.FillRandom(rng)
+	c2 := c1.Clone()
+	GEMM(NoTrans, NoTrans, 1.5, a, b, 0.5, c1)
+	GEMMParallel(NoTrans, NoTrans, 1.5, a, b, 0.5, c2)
+	for j := range n {
+		if x, y := c1.At(0, j), c2.At(0, j); x != y {
+			t.Errorf("C[0][%d]: GEMMParallel %v, GEMM %v", j, y, x)
+		}
+	}
+}
+
 func TestGEMMSingle(t *testing.T) {
 	a := matrix.New[float32](8, 8, matrix.RowMajor)
 	b := matrix.New[float32](8, 8, matrix.RowMajor)

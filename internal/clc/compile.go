@@ -8,14 +8,13 @@ package clc
 // a type fault becomes an opErr. Evaluation is lazy and in source
 // order: a fault (with its positioned error message) happens exactly
 // when execution reaches the faulting expression, and dead code never
-// faults. Names resolve to register/array slots at compile time,
-// constant subexpressions fold to loads from a constant pool, and
-// control flow becomes jumps over a flat instruction slice.
+// faults. Names resolve to register/array slots at compile time, every
+// computed value gets a fresh register, constant subexpressions fold to
+// constant-pool entries, each loaded into its own register once by a
+// prologue at pc 0, and control flow becomes jumps over a flat
+// instruction slice.
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 type opcode uint8
 
@@ -193,26 +192,18 @@ type slotRef struct {
 	t   Type
 }
 
-// nTypeCodes bounds typeCode: a base times a vector width of 1, 2, 4,
-// 8 or 16.
-const nTypeCodes = (int(BaseVoid) + 1) * 5
-
-// typeCode indexes a register type in the compiler's per-type pools.
-func typeCode(t Type) int { return int(t.Base)*5 + bits.TrailingZeros(uint(t.Lanes)) }
-
+// compiler lowers one kernel. Every value it computes gets a register of
+// its own, never reused: sharing registers whose live ranges do not
+// overlap is the optimizer's renumbering. Every constant gets one
+// register too, written once by the constant prologue at pc 0.
 type compiler struct {
 	p      *compiledKernel
 	scopes []map[string]slotRef
-	// pool lists the registers of each type in allocation order and
-	// free counts how many of them are taken. Statement compilation
-	// saves and restores free as a watermark, so a temporary is reused
-	// only for a value of its own type while named declarations keep
-	// their registers.
-	pool [nTypeCodes][]int32
-	free [nTypeCodes]int32
 	// constAt indexes the constant pool by bit pattern, so each constant
-	// is stored once however many literals name it.
-	constAt map[valueBits]int64
+	// is stored once however many literals name it; constRegs[k] is pool
+	// entry k's register.
+	constAt   map[valueBits]int64
+	constRegs []int32
 }
 
 func compileKernel(k *KernelDecl) (p *compiledKernel, err error) {
@@ -238,7 +229,7 @@ func compileKernel(k *KernelDecl) (p *compiledKernel, err error) {
 		// Bind only ever produces scalar argument values, so the variable
 		// is a scalar regardless of the declared lane count.
 		t := canon(Type{Base: prm.Type.Base, Lanes: 1})
-		reg := c.allocReg(t)
+		reg := c.newReg(t)
 		c.define(prm.Name, slotRef{reg: reg, arr: -1, t: t})
 		c.p.paramRegs = append(c.p.paramRegs, reg)
 		c.p.paramArrs = append(c.p.paramArrs, -1)
@@ -252,6 +243,7 @@ func compileKernel(k *KernelDecl) (p *compiledKernel, err error) {
 	}
 	c.block(k.Body, true)
 	c.emit(instr{op: opHalt}, nil)
+	c.prologue()
 	// Unoptimized programs have one fault position per instruction; the
 	// second slot aliases the first (opMad's mul and add faults share
 	// the mad call's position until the optimizer fuses distinct sites).
@@ -276,24 +268,7 @@ func (c *compiler) lookup(name string) (slotRef, bool) {
 	return slotRef{}, false
 }
 
-// allocReg takes the next free register of type t, adding one when the
-// type's pool is used up.
-func (c *compiler) allocReg(t Type) int32 {
-	k := typeCode(t)
-	if n := c.free[k]; int(n) < len(c.pool[k]) {
-		c.free[k]++
-		return c.pool[k][n]
-	}
-	r := c.newReg(t)
-	c.pool[k] = append(c.pool[k], r)
-	c.free[k]++
-	return r
-}
-
-func (c *compiler) temp(t Type) int32 { return c.allocReg(t) }
-
-// newReg adds a register of type t outside the pools: it is never
-// reused.
+// newReg adds a register of type t.
 func (c *compiler) newReg(t Type) int32 {
 	c.p.regT = append(c.p.regT, t)
 	c.p.nreg++
@@ -316,15 +291,38 @@ func (c *compiler) emit(in instr, at Expr) int {
 // patch points a previously emitted jump at the next instruction.
 func (c *compiler) patch(pc int) { c.p.code[pc].imm = int64(len(c.p.code)) }
 
-func (c *compiler) constIdx(v value) int64 {
+// constReg returns the register that holds constant v, adding v to the
+// pool on first use.
+func (c *compiler) constReg(v value) int32 {
 	k := v.bits()
 	if i, ok := c.constAt[k]; ok {
-		return i
+		return c.constRegs[i]
 	}
-	i := int64(len(c.p.consts))
+	r := c.newReg(v.t)
+	c.constAt[k] = int64(len(c.p.consts))
 	c.p.consts = append(c.p.consts, v)
-	c.constAt[k] = i
-	return i
+	c.constRegs = append(c.constRegs, r)
+	return r
+}
+
+// prologue puts each constant's opConst, once, in front of the code and
+// shifts every jump past it. These are the program's only opConsts, and
+// nothing else writes a constant's register.
+func (c *compiler) prologue() {
+	n := len(c.constRegs)
+	code := make([]instr, n, n+len(c.p.code))
+	for k, r := range c.constRegs {
+		code[k] = instr{op: opConst, dst: r, imm: int64(k)}
+	}
+	for _, in := range c.p.code {
+		switch in.op {
+		case opJump, opJumpF, opJumpT:
+			in.imm += int64(n)
+		}
+		code = append(code, in)
+	}
+	c.p.code = code
+	c.p.ex = append(make([]Expr, n, n+len(c.p.ex)), c.p.ex...)
 }
 
 func (c *compiler) typeIdx(t Type) int64 {
@@ -335,12 +333,6 @@ func (c *compiler) typeIdx(t Type) int64 {
 	}
 	c.p.types = append(c.p.types, t)
 	return int64(len(c.p.types) - 1)
-}
-
-func (c *compiler) constReg(v value, at Expr) int32 {
-	dst := c.temp(v.t)
-	c.emit(instr{op: opConst, dst: dst, imm: c.constIdx(v)}, at)
-	return dst
 }
 
 // emitErr lowers a fault that evaluation hits at this point into an
@@ -363,7 +355,7 @@ func (c *compiler) convertInto(dst, r int32, to Type, at Expr) {
 
 // convert emits r converted to to into a fresh temporary.
 func (c *compiler) convert(r int32, to Type, at Expr) int32 {
-	dst := c.temp(canon(to))
+	dst := c.newReg(canon(to))
 	c.convertInto(dst, r, to, at)
 	return dst
 }
@@ -506,14 +498,14 @@ func (c *compiler) exprAs(e Expr, t Type) int32 {
 		return c.expr(e)
 	}
 	if v, ok := c.tryFold(e); ok {
-		return c.constReg(convertVal(v, t, e), e)
+		return c.constReg(convertVal(v, t, e))
 	}
 	return c.convert(c.expr(e), t, e)
 }
 
 func (c *compiler) eval(e Expr) int32 {
 	if v, ok := c.tryFold(e); ok {
-		return c.constReg(v, e)
+		return c.constReg(v)
 	}
 	switch n := e.(type) {
 	case *Ident:
@@ -521,11 +513,11 @@ func (c *compiler) eval(e Expr) int32 {
 		ref, ok := c.lookup(n.Name)
 		if !ok {
 			c.emitErr(errAt(e, "undeclared identifier %q", n.Name))
-			return c.temp(typeOf(e))
+			return c.newReg(typeOf(e))
 		}
 		if ref.arr >= 0 {
 			c.emitErr(errAt(e, "array %q used as a value", n.Name))
-			return c.temp(typeOf(e))
+			return c.newReg(typeOf(e))
 		}
 		return ref.reg
 	case *Binary:
@@ -543,9 +535,9 @@ func (c *compiler) eval(e Expr) int32 {
 		default:
 			c.expr(n.X)
 			c.emitErr(errAt(e, "unsupported unary operator %q", n.Op))
-			return c.temp(typeOf(e))
+			return c.newReg(typeOf(e))
 		}
-		dst := c.temp(typeOf(e))
+		dst := c.newReg(typeOf(e))
 		c.emit(instr{op: op, dst: dst, a: x}, e)
 		return dst
 	case *Cond:
@@ -557,7 +549,7 @@ func (c *compiler) eval(e Expr) int32 {
 			}
 			return c.arm(n.F, t, msg, n)
 		}
-		dst := c.temp(t)
+		dst := c.newReg(t)
 		cv := c.expr(n.C)
 		jf := c.emit(instr{op: opJumpF, a: cv}, nil)
 		c.emit(instr{op: opMov, dst: dst, a: c.arm(n.T, t, msg, n)}, nil)
@@ -572,10 +564,10 @@ func (c *compiler) eval(e Expr) int32 {
 		slot := c.arraySlot(n.X)
 		if slot < 0 {
 			// The array fault comes before evaluating the index.
-			return c.temp(typeOf(e))
+			return c.newReg(typeOf(e))
 		}
 		idx := c.exprAs(n.Idx, intType)
-		dst := c.temp(c.p.slotT[slot])
+		dst := c.newReg(c.p.slotT[slot])
 		c.emit(instr{op: opLoad, dst: dst, a: slot, b: idx}, e)
 		return dst
 	case *Cast:
@@ -590,15 +582,13 @@ func (c *compiler) eval(e Expr) int32 {
 			c.newReg(elem)
 		}
 		for i, a := range n.Args {
-			save := c.free
 			if r := c.expr(a); c.p.regT[r] == elem {
 				c.emit(instr{op: opMov, dst: first + int32(i), a: r}, nil)
 			} else {
 				c.convertInto(first+int32(i), r, elem, a)
 			}
-			c.free = save
 		}
-		dst := c.temp(typeOf(e))
+		dst := c.newReg(typeOf(e))
 		if n.To.IsInt() {
 			c.emitErr(errAt(e, "integer vectors are not supported"))
 			return dst
@@ -607,7 +597,7 @@ func (c *compiler) eval(e Expr) int32 {
 		return dst
 	}
 	c.emitErr(errAt(e, "unsupported expression"))
-	return c.temp(typeOf(e))
+	return c.newReg(typeOf(e))
 }
 
 // arm compiles a ternary arm converted to the ternary's type t. When the
@@ -619,7 +609,7 @@ func (c *compiler) arm(x Expr, t Type, msg string, at Expr) int32 {
 	}
 	c.expr(x)
 	c.emitErr(errAt(at, "%s", msg))
-	return c.temp(t)
+	return c.newReg(t)
 }
 
 // arith emits l op r at position at under binType: an int operand of a
@@ -628,7 +618,7 @@ func (c *compiler) arith(op int64, l, r int32, at Expr) int32 {
 	lt, rt := c.p.regT[l], c.p.regT[r]
 	common, res, msg := binType(op, lt, rt)
 	if msg != "" {
-		dst := c.temp(res)
+		dst := c.newReg(res)
 		c.emitErr(errAt(at, "%s", msg))
 		return dst
 	}
@@ -638,7 +628,7 @@ func (c *compiler) arith(op int64, l, r int32, at Expr) int32 {
 	if t := operandType(rt, common); t != rt {
 		r = c.convert(r, t, at)
 	}
-	dst := c.temp(res)
+	dst := c.newReg(res)
 	c.emit(instr{op: opBin, dst: dst, a: l, b: r, imm: op}, at)
 	return dst
 }
@@ -654,41 +644,41 @@ func (c *compiler) binary(n *Binary) int32 {
 	case "&&":
 		if lv, ok := c.tryFold(n.L); ok {
 			if !lv.truthy() {
-				return c.constReg(intVal(0), n)
+				return c.constReg(intVal(0))
 			}
 			r := c.expr(n.R)
-			dst := c.temp(intType)
+			dst := c.newReg(intType)
 			c.emit(instr{op: opBool, dst: dst, a: r}, n)
 			return dst
 		}
-		dst := c.temp(intType)
+		dst := c.newReg(intType)
 		l := c.expr(n.L)
 		jf := c.emit(instr{op: opJumpF, a: l}, nil)
 		r := c.expr(n.R)
 		c.emit(instr{op: opBool, dst: dst, a: r}, n)
 		j := c.emit(instr{op: opJump}, nil)
 		c.patch(jf)
-		c.emit(instr{op: opConst, dst: dst, imm: c.constIdx(intVal(0))}, n)
+		c.emit(instr{op: opMov, dst: dst, a: c.constReg(intVal(0))}, n)
 		c.patch(j)
 		return dst
 	case "||":
 		if lv, ok := c.tryFold(n.L); ok {
 			if lv.truthy() {
-				return c.constReg(intVal(1), n)
+				return c.constReg(intVal(1))
 			}
 			r := c.expr(n.R)
-			dst := c.temp(intType)
+			dst := c.newReg(intType)
 			c.emit(instr{op: opBool, dst: dst, a: r}, n)
 			return dst
 		}
-		dst := c.temp(intType)
+		dst := c.newReg(intType)
 		l := c.expr(n.L)
 		jt := c.emit(instr{op: opJumpT, a: l}, nil)
 		r := c.expr(n.R)
 		c.emit(instr{op: opBool, dst: dst, a: r}, n)
 		j := c.emit(instr{op: opJump}, nil)
 		c.patch(jt)
-		c.emit(instr{op: opConst, dst: dst, imm: c.constIdx(intVal(1))}, n)
+		c.emit(instr{op: opMov, dst: dst, a: c.constReg(intVal(1))}, n)
 		c.patch(j)
 		return dst
 	}
@@ -696,7 +686,7 @@ func (c *compiler) binary(n *Binary) int32 {
 	if !ok {
 		c.expr(n.L)
 		c.expr(n.R)
-		dst := c.temp(typeOf(n))
+		dst := c.newReg(typeOf(n))
 		c.emitErr(errAt(n, "unsupported operator %q", n.Op))
 		return dst
 	}
@@ -725,13 +715,13 @@ func (c *compiler) call(n *Call) int32 {
 			sel = wiNumGroups
 		}
 		d := c.exprAs(n.Args[0], intType)
-		dst := c.temp(intType)
+		dst := c.newReg(intType)
 		c.emit(instr{op: opWI, dst: dst, a: d, imm: sel}, n)
 		return dst
 	case "barrier":
 		c.expr(n.Args[0])
 		c.emit(instr{op: opBarrier}, n)
-		return c.constReg(intVal(0), n)
+		return c.constReg(intVal(0))
 	case "mad", "fma":
 		ta, tb, tc := typeOf(n.Args[0]), typeOf(n.Args[1]), typeOf(n.Args[2])
 		cm, tm, _ := binType(aMul, ta, tb)
@@ -741,7 +731,7 @@ func (c *compiler) call(n *Call) int32 {
 		cc := c.operand(n.Args[2], cs)
 		t, msg := madType(ta, tb, tc)
 		if msg != "" {
-			dst := c.temp(t)
+			dst := c.newReg(t)
 			c.emitErr(errAt(n, "%s", msg))
 			return dst
 		}
@@ -750,14 +740,14 @@ func (c *compiler) call(n *Call) int32 {
 			// converts between the multiply and the add.
 			return c.arith(aAdd, c.arith(aMul, a, b, n), cc, n)
 		}
-		dst := c.temp(t)
+		dst := c.newReg(t)
 		c.emit(instr{op: opMad, dst: dst, a: a, b: b, c: cc}, n)
 		return dst
 	case "min", "max":
 		t := typeOf(n)
 		a := c.operand(n.Args[0], t)
 		b := c.operand(n.Args[1], t)
-		dst := c.temp(t)
+		dst := c.newReg(t)
 		op := opMin
 		if n.Fun == "max" {
 			op = opMax
@@ -769,9 +759,9 @@ func (c *compiler) call(n *Call) int32 {
 		off := c.exprAs(n.Args[0], intType)
 		slot := c.arraySlot(n.Args[1])
 		if slot < 0 {
-			return c.temp(typeOf(n))
+			return c.newReg(typeOf(n))
 		}
-		dst := c.temp(typeOf(n))
+		dst := c.newReg(typeOf(n))
 		if c.p.slotT[slot].Lanes != 1 {
 			c.emitErr(errAt(n, "vload from a vector array"))
 			return dst
@@ -784,7 +774,7 @@ func (c *compiler) call(n *Call) int32 {
 		off := c.exprAs(n.Args[1], intType)
 		slot := c.arraySlot(n.Args[2])
 		if slot < 0 {
-			return c.temp(typeOf(n))
+			return c.newReg(typeOf(n))
 		}
 		switch lanes := c.p.regT[v].Lanes; {
 		case lanes != int(w):
@@ -794,10 +784,10 @@ func (c *compiler) call(n *Call) int32 {
 		default:
 			c.emit(instr{op: opVstore, a: slot, b: off, c: v, imm: w}, n)
 		}
-		return c.constReg(intVal(0), n)
+		return c.constReg(intVal(0))
 	}
 	c.emitErr(errAt(n, "unknown function %q", n.Fun))
-	return c.temp(typeOf(n))
+	return c.newReg(typeOf(n))
 }
 
 // arraySlot resolves x to an array slot, or emits the fault for a
@@ -848,18 +838,11 @@ func (c *compiler) stmt(s Stmt) {
 	case *Decl:
 		c.decl(n)
 	case *Assign:
-		save := c.free
 		c.assign(n)
-		c.free = save
 	case *ExprStmt:
-		save := c.free
 		c.expr(n.X)
-		c.free = save
 	case *If:
-		save := c.free
-		cv := c.expr(n.Cond)
-		jf := c.emit(instr{op: opJumpF, a: cv}, nil)
-		c.free = save
+		jf := c.emit(instr{op: opJumpF, a: c.expr(n.Cond)}, nil)
 		c.block(n.Then, false)
 		if n.Else == nil {
 			c.patch(jf)
@@ -877,10 +860,7 @@ func (c *compiler) stmt(s Stmt) {
 		top := len(c.p.code)
 		jf := -1
 		if n.Cond != nil {
-			save := c.free
-			cv := c.expr(n.Cond)
-			jf = c.emit(instr{op: opJumpF, a: cv}, nil)
-			c.free = save
+			jf = c.emit(instr{op: opJumpF, a: c.expr(n.Cond)}, nil)
 		}
 		c.block(n.Body, false)
 		if n.Post != nil {
@@ -920,17 +900,14 @@ func (c *compiler) decl(d *Decl) {
 	t := canon(d.Type)
 	var reg int32
 	if d.Init != nil {
-		save := c.free
 		r := c.expr(d.Init)
-		c.free = save
-		reg = c.allocReg(t)
+		reg = c.newReg(t)
 		c.convertInto(reg, r, d.Type, d.Init)
 	} else {
-		reg = c.allocReg(t)
+		reg = c.newReg(t)
 		// Uninitialized declarations re-zero on every execution (a
 		// loop body's declaration is a fresh variable per iteration).
-		zero := value{t: t}
-		c.emit(instr{op: opConst, dst: reg, imm: c.constIdx(zero)}, nil)
+		c.emit(instr{op: opMov, dst: reg, a: c.constReg(value{t: t})}, nil)
 	}
 	c.define(d.Name, slotRef{reg: reg, arr: -1, t: t})
 }
@@ -1004,7 +981,7 @@ func (c *compiler) assign(a *Assign) {
 			// for a load.
 			c.emit(instr{op: opCheckIdx, a: slot, b: idx}, lhs)
 		} else {
-			cur := c.temp(c.p.slotT[slot])
+			cur := c.newReg(c.p.slotT[slot])
 			c.emit(instr{op: opLoad, dst: cur, a: slot, b: idx}, lhs)
 			rhs = c.arith(bin, cur, rhs, a.RHS)
 		}

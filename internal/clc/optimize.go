@@ -26,6 +26,10 @@ package clc
 // already an opErr, so only integer division and modulo, work-item
 // queries and memory accesses can fault.
 //
+// The compiler gives every value a register of its own and every
+// constant one register, written by an opConst in the prologue at pc 0
+// and nowhere else. Renumbering is the one place registers are shared.
+//
 // The optimizer never changes the set of opJump instructions, so fuel
 // accounting (one charge per backward jump) is structurally identical
 // to the unoptimized program.
@@ -122,12 +126,11 @@ type optimizer struct {
 	liveIn []uint64
 	sweeps int
 
-	// Dedicated constant registers, materialized as an opConst prologue
-	// by finish. The compiler stores each constant once, so a pool index
+	// constOf maps each constant register, one per pool entry and
+	// written only by its opConst in the compiler's prologue, to its pool
+	// index. The compiler stores each constant once, so a pool index
 	// names its bit pattern.
-	constOf  map[int32]int64 // register → pool index
-	constReg map[int64]int32
-	constOrd []int32 // allocation order, for a deterministic prologue
+	constOf map[int32]int64
 
 	// licm's preheader registers are [freshLo, freshHi): each is
 	// written once, by its preheader instruction, and read only after
@@ -142,13 +145,12 @@ type optimizer struct {
 
 func newOptimizer(k *KernelDecl, p *compiledKernel) *optimizer {
 	o := &optimizer{
-		src:      p,
-		code:     make([]oinst, len(p.code), len(p.code)*5/4), // room for preheaders
-		nreg:     p.nreg,
-		regT:     slices.Clone(p.regT),
-		arrLen:   slices.Repeat([]int{-1}, p.narr),
-		constOf:  map[int32]int64{},
-		constReg: map[int64]int32{},
+		src:     p,
+		code:    make([]oinst, len(p.code), len(p.code)*5/4), // room for preheaders
+		nreg:    p.nreg,
+		regT:    slices.Clone(p.regT),
+		arrLen:  slices.Repeat([]int{-1}, p.narr),
+		constOf: make(map[int32]int64, len(p.consts)),
 	}
 	for i := range p.code {
 		o.code[i] = oinst{in: p.code[i], ex: int32(i), ex2: int32(i)}
@@ -171,9 +173,12 @@ func newOptimizer(k *KernelDecl, p *compiledKernel) *optimizer {
 	// __private arrays: opAllocArr definitions. Each slot has exactly
 	// one defining declaration.
 	for _, in := range p.code {
-		if in.op == opAllocArr {
+		switch in.op {
+		case opAllocArr:
 			def := p.defs[in.imm]
 			o.arrLen[in.a] = def.total / def.t.Lanes
+		case opConst:
+			o.constOf[in.dst] = in.imm
 		}
 	}
 	return o
@@ -274,13 +279,19 @@ func (o *optimizer) kill(pc int) { o.code[pc].dead = true }
 // pureNonFaulting proves the instruction writes only its destination
 // register and cannot fault — the DCE/LICM admission test. Type faults
 // are opErrs, so of the register-only instructions only an integer
-// division or modulo and a work-item query can fault.
+// division or modulo (by zero) and a work-item query can fault.
 func (o *optimizer) pureNonFaulting(in *instr) bool {
 	switch in.op {
 	case opConst, opMov, opBool, opNot, opBitNot, opNeg, opConvert, opVecCtor, opMad, opMin, opMax:
 		return true
 	case opBin:
-		return !o.regT[in.a].IsInt() || in.imm != aDiv && in.imm != aMod
+		if !o.regT[in.a].IsInt() || in.imm != aDiv && in.imm != aMod {
+			return true
+		}
+		// A constant divisor is safe unless it is 0; -1 is left out too,
+		// since INT_MIN / -1 overflows.
+		v, ok := o.constIntOf(in.b)
+		return ok && v != 0 && v != -1
 	case opWI:
 		// Faults unless the dimension is a known 0/1 constant.
 		v, ok := o.constIntOf(in.a)
@@ -386,23 +397,8 @@ func bitHas(set []uint64, r int32) bool {
 	return set[int(r)/64]&(1<<(uint(r)%64)) != 0
 }
 
-// constRegFor returns the dedicated register holding pool constant k,
-// allocating it on first use. finish materializes the opConst prologue.
-func (o *optimizer) constRegFor(k int64) int32 {
-	if r, ok := o.constReg[k]; ok {
-		return r
-	}
-	r := int32(o.nreg)
-	o.nreg++
-	o.constReg[k] = r
-	o.constOf[r] = k
-	o.constOrd = append(o.constOrd, r)
-	o.regT = append(o.regT, o.src.consts[k].t)
-	return r
-}
-
 // constIntOf reports the compile-time scalar integer value of r, if r
-// is a dedicated constant register holding one.
+// is a constant register holding one.
 func (o *optimizer) constIntOf(r int32) (int64, bool) {
 	k, ok := o.constOf[r]
 	if !ok {
@@ -448,8 +444,7 @@ type vnVal struct {
 // ticks a clock, and written[r] is the clock of r's latest write, so a
 // fact recorded at clock t still holds while its registers keep writes
 // older than t and t is inside the region. The walk repoints each read
-// of a register that copies another (an opMov's destination, or an
-// opConst's, which copies the dedicated constant register) at the
+// of a register that copies another (an opMov's destination) at the
 // source, turns an integer x+0, x-0 or x*1 into a copy (passes), and
 // looks each pure, non-faulting instruction's value up in the value
 // table: one the region still holds turns the instruction into an
@@ -458,8 +453,7 @@ type vnVal struct {
 // earlier everywhere and its instruction dropped, so an invariant that
 // several loops hoisted is computed once.
 func (o *optimizer) propagate() {
-	// A constant register is allocated at most once per pool entry.
-	nr := o.nreg + len(o.src.consts)
+	nr := o.nreg
 	if cap(o.written) < nr {
 		// Sized once per kernel: licm adds at most one register per
 		// instruction.
@@ -513,8 +507,6 @@ func (o *optimizer) propagate() {
 			continue
 		case in.op == opMov:
 			copyOf[d], copyAt[d] = in.a, clock
-		case in.op == opConst:
-			copyOf[d], copyAt[d] = o.constRegFor(in.imm), clock
 		case in.op != opVecCtor && o.pureNonFaulting(in):
 			k := vnKey{op: in.op, imm: int32(in.imm), a: in.a, b: in.b, c: in.c}
 			v, held := o.vn[k]
@@ -918,7 +910,7 @@ func (o *optimizer) licm() bool {
 				continue
 			}
 			// A vector constructor's operand block cannot be repointed.
-			if in := oi.in; in.op != opMov && in.op != opConst && in.op != opVecCtor &&
+			if in := oi.in; in.op != opMov && in.op != opVecCtor &&
 				o.pureNonFaulting(&in) && invariant(&in, pc, region) {
 				in.dst = int32(o.nreg)
 				o.nreg++
@@ -1010,6 +1002,13 @@ func (o *optimizer) elideBounds() {
 
 // --- Register renumbering ----------------------------------------------------
 
+// nTypeCodes bounds typeCode: a base times a vector width of 1, 2, 4,
+// 8 or 16.
+const nTypeCodes = (int(BaseVoid) + 1) * 5
+
+// typeCode indexes a register type in renumber's per-type pools.
+func typeCode(t Type) int { return int(t.Base)*5 + bits.TrailingZeros(uint(t.Lanes)) }
+
 // renumber lets registers whose live ranges do not overlap share one
 // register of their type, by linear scan: a register's range spans
 // every pc where it is read, written or live, which the block sets give
@@ -1019,8 +1018,8 @@ func (o *optimizer) elideBounds() {
 // of their own. It rewrites the code and the type table and returns
 // each old register's new number, -1 for one the code no longer uses.
 func (o *optimizer) renumber() []int32 {
-	lo, hi := slices.Repeat([]int{len(o.code)}, o.nreg), slices.Repeat([]int{-1}, o.nreg)
-	span := func(r int32, pc int) { lo[r], hi[r] = min(lo[r], pc), max(hi[r], pc) }
+	lo, hi := slices.Repeat([]int32{int32(len(o.code))}, o.nreg), slices.Repeat([]int32{-1}, o.nreg)
+	span := func(r int32, pc int) { lo[r], hi[r] = min(lo[r], int32(pc)), max(hi[r], int32(pc)) }
 	spanSet := func(set []uint64, pc int) {
 		for w, x := range set {
 			for ; x != 0; x &= x - 1 {
@@ -1046,7 +1045,7 @@ func (o *optimizer) renumber() []int32 {
 	}
 	num := slices.Repeat([]int32{-1}, o.nreg)
 	var regT []Type
-	var end []int // the last pc of each new register's current occupant
+	var end []int32 // the last pc of each new register's current occupant
 	newReg := func(t Type) int32 {
 		regT, end = append(regT, t), append(end, 0)
 		return int32(len(regT) - 1)
@@ -1069,7 +1068,7 @@ func (o *optimizer) renumber() []int32 {
 			order = append(order, int32(r))
 		}
 	}
-	slices.SortStableFunc(order, func(a, b int32) int { return lo[a] - lo[b] })
+	slices.SortStableFunc(order, func(a, b int32) int { return int(lo[a] - lo[b]) })
 	var pool [nTypeCodes][]int32
 	for _, r := range order {
 		k := typeCode(o.regT[r])
@@ -1101,11 +1100,9 @@ func (o *optimizer) renumber() []int32 {
 
 // --- Finish ------------------------------------------------------------------
 
-// finish materializes the constant prologue and emits the final
-// compiledKernel without the dead instructions: a jump to one lands on
-// the next survivor, exactly where control resumes, and every jump
-// shifts past the prologue. The prologue itself is pure loads of the
-// constant pool, so fuel accounting and fault behavior are untouched.
+// finish emits the final compiledKernel without the dead instructions:
+// a jump to one lands on the next survivor, exactly where control
+// resumes.
 func (o *optimizer) finish() *compiledKernel {
 	num := o.renumber()
 	params := slices.Clone(o.src.paramRegs)
@@ -1127,14 +1124,8 @@ func (o *optimizer) finish() *compiledKernel {
 		localSlots: o.src.localSlots,
 		slotT:      o.src.slotT,
 	}
-	var prologue []int32
-	for _, r := range o.constOrd {
-		if num[r] >= 0 { // still read
-			prologue = append(prologue, r)
-		}
-	}
 	at := make([]int32, len(o.code)+1) // each pc's position in np.code
-	kept := int32(len(prologue))
+	var kept int32
 	for pc := range o.code {
 		at[pc] = kept
 		if !o.code[pc].dead {
@@ -1143,9 +1134,6 @@ func (o *optimizer) finish() *compiledKernel {
 	}
 	at[len(o.code)] = kept
 	np.code, np.ex, np.ex2 = make([]instr, 0, kept), make([]Expr, kept), make([]Expr, kept)
-	for _, r := range prologue {
-		np.code = append(np.code, instr{op: opConst, dst: num[r], imm: o.constOf[r]})
-	}
 	for _, oi := range o.code {
 		if oi.dead {
 			continue

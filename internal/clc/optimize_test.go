@@ -97,6 +97,102 @@ func TestOptimizerTransformsGeneratedGEMM(t *testing.T) {
 	t.Logf("instrs %d -> %d, checkidx %d -> %d", rawN, optN, rawChecks, optChecks)
 }
 
+// loopWith returns the pcs [top, end] of p's innermost loop whose body
+// holds an op instruction: end is the back-edge opJump to top.
+func loopWith(t *testing.T, p *compiledKernel, op opcode) (top, end int) {
+	t.Helper()
+	top, end = -1, len(p.code)
+	for pc, in := range p.code {
+		if in.op == opJump && int(in.imm) <= pc && pc-int(in.imm) < end-top &&
+			slices.ContainsFunc(p.code[in.imm:pc], func(x instr) bool { return x.op == op }) {
+			top, end = int(in.imm), pc
+		}
+	}
+	if top < 0 {
+		t.Fatalf("no loop holds a %s:\n%s", op, p.disassemble())
+	}
+	return top, end
+}
+
+// TestOptimizerNumbersRepeatedIndexSums pins value numbering across
+// statements: the unrolled inner loop of benchKernel's kernel names
+// pwi + 1 in eight index expressions, and its optimized form computes
+// the sum once per iteration.
+func TestOptimizerNumbersRepeatedIndexSums(t *testing.T) {
+	withOptDebugPanic(t)
+	kern, raw := rawKernel(t, benchParams())
+	p := optimizeKernel(kern, raw)
+	top, end := loopWith(t, p, opMadAcc)
+	pwi := p.code[end-1].dst // the loop ends "mov pwi = next; jump top"
+	// isOne reports whether r holds 1 from the prologue on.
+	isOne := func(r int32) bool {
+		writes, one := 0, false
+		for _, in := range p.code {
+			if d, ok := writesReg(&in); ok && d == r {
+				writes++
+				one = in.op == opConst && p.consts[in.imm].t == intType && p.consts[in.imm].i == 1
+			}
+		}
+		return writes == 1 && one
+	}
+	sums := 0
+	for _, in := range p.code[top:end] {
+		if in.op == opBin && in.imm == aAdd && in.a == pwi && isOne(in.b) {
+			sums++
+		}
+	}
+	if sums != 1 {
+		t.Errorf("inner loop computes pwi + 1 %d times an iteration, want 1:\n%s", sums, p.disassemble())
+	}
+}
+
+// TestOptimizerHoistsConstantDivisors pins the constant-divisor rule: an
+// integer / or % by a constant other than 0 and -1 cannot fault, so a
+// loop-invariant one leaves the loop, and its repeats are numbered into
+// one instruction.
+func TestOptimizerHoistsConstantDivisors(t *testing.T) {
+	withOptDebugPanic(t)
+	src := `__kernel void k(__global float* a, __global float* b, __global float* o) {
+	const int gid = get_global_id(0);
+	const int x = gid * 37 + 100;
+	for (int i = 0; i < 4; i++) {
+		o[gid] += (float)(x / 64 + i) * (float)(x % 64) + (float)(x / 64 - x % 64);
+	}
+}`
+	got := twoWay(t, src, fill32(4, 0), fill32(4, 0), fill32(4, 0.5))
+	for gid, v := range got {
+		x := gid*37 + 100
+		want := float32(0.5)
+		for i := range 4 {
+			want += float32(float32(x/64+i)*float32(x%64)) + float32(x/64-x%64)
+		}
+		if v != want {
+			t.Errorf("o[%d] = %v, want %v", gid, v, want)
+		}
+	}
+	prog, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := prog.Kernel("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := kern.bytecodeOptimized()
+	top, _ := loopWith(t, p, opJumpF)
+	for _, op := range []int64{aDiv, aMod} {
+		var at []int
+		for pc, in := range p.code {
+			if in.op == opBin && in.imm == op {
+				at = append(at, pc)
+			}
+		}
+		if len(at) != 1 || at[0] >= top {
+			t.Errorf("x %s 64 at pcs %v, want one pc before the loop at %d:\n%s", arithOps[op], at, top, p.disassemble())
+		}
+	}
+}
+
 // twoWay runs src's kernel k(a, b, o) on the optimized and the raw
 // bytecode over copies of the buffers, requires bit-identical o, and
 // returns the optimized result.
@@ -523,7 +619,7 @@ func TestBlockLiveness(t *testing.T) {
 }
 
 // optimizeBenchParams are BenchmarkOptimizeKernel's generated kernels,
-// of about 1.1k, 1.8k and 5.0k raw instructions.
+// of about 0.8k, 1.3k and 3.4k raw instructions.
 var optimizeBenchParams = []codegen.Params{
 	{Precision: matrix.Single, Algorithm: codegen.PL,
 		Mwg: 64, Nwg: 64, Kwg: 16, MdimC: 16, NdimC: 16, MdimA: 32, NdimB: 16,
@@ -578,7 +674,7 @@ func BenchmarkOptimizeKernel(b *testing.B) {
 }
 
 // TestOptimizeKernelAllocs bounds the bytes one optimizeKernel call
-// allocates on the 5.0k-instruction optimizeBenchParams kernel: the
+// allocates on the 3.4k-instruction optimizeBenchParams kernel: the
 // working code and the tables, each sized once per kernel, and the
 // optimized program. The bound may only tighten.
 func TestOptimizeKernelAllocs(t *testing.T) {

@@ -73,7 +73,8 @@ func WithTimeout(ev CtxEvaluator, d time.Duration) CtxEvaluator {
 // WithObserver times every evaluation into the registry — histogram
 // tune.eval.seconds, counters tune.evals and tune.eval.failures — the
 // per-candidate measurement record CLTune argues a tuner needs to be
-// trusted. A nil registry passes ev through unchanged.
+// trusted. An evaluation that panics is counted as a failure on its way
+// out. A nil registry passes ev through unchanged.
 func WithObserver(ev CtxEvaluator, r *obs.Registry) CtxEvaluator {
 	if r == nil {
 		return ev
@@ -81,14 +82,17 @@ func WithObserver(ev CtxEvaluator, r *obs.Registry) CtxEvaluator {
 	evals := r.Counter("tune.evals")
 	failures := r.Counter("tune.eval.failures")
 	seconds := r.Histogram("tune.eval.seconds")
-	return func(ctx context.Context, d *device.Spec, p *codegen.Params, n int) (float64, error) {
-		start := time.Now()
-		gf, err := ev(ctx, d, p, n)
-		seconds.Observe(time.Since(start).Seconds())
-		evals.Inc()
-		if err != nil {
-			failures.Inc()
-		}
+	return func(ctx context.Context, d *device.Spec, p *codegen.Params, n int) (gf float64, err error) {
+		start, returned := time.Now(), false
+		defer func() {
+			seconds.Observe(time.Since(start).Seconds())
+			evals.Inc()
+			if !returned || err != nil {
+				failures.Inc()
+			}
+		}()
+		gf, err = ev(ctx, d, p, n)
+		returned = true
 		return gf, err
 	}
 }

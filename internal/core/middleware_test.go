@@ -11,6 +11,7 @@ import (
 	"oclgemm/internal/codegen"
 	"oclgemm/internal/device"
 	"oclgemm/internal/matrix"
+	"oclgemm/internal/obs"
 )
 
 var probeParams = codegen.Params{Mwg: 32, Nwg: 32, Kwg: 32}
@@ -155,6 +156,41 @@ func TestSearchIsolatesEvaluatorPanics(t *testing.T) {
 	if sel.Stats.Tested+sel.Stats.RejectedBy[RejectPanic] != sel.Stats.Measured {
 		t.Errorf("accounting broken: tested %d + panics %d != measured %d",
 			sel.Stats.Tested, sel.Stats.RejectedBy[RejectPanic], sel.Stats.Measured)
+	}
+}
+
+// The observer counts an evaluation that panics: with no timeout
+// middleware to turn the panic into an error, tune.evals still equals
+// the evaluator's invocations, and each panic is a failure.
+func TestObserverCountsPanickingEvaluations(t *testing.T) {
+	var calls, panics atomic.Int64
+	reg := obs.NewRegistry()
+	tn, err := New(Options{Device: device.Tahiti(), Precision: matrix.Single, MaxCandidates: 300, Obs: reg,
+		Evaluator: func(d *device.Spec, p *codegen.Params, n int) (float64, error) {
+			calls.Add(1)
+			if p.Kwi == 8 {
+				panics.Add(1)
+				panic("boom")
+			}
+			return 100, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Search(); err != nil {
+		t.Fatal(err)
+	}
+	if panics.Load() == 0 {
+		t.Fatal("no evaluation panicked; the test is vacuous")
+	}
+	if got, want := reg.Counter("tune.evals").Value(), calls.Load(); got != want {
+		t.Errorf("tune.evals = %d, want the evaluator's %d invocations", got, want)
+	}
+	if got, want := reg.Counter("tune.eval.failures").Value(), panics.Load(); got != want {
+		t.Errorf("tune.eval.failures = %d, want the %d panics", got, want)
+	}
+	if got, want := reg.Histogram("tune.eval.seconds").Count(), calls.Load(); got != want {
+		t.Errorf("tune.eval.seconds holds %d observations, want %d", got, want)
 	}
 }
 

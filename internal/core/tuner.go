@@ -383,6 +383,9 @@ func (t *Tuner) Search() (*Selection, error) {
 	// reference, until Finalists survive or the ranking is exhausted.
 	finalists, verified := t.gateFinalists(ctx, results, o.Finalists, &stats)
 	stats.Verified = verified
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInterrupted, err)
+	}
 	if len(finalists) == 0 {
 		return nil, fmt.Errorf("%w: every tested kernel failed the correctness gate",
 			ErrNoViableKernel)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,25 @@ func TestCorrectnessGateAllWrongFails(t *testing.T) {
 	}
 	if _, err := tn.Search(); !errors.Is(err, ErrNoViableKernel) {
 		t.Fatalf("want ErrNoViableKernel, got %v", err)
+	}
+}
+
+// A context cancelled while the correctness gate runs stops Search with
+// ErrInterrupted, not with the gate's ErrNoViableKernel.
+func TestSearchInterruptedDuringGate(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tn, err := New(Options{Device: device.Tahiti(), Precision: matrix.Single, MaxCandidates: 300,
+		Workers: 1, Verify: true, Context: ctx,
+		Verifier: func(d *device.Spec, p *codegen.Params) error {
+			cancel()
+			return ctx.Err()
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel, err := tn.Search(); !errors.Is(err, ErrInterrupted) || sel != nil {
+		t.Fatalf("gate interrupted: want nil selection and ErrInterrupted, got %v", err)
 	}
 }
 
