@@ -325,7 +325,7 @@ func BenchmarkReferenceGEMM(b *testing.B) {
 	b.SetBytes(int64(2 * n * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blas.GEMMBlocked(blas.NoTrans, blas.NoTrans, 1.0, a, bb, 0.0, c)
+		blas.GEMM(blas.NoTrans, blas.NoTrans, 1.0, a, bb, 0.0, c)
 	}
 }
 

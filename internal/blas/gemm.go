@@ -1,8 +1,9 @@
-// Package blas provides reference GEMM implementations in pure Go. They
-// are the correctness oracle for every generated kernel and every
-// simulated execution path in this repository: naive triple loops for
-// clarity, a cache-blocked variant, and a goroutine-parallel variant for
-// larger verification problems.
+// Package blas provides the reference GEMM, SYRK and TRSM in pure Go.
+// They are the correctness oracle for every generated kernel and every
+// simulated execution path in this repository. Every GEMM-shaped
+// routine (GEMM, its row-panel parallel form GEMMParallel, GEMMBlocked
+// and SYRK) runs one row loop that accumulates in float64 and rounds
+// each element once, so they all agree bit for bit.
 package blas
 
 import (
@@ -65,13 +66,6 @@ func opDims[T matrix.Scalar](x *matrix.Matrix[T], t Transpose) (rows, cols int) 
 	return x.Rows, x.Cols
 }
 
-func opAt[T matrix.Scalar](x *matrix.Matrix[T], t Transpose, r, c int) T {
-	if t == Trans {
-		return x.At(c, r)
-	}
-	return x.At(r, c)
-}
-
 func checkDims[T matrix.Scalar](ta, tb Transpose, a, b, c *matrix.Matrix[T]) (m, n, k int) {
 	am, ak := opDims(a, ta)
 	bk, bn := opDims(b, tb)
@@ -84,25 +78,46 @@ func checkDims[T matrix.Scalar](ta, tb Transpose, a, b, c *matrix.Matrix[T]) (m,
 	return am, bn, ak
 }
 
-// GEMM computes C ← alpha·op(A)·op(B) + beta·C with the naive triple
-// loop, accumulating in float64 regardless of T for a tight oracle.
-// It walks op(A) along a row and op(B) down a column by fixed Data
-// steps instead of indexing each element.
+// GEMM computes C ← alpha·op(A)·op(B) + beta·C on one goroutine,
+// accumulating in float64 regardless of T and rounding each element
+// once, for a tight oracle.
 func GEMM[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
-	m, n, k := checkDims(ta, tb, a, b, c)
+	m, n, _ := checkDims(ta, tb, a, b, c)
+	gemmRows(ta, tb, alpha, a, b, beta, c, 0, m, func(int) (int, int) { return 0, n })
+}
+
+// gemmRows computes rows [i0, i1) of C ← alpha·op(A)·op(B) + beta·C,
+// row i over the columns [lo, hi) that cols(i) returns. It runs in
+// i, p, j order, walking op(A) along row i and op(B) along row p by
+// fixed Data steps, and sums the row in a float64 scratch row, so each
+// element gets the products of a k-long dot product summed in k order
+// and is rounded to T once. Zero operands are not skipped, so NaN and
+// Inf propagate. This is the one loop behind GEMM, GEMMParallel,
+// GEMMBlocked and SYRK.
+func gemmRows[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T], i0, i1 int, cols func(i int) (lo, hi int)) {
+	_, k := opDims(a, ta)
 	aRow, aCol := opSteps(a, ta)
 	bRow, bCol := opSteps(b, tb)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc float64
-			ap, bp := i*aRow, j*bCol
-			for p := 0; p < k; p++ {
-				acc += float64(float64(a.Data[ap]) * float64(b.Data[bp]))
-				ap += aCol
-				bp += bRow
+	cRow, cCol := opSteps(c, NoTrans)
+	acc := make([]float64, c.Cols)
+	for i := i0; i < i1; i++ {
+		lo, hi := cols(i)
+		row := acc[lo:hi]
+		clear(row)
+		ap := i * aRow
+		for p := 0; p < k; p++ {
+			av := float64(a.Data[ap])
+			bp := p*bRow + lo*bCol
+			for j := range row {
+				row[j] += float64(av * float64(b.Data[bp]))
+				bp += bCol
 			}
-			ci := c.Index(i, j)
-			c.Data[ci] = T(float64(float64(alpha)*acc) + float64(float64(beta)*float64(c.Data[ci])))
+			ap += aCol
+		}
+		ci := i*cRow + lo*cCol
+		for _, v := range row {
+			c.Data[ci] = T(float64(float64(alpha)*v) + float64(float64(beta)*float64(c.Data[ci])))
+			ci += cCol
 		}
 	}
 }
@@ -120,77 +135,32 @@ func opSteps[T matrix.Scalar](x *matrix.Matrix[T], t Transpose) (row, col int) {
 	return row, col
 }
 
-// blockDim is the cache-block edge used by GEMMBlocked.
-const blockDim = 64
-
-// GEMMBlocked computes C ← alpha·op(A)·op(B) + beta·C with a simple
-// three-level cache blocking. It exists both as a faster oracle and as
-// the "ATLAS-style tuned C" reference point discussed in the paper's
-// Fig. 11 comparison.
+// GEMMBlocked is GEMM. The name stays for perfbench, whose
+// single-threaded host floor (blas.gflops_1t) calls it.
 func GEMMBlocked[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
-	m, n, k := checkDims(ta, tb, a, b, c)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			c.Set(i, j, T(float64(beta)*float64(c.At(i, j))))
-		}
-	}
-	for ii := 0; ii < m; ii += blockDim {
-		iEnd := min(ii+blockDim, m)
-		for pp := 0; pp < k; pp += blockDim {
-			pEnd := min(pp+blockDim, k)
-			for jj := 0; jj < n; jj += blockDim {
-				jEnd := min(jj+blockDim, n)
-				for i := ii; i < iEnd; i++ {
-					for p := pp; p < pEnd; p++ {
-						av := float64(alpha) * float64(opAt(a, ta, i, p))
-						if av == 0 {
-							continue
-						}
-						for j := jj; j < jEnd; j++ {
-							c.Set(i, j, T(float64(c.At(i, j))+float64(av*float64(opAt(b, tb, p, j)))))
-						}
-					}
-				}
-			}
-		}
-	}
+	GEMM(ta, tb, alpha, a, b, beta, c)
 }
 
-// GEMMParallel computes C ← alpha·op(A)·op(B) + beta·C with GEMM's
-// arithmetic, splitting the rows of C across up to GOMAXPROCS
-// goroutines, so its result does not depend on the worker count. With
-// one worker (GOMAXPROCS 1, or m 1) it is GEMM.
+// GEMMParallel computes GEMM's result, splitting the rows of C into
+// panels across up to GOMAXPROCS goroutines. Every element is computed
+// by the same loop, so the result does not depend on the worker count.
+// With one worker (GOMAXPROCS 1, or m ≤ 1) it is GEMM.
 func GEMMParallel[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
-	m, n, k := checkDims(ta, tb, a, b, c)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
+	m, n, _ := checkDims(ta, tb, a, b, c)
+	workers := min(runtime.GOMAXPROCS(0), m)
 	if workers <= 1 {
 		GEMM(ta, tb, alpha, a, b, beta, c)
 		return
 	}
+	all := func(int) (int, int) { return 0, n }
 	var wg sync.WaitGroup
 	rowsPer := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * rowsPer
-		hi := min(lo+rowsPer, m)
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < m; lo += rowsPer {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				for j := 0; j < n; j++ {
-					var acc float64
-					for p := 0; p < k; p++ {
-						acc += float64(float64(opAt(a, ta, i, p)) * float64(opAt(b, tb, p, j)))
-					}
-					c.Set(i, j, T(float64(float64(alpha)*acc)+float64(float64(beta)*float64(c.At(i, j)))))
-				}
-			}
-		}(lo, hi)
+			gemmRows(ta, tb, alpha, a, b, beta, c, lo, hi, all)
+		}(lo, min(lo+rowsPer, m))
 	}
 	wg.Wait()
 }

@@ -1,7 +1,9 @@
 package blas
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -112,40 +114,67 @@ func TestGEMMDimensionPanics(t *testing.T) {
 	}()
 }
 
-func TestBlockedMatchesNaive(t *testing.T) {
-	for _, g := range GEMMTypes {
-		m, n, k := 70, 65, 130 // exercise partial blocks
-		var a, b *matrix.Matrix[float64]
-		if g.TransA == Trans {
-			a = randomMat(k, m, 4)
-		} else {
-			a = randomMat(m, k, 4)
-		}
-		if g.TransB == Trans {
-			b = randomMat(n, k, 5)
-		} else {
-			b = randomMat(k, n, 5)
-		}
-		c1 := randomMat(m, n, 6)
-		c2 := c1.Clone()
-		GEMM(g.TransA, g.TransB, 0.7, a, b, 1.3, c1)
-		GEMMBlocked(g.TransA, g.TransB, 0.7, a, b, 1.3, c2)
-		if d := matrix.MaxRelDiff(c1, c2); d > 1e-12 {
-			t.Errorf("%s: blocked diverges from naive by %g", g, d)
+// randOperands returns op(A), op(B) and C operands of an m×n×k
+// product of type g, filled from fixed seeds.
+func randOperands[T matrix.Scalar](g GEMMType, m, n, k int) (a, b, c *matrix.Matrix[T]) {
+	rng := rand.New(rand.NewSource(int64(m*10007 + n*101 + k)))
+	ar, ac := m, k
+	if g.TransA == Trans {
+		ar, ac = k, m
+	}
+	br, bc := k, n
+	if g.TransB == Trans {
+		br, bc = n, k
+	}
+	a = matrix.New[T](ar, ac, matrix.RowMajor)
+	b = matrix.New[T](br, bc, matrix.RowMajor)
+	c = matrix.New[T](m, n, matrix.RowMajor)
+	a.FillRandom(rng)
+	b.FillRandom(rng)
+	c.FillRandom(rng)
+	return a, b, c
+}
+
+// sameBits reports the first element where got and want differ.
+func sameBits[T matrix.Scalar](t *testing.T, what string, got, want *matrix.Matrix[T]) {
+	t.Helper()
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			if x, y := got.At(i, j), want.At(i, j); x != y {
+				t.Fatalf("%s: C(%d,%d) = %v, GEMM gives %v", what, i, j, x, y)
+			}
 		}
 	}
 }
 
+// matchesGEMM checks that f gives GEMM's result bit for bit on every
+// GEMM type, at a shape with partial panels.
+func matchesGEMM[T matrix.Scalar](t *testing.T, name string, f func(Transpose, Transpose, T, *matrix.Matrix[T], *matrix.Matrix[T], T, *matrix.Matrix[T])) {
+	t.Helper()
+	for _, g := range GEMMTypes {
+		a, b, c := randOperands[T](g, 71, 65, 130)
+		want := c.Clone()
+		GEMM(g.TransA, g.TransB, 0.7, a, b, 1.3, want)
+		got := c.Clone()
+		f(g.TransA, g.TransB, 0.7, a, b, 1.3, got)
+		sameBits(t, g.String()+" "+name, got, want)
+	}
+}
+
+func TestBlockedMatchesNaive(t *testing.T) {
+	matchesGEMM(t, "GEMMBlocked", GEMMBlocked[float32])
+	matchesGEMM(t, "GEMMBlocked", GEMMBlocked[float64])
+}
+
+// TestParallelMatchesNaive: GEMMParallel's row panels give GEMM's
+// result bit for bit whatever the worker count.
 func TestParallelMatchesNaive(t *testing.T) {
-	m, n, k := 90, 40, 55
-	a := randomMat(m, k, 7)
-	b := randomMat(k, n, 8)
-	c1 := randomMat(m, n, 9)
-	c2 := c1.Clone()
-	GEMM(NoTrans, NoTrans, 1, a, b, 0.5, c1)
-	GEMMParallel(NoTrans, NoTrans, 1, a, b, 0.5, c2)
-	if d := matrix.MaxRelDiff(c1, c2); d > 1e-12 {
-		t.Errorf("parallel diverges from naive by %g", d)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		name := fmt.Sprintf("GEMMParallel GOMAXPROCS %d", procs)
+		matchesGEMM(t, name, GEMMParallel[float32])
+		matchesGEMM(t, name, GEMMParallel[float64])
 	}
 }
 
@@ -219,6 +248,13 @@ func TestGEMMAlphaLinearityProperty(t *testing.T) {
 	}
 }
 
+func opAt[T matrix.Scalar](x *matrix.Matrix[T], t Transpose, r, c int) T {
+	if t == Trans {
+		return x.At(c, r)
+	}
+	return x.At(r, c)
+}
+
 // indexedGEMM is GEMM's element-indexed triple loop, kept as the
 // oracle for the stepped walk.
 func indexedGEMM[T matrix.Scalar](ta, tb Transpose, alpha T, a, b *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
@@ -282,4 +318,81 @@ func checkSteppedGEMM[T matrix.Scalar](t *testing.T) {
 func TestGEMMSteppedMatchesIndexed(t *testing.T) {
 	checkSteppedGEMM[float32](t)
 	checkSteppedGEMM[float64](t)
+}
+
+// syrkMatchesGEMM checks SYRK against GEMM(op(A), op(A)ᵀ): equal bit
+// for bit on the uplo triangle, and the other triangle untouched.
+func syrkMatchesGEMM[T matrix.Scalar](t *testing.T) {
+	const n, k = 19, 23
+	for _, upper := range []bool{false, true} {
+		for _, trans := range []Transpose{NoTrans, Trans} {
+			g := GEMMType{trans, Trans}
+			if trans == Trans {
+				g.TransB = NoTrans
+			}
+			a, _, c := randOperands[T](g, n, n, k)
+			full := c.Clone()
+			GEMM(g.TransA, g.TransB, 1.25, a, a, -0.5, full)
+			got := c.Clone()
+			SYRK(upper, trans, 1.25, a, -0.5, got)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					want := c.At(i, j)
+					if (upper && j >= i) || (!upper && j <= i) {
+						want = full.At(i, j)
+					}
+					if x := got.At(i, j); x != want {
+						t.Fatalf("upper=%v trans=%v: C(%d,%d) = %v, want %v", upper, trans, i, j, x, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSYRKMatchesGEMMTriangle(t *testing.T) {
+	syrkMatchesGEMM[float32](t)
+	syrkMatchesGEMM[float64](t)
+}
+
+// TestEmptyShapes: m, n or k of 0 panics nowhere, and k = 0 leaves
+// β·C.
+func TestEmptyShapes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(2)
+	gemms := map[string]func(Transpose, Transpose, float64, *matrix.Matrix[float64], *matrix.Matrix[float64], float64, *matrix.Matrix[float64]){
+		"GEMM":         GEMM[float64],
+		"GEMMParallel": GEMMParallel[float64],
+		"GEMMBlocked":  GEMMBlocked[float64],
+	}
+	for _, s := range []struct{ m, n, k int }{{0, 5, 4}, {5, 0, 4}, {5, 4, 0}, {0, 0, 0}} {
+		for name, f := range gemms {
+			a, b, c := randOperands[float64](GEMMTypes[0], s.m, s.n, s.k)
+			got := c.Clone()
+			f(NoTrans, NoTrans, 2, a, b, 0.5, got)
+			for i := range c.Data {
+				if want := 0.5 * c.Data[i]; got.Data[i] != want {
+					t.Fatalf("%s %dx%dx%d: C[%d] = %v, want β·C = %v", name, s.m, s.n, s.k, i, got.Data[i], want)
+				}
+			}
+		}
+	}
+	for _, n := range []int{0, 3} {
+		a := matrix.New[float64](n, 0, matrix.RowMajor)
+		c := randomMat(n, n, 1)
+		got := c.Clone()
+		SYRK(true, NoTrans, 2, a, 0.5, got)
+		SYRK(false, Trans, 2, a.Transpose(), 1, got)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := c.At(i, j)
+				if j >= i {
+					want *= 0.5
+				}
+				if x := got.At(i, j); x != want {
+					t.Fatalf("SYRK n=%d k=0: C(%d,%d) = %v, want %v", n, i, j, x, want)
+				}
+			}
+		}
+	}
 }

@@ -1,7 +1,7 @@
-// Reference Level-3 routines beyond GEMM: straightforward
-// triple-loop SYRK and substitution TRSM with float64 accumulation,
-// the element-wise oracles the blocked level3 reductions (which route
-// their bulk work through the tuned device GEMM) are verified against.
+// Reference Level-3 routines beyond GEMM: SYRK on GEMM's row loop and
+// substitution TRSM, both accumulating in float64. They are the
+// element-wise oracles the blocked level3 reductions are verified
+// against, and they also compute those reductions' diagonal blocks.
 // Orientation is passed as plain booleans so higher layers with richer
 // Uplo/Side/Diag types can call down without an import cycle.
 package blas
@@ -16,39 +16,26 @@ import (
 // C ← alpha·A·Aᵀ + beta·C (trans == NoTrans, A is n×k) or
 // C ← alpha·Aᵀ·A + beta·C (trans == Trans, A is k×n), touching only
 // the upper (upper == true) or lower triangle of the n×n matrix C.
-// Accumulation is in-order float64, matching GEMM's reference
-// semantics.
+// It is GEMM(op(A), op(A)ᵀ) restricted to that triangle, bit for bit.
 func SYRK[T matrix.Scalar](upper bool, trans Transpose, alpha T, a *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
 	n := c.Rows
 	if c.Cols != n {
 		panic(fmt.Sprintf("blas: SYRK needs square C, got %dx%d", c.Rows, c.Cols))
 	}
-	an, k := a.Rows, a.Cols
-	if trans == Trans {
-		an, k = a.Cols, a.Rows
-	}
+	an, k := opDims(a, trans)
 	if an != n {
 		panic(fmt.Sprintf("blas: SYRK dimension mismatch: op(A) is %dx%d, C is %dx%d", an, k, n, n))
 	}
-	at := func(i, p int) float64 {
-		if trans == Trans {
-			return float64(a.At(p, i))
-		}
-		return float64(a.At(i, p))
+	tb := Trans
+	if trans == Trans {
+		tb = NoTrans
 	}
-	for i := 0; i < n; i++ {
-		lo, hi := 0, i+1
+	gemmRows(trans, tb, alpha, a, a, beta, c, 0, n, func(i int) (int, int) {
 		if upper {
-			lo, hi = i, n
+			return i, n
 		}
-		for j := lo; j < hi; j++ {
-			var acc float64
-			for p := 0; p < k; p++ {
-				acc += at(i, p) * at(j, p)
-			}
-			c.Set(i, j, T(float64(alpha)*acc+float64(beta)*float64(c.At(i, j))))
-		}
-	}
+		return 0, i + 1
+	})
 }
 
 // TRSM solves a triangular system on the reference path, overwriting B

@@ -6,8 +6,10 @@
 //
 // Each routine partitions its operands into nb×nb blocks: the O(n³)
 // bulk of the work is routed through the device GEMM, while the small
-// diagonal-block kernels (triangular solve/multiply, symmetric rank-k
-// diagonal, unblocked Cholesky/LU) run on the host.
+// diagonal blocks run on the host. SYRK's and TRSM's diagonal blocks
+// are the internal/blas reference routines (blas.SYRK, blas.TRSM);
+// TRMM's multiplies and the unblocked Cholesky/LU are this package's
+// own host kernels, since blas has no counterpart.
 package level3
 
 import (
@@ -145,7 +147,7 @@ func blockLen(start, n, nb int) int {
 // SYRK computes C ← alpha·A·Aᵀ + beta·C (trans == NoTrans) or
 // C ← alpha·Aᵀ·A + beta·C (trans == Trans), updating only the uplo
 // triangle of the n×n matrix C. Off-diagonal blocks go through the
-// device GEMM; diagonal blocks run on the host.
+// device GEMM; diagonal blocks run on the host through blas.SYRK.
 func SYRK[T matrix.Scalar](e *Engine, uplo Uplo, trans blas.Transpose, alpha T, a *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) error {
 	n := c.Rows
 	if c.Cols != n {
@@ -175,7 +177,7 @@ func SYRK[T matrix.Scalar](e *Engine, uplo Uplo, trans blas.Transpose, alpha T, 
 			rj := blockLen(j, n, e.NB)
 			inTriangle := (uplo == Lower && i > j) || (uplo == Upper && i < j)
 			if i == j {
-				syrkDiagHost(uplo, trans, alpha, aBlock(i, ri), beta, c.View(i, i, ri, ri))
+				blas.SYRK(uplo == Upper, trans, alpha, aBlock(i, ri), beta, c.View(i, i, ri, ri))
 				continue
 			}
 			if !inTriangle {
@@ -187,36 +189,6 @@ func SYRK[T matrix.Scalar](e *Engine, uplo Uplo, trans blas.Transpose, alpha T, 
 		}
 	}
 	return nil
-}
-
-// syrkDiagHost updates one diagonal block of C on the host (only the
-// relevant triangle). For trans == NoTrans the block a is n×k rows of
-// A; for Trans it is the k×n column slice of A.
-func syrkDiagHost[T matrix.Scalar](uplo Uplo, trans blas.Transpose, alpha T, a *matrix.Matrix[T], beta T, c *matrix.Matrix[T]) {
-	n := c.Rows
-	k := a.Cols
-	if trans == blas.Trans {
-		k = a.Rows
-	}
-	at := func(i, p int) float64 {
-		if trans == blas.Trans {
-			return float64(a.At(p, i))
-		}
-		return float64(a.At(i, p))
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := 0, i+1
-		if uplo == Upper {
-			lo, hi = i, n
-		}
-		for j := lo; j < hi; j++ {
-			var acc float64
-			for p := 0; p < k; p++ {
-				acc += float64(at(i, p) * at(j, p))
-			}
-			c.Set(i, j, T(float64(float64(alpha)*acc)+float64(float64(beta)*float64(c.At(i, j)))))
-		}
-	}
 }
 
 // SYMM computes C ← alpha·A·B + beta·C (side == Left) or
@@ -466,7 +438,8 @@ func trmmDiagHostRight[T matrix.Scalar](effLower bool, diag Diag, op blas.Transp
 
 // TRSM solves op(A)·X = alpha·B (side == Left) or X·op(A) = alpha·B
 // (side == Right) for X, overwriting B, with A triangular. Diagonal
-// blocks solve on the host; the panel updates are GEMM.
+// blocks solve on the host through blas.TRSM; the panel updates are
+// GEMM.
 func TRSM[T matrix.Scalar](e *Engine, side Side, uplo Uplo, trans blas.Transpose, diag Diag, alpha T, a *matrix.Matrix[T], b *matrix.Matrix[T]) error {
 	m, n := b.Rows, b.Cols
 	na := m
@@ -501,8 +474,7 @@ func TRSM[T matrix.Scalar](e *Engine, side Side, uplo Uplo, trans blas.Transpose
 			i := starts[idx]
 			ri := blockLen(i, m, e.NB)
 			bi := b.View(i, 0, ri, n)
-			diagBlk, op := triBlock(i, i, ri, ri)
-			trsmDiagHostLeft(effLower, diag, op, diagBlk, bi)
+			blas.TRSM(true, uplo == Upper, diag == Unit, trans, 1, a.View(i, i, ri, ri), bi)
 			// Eliminate this block from the remaining rows:
 			// B_p -= op(A)_pi · X_i.
 			for pdx, p := range starts {
@@ -533,8 +505,7 @@ func TRSM[T matrix.Scalar](e *Engine, side Side, uplo Uplo, trans blas.Transpose
 		j := starts[idx]
 		rj := blockLen(j, n, e.NB)
 		bj := b.View(0, j, m, rj)
-		diagBlk, op := triBlock(j, j, rj, rj)
-		trsmDiagHostRight(effLower, diag, op, diagBlk, bj)
+		blas.TRSM(false, uplo == Upper, diag == Unit, trans, 1, a.View(j, j, rj, rj), bj)
 		// Eliminate from pending columns: B_p -= X_j · op(A)_jp.
 		for pdx, p := range starts {
 			pending := (effLower && pdx < idx) || (!effLower && pdx > idx)
@@ -549,82 +520,6 @@ func TRSM[T matrix.Scalar](e *Engine, side Side, uplo Uplo, trans blas.Transpose
 		}
 	}
 	return nil
-}
-
-// trsmDiagHostLeft solves tri(op(A))·X = B in place for one diagonal
-// block (host forward/backward substitution).
-func trsmDiagHostLeft[T matrix.Scalar](effLower bool, diag Diag, op blas.Transpose, a, b *matrix.Matrix[T]) {
-	n := b.Rows
-	cols := b.Cols
-	at := func(i, j int) float64 {
-		if op == blas.Trans {
-			return float64(a.At(j, i))
-		}
-		return float64(a.At(i, j))
-	}
-	for c := 0; c < cols; c++ {
-		if effLower {
-			for i := 0; i < n; i++ {
-				acc := float64(b.At(i, c))
-				for j := 0; j < i; j++ {
-					acc -= float64(at(i, j) * float64(b.At(j, c)))
-				}
-				if diag == NonUnit {
-					acc /= at(i, i)
-				}
-				b.Set(i, c, T(acc))
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				acc := float64(b.At(i, c))
-				for j := i + 1; j < n; j++ {
-					acc -= float64(at(i, j) * float64(b.At(j, c)))
-				}
-				if diag == NonUnit {
-					acc /= at(i, i)
-				}
-				b.Set(i, c, T(acc))
-			}
-		}
-	}
-}
-
-// trsmDiagHostRight solves X·tri(op(A)) = B in place (host).
-func trsmDiagHostRight[T matrix.Scalar](effLower bool, diag Diag, op blas.Transpose, a, b *matrix.Matrix[T]) {
-	rows := b.Rows
-	n := b.Cols
-	at := func(i, j int) float64 {
-		if op == blas.Trans {
-			return float64(a.At(j, i))
-		}
-		return float64(a.At(i, j))
-	}
-	for r := 0; r < rows; r++ {
-		if effLower {
-			// x·L = b: x_j = (b_j - Σ_{p>j} x_p L_pj)/L_jj, j from high to low.
-			for j := n - 1; j >= 0; j-- {
-				acc := float64(b.At(r, j))
-				for p := j + 1; p < n; p++ {
-					acc -= float64(float64(b.At(r, p)) * at(p, j))
-				}
-				if diag == NonUnit {
-					acc /= at(j, j)
-				}
-				b.Set(r, j, T(acc))
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				acc := float64(b.At(r, j))
-				for p := 0; p < j; p++ {
-					acc -= float64(float64(b.At(r, p)) * at(p, j))
-				}
-				if diag == NonUnit {
-					acc /= at(j, j)
-				}
-				b.Set(r, j, T(acc))
-			}
-		}
-	}
 }
 
 func scale[T matrix.Scalar](m *matrix.Matrix[T], alpha T) {

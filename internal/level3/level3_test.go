@@ -115,6 +115,7 @@ func TestSYRK(t *testing.T) {
 				a = randGeneral(n, k, 1)
 			}
 			c := randGeneral(n, n, 2)
+			orig := c.Clone()
 			want := c.Clone()
 			// Reference: full GEMM, then compare the triangle only.
 			if trans == blas.Trans {
@@ -132,11 +133,8 @@ func TestSYRK(t *testing.T) {
 						if d := c.At(i, j) - want.At(i, j); d > 1e-12 || d < -1e-12 {
 							t.Fatalf("uplo=%v trans=%v: triangle mismatch at (%d,%d)", uplo, trans, i, j)
 						}
-					} else if c.At(i, j) != want.At(i, j) {
-						// outside the triangle C must be untouched —
-						// want still holds GEMM's full update there, so
-						// compare against the original instead
-						_ = j
+					} else if c.At(i, j) != orig.At(i, j) {
+						t.Fatalf("uplo=%v trans=%v: (%d,%d) outside the triangle modified", uplo, trans, i, j)
 					}
 				}
 			}
