@@ -48,7 +48,7 @@ func randBatch[T Scalar](seed int64) *StridedBatch[T] {
 	sb := &StridedBatch[T]{
 		M: dim(), N: dim(), K: dim(),
 		Count: 1 + rng.Intn(6),
-		Alpha: T(rng.Float64()*2 - 1),
+		Alpha: T(float64(rng.Float64())*2 - 1),
 		Order: RowMajor,
 	}
 	if rng.Intn(2) == 0 {
@@ -61,7 +61,7 @@ func randBatch[T Scalar](seed int64) *StridedBatch[T] {
 		sb.TransB = Trans
 	}
 	if rng.Intn(2) == 0 {
-		sb.Beta = T(rng.Float64()*2 - 1)
+		sb.Beta = T(float64(rng.Float64())*2 - 1)
 	}
 	na, nb, nc := sb.M*sb.K, sb.K*sb.N, sb.M*sb.N
 	stride := func(elems int) int { return elems + rng.Intn(3)*5 }
@@ -79,7 +79,7 @@ func randBatch[T Scalar](seed int64) *StridedBatch[T] {
 		}
 		out := make([]T, n)
 		for i := range out {
-			out[i] = T(rng.Float64()*2 - 1)
+			out[i] = T(float64(rng.Float64())*2 - 1)
 		}
 		return out
 	}

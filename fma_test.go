@@ -2,8 +2,8 @@ package oclgemm
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
+	"io"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -25,30 +25,44 @@ var fusedAllowed = map[string]string{
 	"oclgemm/internal/faultinject.(*Injector).noisy": "synthetic measurement noise for chaos tests, compared only within one run",
 }
 
-// TestNoFusedMultiplyAddOnArm64 cross-compiles the module for arm64
-// and fails on any fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB)
-// in an oclgemm function outside fusedAllowed. Go may fuse x*y + z
-// unless a conversion rounds the product (T(x*y)); amd64 never fuses,
-// so only this check sees a lost conversion. Bit-identity between the
-// native kernels, the clc VM (which never fuses) and the BLAS oracles
-// rests on it. Command main packages print timings only and are not
-// checked.
+// TestNoFusedMultiplyAddOnArm64 cross-compiles the module's packages
+// and test binaries for arm64 and fails on any fused multiply-add
+// (FMADD, FMSUB, FNMADD, FNMSUB) in an oclgemm function outside
+// fusedAllowed. Go may fuse x*y + z unless a conversion rounds the
+// product (T(x*y)); amd64 never fuses, so only this check sees a lost
+// conversion. Bit-identity between the native kernels, the clc VM
+// (which never fuses) and the BLAS oracles rests on it. Compiling the
+// test binaries also compiles the test files and every generic
+// function only they instantiate. Command main packages print timings
+// only and are not checked.
 func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
 	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
-	cmd := exec.Command(goTool, "build", "-gcflags=oclgemm/...=-S", "./...")
+	cmd := exec.Command(goTool, "test", "-c", "-vet=off", "-o", t.TempDir()+string(filepath.Separator),
+		"-gcflags=oclgemm/...=-S", "./...")
 	cmd.Env = append(cmd.Environ(), "GOARCH=arm64", "GOOS=linux", "CGO_ENABLED=0")
-	out, err := cmd.CombinedOutput()
+	out, err := cmd.StdoutPipe()
 	if err != nil {
-		t.Fatalf("arm64 cross-compile: %v\n%.2000s", err, out)
+		t.Fatal(err)
+	}
+	cmd.Stderr = cmd.Stdout
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
 	typeArgs := regexp.MustCompile(`\[[^\]]*\]`)
 	fused := regexp.MustCompile(`\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]\t`)
+	compileErr := regexp.MustCompile(`^\S+\.go:\d+:\d+: `)
 	bad := map[string]int{}
+	var errs []string
 	fn := ""
-	sc := bufio.NewScanner(bytes.NewReader(out))
+	// The listing runs to about 150 MB, so it is scanned as it comes.
+	sc := bufio.NewScanner(out)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
+		if compileErr.MatchString(line) {
+			errs = append(errs, line)
+			continue
+		}
 		if line != "" && line[0] != '\t' && line[0] != ' ' && strings.Contains(line, " STEXT") {
 			fn = typeArgs.ReplaceAllString(strings.Fields(line)[0], "")
 			continue
@@ -60,8 +74,13 @@ func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
 			bad[fn]++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	scanErr := sc.Err()
+	io.Copy(io.Discard, out) // after a scan error, let the build finish
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("arm64 cross-compile: %v\n%s", err, strings.Join(errs, "\n"))
+	}
+	if scanErr != nil {
+		t.Fatal(scanErr)
 	}
 	names := make([]string, 0, len(bad))
 	for name, n := range bad {

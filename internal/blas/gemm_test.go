@@ -237,7 +237,7 @@ func TestGEMMAlphaLinearityProperty(t *testing.T) {
 		GEMM(NoTrans, NoTrans, 1, a, b, 0, c1)
 		GEMM(NoTrans, NoTrans, alpha, a, b, 0, c2)
 		for i := range c1.Data {
-			if diff := c2.Data[i] - alpha*c1.Data[i]; diff > 1e-12 || diff < -1e-12 {
+			if diff := c2.Data[i] - float64(alpha*c1.Data[i]); diff > 1e-12 || diff < -1e-12 {
 				return false
 			}
 		}

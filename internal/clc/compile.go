@@ -51,15 +51,11 @@ const (
 	opErr                    // panic errs[imm]
 	opHalt                   // end of kernel body
 
-	// Optimizer-emitted opcodes (see optimize.go). The compiler never
-	// produces these; they exist only in optimized programs.
-	opLoadK     // r[dst] = arrs[a][imm], bounds statically proven
-	opStoreK    // arrs[a][imm] = r[c], bounds statically proven
-	opLoadBin   // r[dst] = arrs[slot][r[b]] <op> r[a] (imm packs op/side/slot)
-	opBinStore  // arrs[slot][r[c]] = r[a] <op> r[b] (imm packs op/slot)
-	opLoadStore // arrs[dslot][r[c]] = arrs[sslot][r[b]] (imm packs sslot/dslot)
-	opLoadMad   // r[dst] = r[a]*r[b] + arrs[imm][r[c]]
-	opMadAcc    // arrs[imm][r[c]] = r[a]*r[b] + arrs[imm][r[c]]
+	// The optimizer's fusion pass emits these two, the steps from a
+	// load, multiply, add and store to the generated GEMM's
+	// multiply-accumulate; the compiler never does.
+	opLoadMad // r[dst] = r[a]*r[b] + arrs[imm][r[c]]
+	opMadAcc  // arrs[imm][r[c]] = r[a]*r[b] + arrs[imm][r[c]]
 )
 
 // Work-item query selectors (opWI.imm).

@@ -12,38 +12,33 @@ import (
 
 // opNames mirrors the opcode const block in compile.go.
 var opNames = [...]string{
-	opConst:     "const",
-	opMov:       "mov",
-	opBool:      "bool",
-	opBin:       "bin",
-	opNeg:       "neg",
-	opNot:       "not",
-	opBitNot:    "bitnot",
-	opConvert:   "convert",
-	opVecCtor:   "vecctor",
-	opJump:      "jump",
-	opJumpF:     "jumpf",
-	opJumpT:     "jumpt",
-	opWI:        "wi",
-	opBarrier:   "barrier",
-	opMad:       "mad",
-	opMin:       "min",
-	opMax:       "max",
-	opLoad:      "load",
-	opCheckIdx:  "checkidx",
-	opStore:     "store",
-	opVload:     "vload",
-	opVstore:    "vstore",
-	opAllocArr:  "allocarr",
-	opErr:       "err",
-	opHalt:      "halt",
-	opLoadK:     "loadk",
-	opStoreK:    "storek",
-	opLoadBin:   "loadbin",
-	opBinStore:  "binstore",
-	opLoadStore: "loadstore",
-	opLoadMad:   "loadmad",
-	opMadAcc:    "madacc",
+	opConst:    "const",
+	opMov:      "mov",
+	opBool:     "bool",
+	opBin:      "bin",
+	opNeg:      "neg",
+	opNot:      "not",
+	opBitNot:   "bitnot",
+	opConvert:  "convert",
+	opVecCtor:  "vecctor",
+	opJump:     "jump",
+	opJumpF:    "jumpf",
+	opJumpT:    "jumpt",
+	opWI:       "wi",
+	opBarrier:  "barrier",
+	opMad:      "mad",
+	opMin:      "min",
+	opMax:      "max",
+	opLoad:     "load",
+	opCheckIdx: "checkidx",
+	opStore:    "store",
+	opVload:    "vload",
+	opVstore:   "vstore",
+	opAllocArr: "allocarr",
+	opErr:      "err",
+	opHalt:     "halt",
+	opLoadMad:  "loadmad",
+	opMadAcc:   "madacc",
 }
 
 func (op opcode) String() string {
@@ -169,22 +164,6 @@ func (p *compiledKernel) operands(pc int, in *instr) string {
 		return fmt.Sprintf("%q", p.errs[in.imm].Msg)
 	case opHalt:
 		return ""
-	case opLoadK:
-		return fmt.Sprintf("r%d = arr%d[%d]", in.dst, in.a, in.imm)
-	case opStoreK:
-		return fmt.Sprintf("arr%d[%d] = r%d", in.a, in.imm, in.c)
-	case opLoadBin:
-		op, side, slot := unpackLoadBin(in.imm)
-		if side == 0 {
-			return fmt.Sprintf("r%d = arr%d[r%d] %s r%d", in.dst, slot, in.b, arith(op), in.a)
-		}
-		return fmt.Sprintf("r%d = r%d %s arr%d[r%d]", in.dst, in.a, arith(op), slot, in.b)
-	case opBinStore:
-		op, slot := unpackBinStore(in.imm)
-		return fmt.Sprintf("arr%d[r%d] = r%d %s r%d", slot, in.c, in.a, arith(op), in.b)
-	case opLoadStore:
-		src, dst := unpackLoadStore(in.imm)
-		return fmt.Sprintf("arr%d[r%d] = arr%d[r%d]", dst, in.c, src, in.b)
 	case opLoadMad:
 		return fmt.Sprintf("r%d = r%d*r%d + arr%d[r%d]", in.dst, in.a, in.b, in.imm, in.c)
 	case opMadAcc:

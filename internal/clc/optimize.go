@@ -15,10 +15,10 @@ package clc
 // Each pass runs once, in the order run lists, and its comment states
 // when it applies (DESIGN.md §15 has the legality write-up): convert
 // elision, propagation (copies, constants and value numbering), bounds-
-// check elision, LICM out of every loop, DCE, superinstruction fusion,
-// static bounds elision and register renumbering. Liveness is solved
-// once, over basic blocks; DCE, fusion and renumbering take it per
-// instruction by walking a block backward from its live-out set.
+// check elision, LICM out of every loop, DCE, multiply-accumulate fusion
+// and register renumbering. Liveness is solved once, over basic blocks;
+// DCE, fusion and renumbering take it per instruction by walking a
+// block backward from its live-out set.
 //
 // Every proof reads the program's static register types (regT), which
 // the compiler fixes: each register keeps one type, and a register the
@@ -88,7 +88,6 @@ func (o *optimizer) run() {
 	o.liveness()
 	o.dce()
 	o.fuse()
-	o.elideBounds()
 }
 
 // oinst is the optimizer's working form of one instruction: the instr,
@@ -202,8 +201,7 @@ func instReads(in *instr, visit func(int32)) {
 func writesReg(in *instr) (int32, bool) {
 	switch in.op {
 	case opConst, opMov, opBool, opBin, opNeg, opNot, opBitNot, opConvert,
-		opVecCtor, opWI, opMad, opMin, opMax, opLoad, opVload, opLoadK,
-		opLoadBin, opLoadMad:
+		opVecCtor, opWI, opMad, opMin, opMax, opLoad, opVload, opLoadMad:
 		return in.dst, true
 	}
 	return 0, false
@@ -221,20 +219,15 @@ func rewriteReads(in *instr, f func(int32) int32) {
 		in.b = f(in.b)
 	case opJumpF, opJumpT:
 		in.a = f(in.a)
-	case opMad, opLoadMad, opMadAcc, opBinStore:
+	case opMad, opLoadMad, opMadAcc:
 		in.a = f(in.a)
 		in.b = f(in.b)
 		in.c = f(in.c)
 	case opLoad, opCheckIdx, opVload:
 		in.b = f(in.b)
-	case opStore, opVstore, opLoadStore:
+	case opStore, opVstore:
 		in.b = f(in.b)
 		in.c = f(in.c)
-	case opStoreK:
-		in.c = f(in.c)
-	case opLoadBin:
-		in.a = f(in.a)
-		in.b = f(in.b)
 	}
 }
 
@@ -296,9 +289,6 @@ func (o *optimizer) pureNonFaulting(in *instr) bool {
 		// Faults unless the dimension is a known 0/1 constant.
 		v, ok := o.constIntOf(in.a)
 		return ok && (v == 0 || v == 1)
-	case opLoadK:
-		// Emitted only under a static in-bounds proof.
-		return true
 	}
 	return false
 }
@@ -364,9 +354,9 @@ func (o *optimizer) back(pc int, live []uint64) (dead bool) {
 // liveness solves each block's live-in set by backward sweeps over the
 // blocks to the fixpoint; a loop nest needs about one sweep per level.
 // A dead write's reads do not count (see back), so after dce drops
-// those writes the sets are the program's plain liveness. Fusion and
-// the bounds lowering since only move or drop reads within a block, so
-// fuse and renumber use the same sets.
+// those writes the sets are the program's plain liveness. Fusion since
+// only moves or drops reads within a block, so fuse and renumber use
+// the same sets.
 func (o *optimizer) liveness() {
 	nb := len(o.starts) - 1
 	o.words = (o.nreg + 63) / 64
@@ -612,25 +602,6 @@ func (o *optimizer) dce() {
 
 // --- Superinstruction fusion -------------------------------------------------
 
-// Fused imm packers. opLoadBin packs operator | side<<8 | slot<<16
-// (side 0: the loaded element is the left operand); opBinStore packs
-// operator | slot<<16; opLoadStore packs srcSlot | dstSlot<<16.
-func packLoadBin(op int64, side int64, slot int32) int64 {
-	return op | side<<8 | int64(slot)<<16
-}
-
-func unpackLoadBin(imm int64) (op, side int64, slot int32) {
-	return imm & 0xff, (imm >> 8) & 1, int32(imm >> 16)
-}
-
-func packBinStore(op int64, slot int32) int64 { return op | int64(slot)<<16 }
-
-func unpackBinStore(imm int64) (op int64, slot int32) { return imm & 0xff, int32(imm >> 16) }
-
-func packLoadStore(src, dst int32) int64 { return int64(src) | int64(dst)<<16 }
-
-func unpackLoadStore(imm int64) (src, dst int32) { return int32(imm & 0xffff), int32(imm >> 16) }
-
 // fuse collapses adjacent instruction pairs into superinstructions.
 // Adjacency means: the second instruction is the next live one in the
 // same basic block (so both always execute together). The intermediate
@@ -682,7 +653,6 @@ func (o *optimizer) fuse() {
 // one of the patterns matches; dead reports a's destination dead after
 // b.
 func (o *optimizer) fusePair(a, b *oinst, i int, dead bool) bool {
-
 	switch {
 	// opBin(mul) + opBin(add) -> opMad, when the product is the add's
 	// LEFT operand (the fused handler computes prod+c in that order, so
@@ -717,43 +687,6 @@ func (o *optimizer) fusePair(a, b *oinst, i int, dead bool) bool {
 		b.in = instr{op: opMadAcc, a: a.in.a, b: a.in.b, c: a.in.c, imm: a.in.imm}
 		b.ex = a.ex // the mad's fault position
 		b.ex2 = a.ex2
-		o.kill(i)
-		return true
-
-	// opLoad + opBin using the loaded value on exactly one side ->
-	// opLoadBin.
-	case a.in.op == opLoad && b.in.op == opBin &&
-		(b.in.a == a.in.dst) != (b.in.b == a.in.dst) &&
-		a.in.dst != a.in.b && dead:
-		other, side := b.in.b, int64(0)
-		if b.in.b == a.in.dst {
-			other, side = b.in.a, 1
-		}
-		if other == a.in.dst {
-			return false
-		}
-		b.in = instr{op: opLoadBin, dst: b.in.dst, a: other, b: a.in.b,
-			imm: packLoadBin(b.in.imm, side, a.in.a)}
-		b.ex2 = a.ex
-		o.kill(i)
-		return true
-
-	// opBin + opStore of the result -> opBinStore.
-	case a.in.op == opBin && b.in.op == opStore && b.in.c == a.in.dst &&
-		a.in.dst != a.in.a && a.in.dst != a.in.b && a.in.dst != b.in.b &&
-		dead:
-		b.in = instr{op: opBinStore, a: a.in.a, b: a.in.b, c: b.in.b,
-			imm: packBinStore(a.in.imm, b.in.a)}
-		b.ex2 = a.ex
-		o.kill(i)
-		return true
-
-	// opLoad + opStore of the loaded value -> opLoadStore (array copy).
-	case a.in.op == opLoad && b.in.op == opStore && b.in.c == a.in.dst &&
-		a.in.dst != a.in.b && a.in.dst != b.in.b && dead:
-		b.in = instr{op: opLoadStore, b: a.in.b, c: b.in.b,
-			imm: packLoadStore(a.in.a, b.in.a)}
-		b.ex2 = a.ex
 		o.kill(i)
 		return true
 	}
@@ -974,30 +907,6 @@ func (o *optimizer) licm() bool {
 		}
 	}
 	return true
-}
-
-// --- Static bounds elision ---------------------------------------------------
-
-// elideBounds rewrites loads/stores whose index is a compile-time
-// constant provably inside a statically sized array into the unchecked
-// opLoadK/opStoreK forms.
-func (o *optimizer) elideBounds() {
-	for i := range o.code {
-		oi := &o.code[i]
-		if oi.dead {
-			continue
-		}
-		switch oi.in.op {
-		case opLoad:
-			if k, ok := o.constIntOf(oi.in.b); ok && o.arrLen[oi.in.a] >= 0 && k >= 0 && k < int64(o.arrLen[oi.in.a]) {
-				oi.in = instr{op: opLoadK, dst: oi.in.dst, a: oi.in.a, imm: k}
-			}
-		case opStore:
-			if k, ok := o.constIntOf(oi.in.b); ok && o.arrLen[oi.in.a] >= 0 && k >= 0 && k < int64(o.arrLen[oi.in.a]) {
-				oi.in = instr{op: opStoreK, a: oi.in.a, c: oi.in.c, imm: k}
-			}
-		}
-	}
 }
 
 // --- Register renumbering ----------------------------------------------------

@@ -9,6 +9,7 @@ package clc
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -53,8 +54,8 @@ func benchParams() codegen.Params {
 // TestOptimizerTransformsGeneratedGEMM asserts the individual passes
 // actually fire on the canonical generated-GEMM kernel: the inner
 // accumulator loop fuses to the multiply-accumulate superinstruction,
-// loads fuse into their operations, bounds checks are elided, and the
-// instruction stream shrinks substantially.
+// every bounds check is elided, and the instruction stream shrinks
+// substantially.
 func TestOptimizerTransformsGeneratedGEMM(t *testing.T) {
 	withOptDebugPanic(t)
 	p := benchParams()
@@ -78,7 +79,7 @@ func TestOptimizerTransformsGeneratedGEMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"madacc", "loadbin", "const"} {
+	for _, want := range []string{"madacc", "const"} {
 		if !strings.Contains(opt, want) {
 			t.Errorf("optimized stream lacks %q:\n%s", want, opt)
 		}
@@ -91,8 +92,8 @@ func TestOptimizerTransformsGeneratedGEMM(t *testing.T) {
 	if rawChecks == 0 {
 		t.Fatalf("raw stream has no checkidx instructions; test is vacuous")
 	}
-	if optChecks >= rawChecks {
-		t.Errorf("bounds-check elision did not fire: raw %d checkidx, optimized %d", rawChecks, optChecks)
+	if optChecks != 0 {
+		t.Errorf("bounds-check elision left checks: raw %d checkidx, optimized %d", rawChecks, optChecks)
 	}
 	t.Logf("instrs %d -> %d, checkidx %d -> %d", rawN, optN, rawChecks, optChecks)
 }
@@ -237,6 +238,16 @@ var (
 	madX32, madY32, madZ32 = 1 + eps14, 1 - eps14, float32(-1)
 )
 
+// exactMulAdd is x*y + z without rounding, so one rounding to a float
+// type gives that type's fused multiply-add. math.FMA would be one on
+// arm64, where TestNoFusedMultiplyAddOnArm64 rejects fused
+// multiply-adds in every function the tests compile.
+func exactMulAdd(x, y, z float64) *big.Float {
+	const prec = 4096 // wider than any float64 product and sum
+	r := new(big.Float).SetPrec(prec).Mul(big.NewFloat(x), big.NewFloat(y))
+	return r.Add(r, big.NewFloat(z))
+}
+
 // madCase is a kernel body over buffers a, b, o of length n. n is
 // chosen so the 4 work-items cover every element: scalar bodies write
 // o[gid] (n=4), vector bodies write lanes 2*gid/4*gid onward (n=8/16).
@@ -280,12 +291,12 @@ func TestMadFmaUnfusedContract(t *testing.T) {
 	withOptDebugPanic(t)
 	x, y, z := madX, madY, madZ
 	want := float64(x*y) + z // x*y rounds to exactly 1.0 in double, so want == 0
-	if fused := math.FMA(x, y, z); math.Float64bits(fused) == math.Float64bits(want) {
+	if fused, _ := exactMulAdd(x, y, z).Float64(); math.Float64bits(fused) == math.Float64bits(want) {
 		t.Fatal("double operands do not distinguish fused from unfused evaluation")
 	}
 	x32, y32, z32 := madX32, madY32, madZ32
 	want32 := float32(x32*y32) + z32 // x*y rounds to exactly 1.0f, so want32 == 0
-	if fused := float32(math.FMA(float64(x32), float64(y32), float64(z32))); math.Float32bits(fused) == math.Float32bits(want32) {
+	if fused, _ := exactMulAdd(float64(x32), float64(y32), float64(z32)).Float32(); math.Float32bits(fused) == math.Float32bits(want32) {
 		t.Fatal("float operands do not distinguish fused from unfused evaluation")
 	}
 	for _, tc := range madDoubleCases {
@@ -561,8 +572,8 @@ func walkLiveness(o *optimizer) [][]uint64 {
 // renumbering read to walkLiveness on the benchmark kernel, through the
 // pipeline's own passes: after DCE, every pc's live-out set, walked
 // backward from its block's live-out set, must equal the reference;
-// after fusion and the bounds lowering, which renumbering reads the
-// same sets for, it must still cover the reference.
+// after fusion, which renumbering reads the same sets for, it must
+// still cover the reference.
 func TestBlockLiveness(t *testing.T) {
 	withOptDebugPanic(t)
 	p := benchParams()
@@ -613,7 +624,6 @@ func TestBlockLiveness(t *testing.T) {
 	}
 	check("dce", true)
 	o.fuse()
-	o.elideBounds()
 	check("fuse", false)
 	t.Logf("%d instructions in %d blocks, %d liveness sweeps", len(o.code), len(o.starts)-1, o.sweeps)
 }

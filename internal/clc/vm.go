@@ -645,27 +645,10 @@ func (l *lanes) step(g *clsim.Group, pc int, in *instr, act []int32) int {
 		}
 	case opLoad:
 		return l.load(in.dst, in.a, l.ints(in.b), act, p.ex[pc])
-	case opLoadK:
-		// Bounds statically proven by the optimizer: no check.
-		a := &l.arrs[in.a]
-		for k := 0; k < a.t.Lanes; k++ {
-			d, e := l.flt(in.dst, k), int(in.imm)*a.t.Lanes+k
-			for _, i := range act {
-				d[i] = a.at(i, e)
-			}
-		}
 	case opCheckIdx:
 		return l.inBounds(&l.arrs[in.a], l.ints(in.b), act, p.ex[pc])
 	case opStore:
 		return l.store(in.a, l.ints(in.b), in.c, act, p.ex[pc])
-	case opStoreK:
-		a := &l.arrs[in.a]
-		for k := 0; k < a.t.Lanes; k++ {
-			x, e := l.flt(in.c, k), int(in.imm)*a.t.Lanes+k
-			for _, i := range act {
-				a.set(i, e, x[i])
-			}
-		}
 	case opVload:
 		a, w, off := &l.arrs[in.a], int(in.imm), l.ints(in.b)
 		k := l.inRange(a, off, w, "vload", act, p.ex[pc])
@@ -705,24 +688,6 @@ func (l *lanes) step(g *clsim.Group, pc int, in *instr, act []int32) int {
 				clear(a.f32[o : o+def.total])
 			}
 		}
-	case opLoadBin:
-		op, side, slot := unpackLoadBin(in.imm)
-		elem := l.s1(p.slotT[slot])
-		k := l.load(elem.r, slot, l.ints(in.b), act, p.ex2[pc])
-		if side == 0 {
-			return l.bin(op, l.reg(in.dst), elem, l.reg(in.a), act[:k], p.ex[pc])
-		}
-		return l.bin(op, l.reg(in.dst), l.reg(in.a), elem, act[:k], p.ex[pc])
-	case opBinStore:
-		op, slot := unpackBinStore(in.imm)
-		v := l.s1(p.slotT[slot])
-		k := l.bin(op, v, l.reg(in.a), l.reg(in.b), act, p.ex2[pc])
-		return l.store(slot, l.ints(in.c), v.r, act[:k], p.ex[pc])
-	case opLoadStore:
-		src, dst := unpackLoadStore(in.imm)
-		v := l.s1(p.slotT[src])
-		k := l.load(v.r, src, l.ints(in.b), act, p.ex2[pc])
-		return l.store(dst, l.ints(in.c), v.r, act[:k], p.ex[pc])
 	case opLoadMad:
 		// Original order preserved: load (its own fault site in ex2),
 		// then multiply and add (sharing the mad position in ex).

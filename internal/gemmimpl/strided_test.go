@@ -20,7 +20,7 @@ func randStrided(m, n, k, count int, beta float64, seed int64) *batch.Strided[fl
 	fill := func(n int) []float64 {
 		out := make([]float64, n)
 		for i := range out {
-			out[i] = rng.Float64()*2 - 1
+			out[i] = float64(rng.Float64())*2 - 1
 		}
 		return out
 	}

@@ -25,12 +25,12 @@ func refElementwise[T matrix.Scalar](alpha T, a, b *matrix.Matrix[T], beta T, c 
 			var acc T
 			for k := 0; k < a.Cols; k++ {
 				if av := a.At(i, k); av != 0 {
-					acc += av * b.At(k, j)
+					acc += T(av * b.At(k, j))
 				}
 			}
-			v := alpha * acc
+			v := T(alpha * acc)
 			if beta != 0 {
-				v += beta * c.At(i, j)
+				v += T(beta * c.At(i, j))
 			}
 			out[i*c.Cols+j] = v
 		}

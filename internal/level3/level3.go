@@ -401,7 +401,7 @@ func trmmDiagHostLeft[T matrix.Scalar](effLower bool, diag Diag, op blas.Transpo
 		for c := 0; c < cols; c++ {
 			var acc float64
 			for j := lo; j < hi; j++ {
-				acc += at(i, j) * float64(src.At(j, c))
+				acc += float64(at(i, j) * float64(src.At(j, c)))
 			}
 			dst.Set(i, c, T(float64(alpha)*acc))
 		}
@@ -429,7 +429,7 @@ func trmmDiagHostRight[T matrix.Scalar](effLower bool, diag Diag, op blas.Transp
 			}
 			var acc float64
 			for p := lo; p < hi; p++ {
-				acc += float64(src.At(r, p)) * at(p, j)
+				acc += float64(float64(src.At(r, p)) * at(p, j))
 			}
 			dst.Set(r, j, T(float64(alpha)*acc))
 		}

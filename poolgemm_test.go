@@ -142,7 +142,7 @@ func TestPoolSolverPublicAPI(t *testing.T) {
 		for j := 0; j < n; j++ {
 			var v float64
 			for l := 0; l < n; l++ {
-				v += g.At(i, l) * g.At(j, l)
+				v += float64(g.At(i, l) * g.At(j, l))
 			}
 			if i == j {
 				v += float64(n)
@@ -165,7 +165,7 @@ func TestPoolSolverPublicAPI(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			var v float64
 			for l := 0; l < n; l++ {
-				v += orig.At(i, l) * x.At(l, j)
+				v += float64(orig.At(i, l) * x.At(l, j))
 			}
 			if diff := v - rhs.At(i, j); diff > 1e-8 || diff < -1e-8 {
 				t.Fatalf("residual [%d,%d] = %g", i, j, diff)

@@ -75,7 +75,7 @@ func TestSolverTRSMAndSYRK(t *testing.T) {
 		for i := 0; i < n; i++ {
 			var acc float64
 			for j := 0; j <= i; j++ {
-				acc += a.At(i, j) * x.At(j, col)
+				acc += float64(a.At(i, j) * x.At(j, col))
 			}
 			if d := acc - b.At(i, col); d > 1e-10 || d < -1e-10 {
 				t.Fatalf("TRSM residual at (%d,%d): %g", i, col, d)
